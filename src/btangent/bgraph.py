@@ -83,40 +83,10 @@ class BGraph:
     def region_labels(self) -> Tuple[str, ...]:
         return tuple(r.label for r in self.regions)
 
-    def euler_of(self, label: str) -> int:
-        for r in self.regions:
-            if r.label == label:
-                return r.euler_char
-        raise KeyError(label)
-
     def require_valid(self) -> None:
         report = validate_graph(self)
         if not report.ok:
             raise ValueError("invalid region graph: " + "; ".join(report.violations))
-
-    def components(self) -> List[Tuple[str, ...]]:
-        """Connected components of the graph, each sorted by label."""
-        adj: Dict[str, set] = {r.label: set() for r in self.regions}
-        for e in self.edges:
-            adj[e.side_a].add(e.side_b)
-            adj[e.side_b].add(e.side_a)
-        seen: set = set()
-        out: List[Tuple[str, ...]] = []
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            comp = []
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for w in sorted(adj[u]):
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            out.append(tuple(sorted(comp)))
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -284,7 +254,10 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
     Neighboring triangles are consistently oriented exactly when they
     traverse their shared edge in opposite directions.
     """
-    inc = _check_closed(surf)
+    return _orientable(surf, _check_closed(surf))
+
+
+def _orientable(surf: TriangulatedSurface, inc: Dict[Edge2, List[int]]) -> bool:
     flip: Dict[int, bool] = {}
 
     def directed(i: int) -> set:
@@ -435,7 +408,7 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
         regions=tuple(regions),
         edges=tuple(edges),
         ambient_dim=2,
-        orientable=surface_orientable(surf),
+        orientable=_orientable(surf, inc),
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .bgraph import BGraph
+from .bgraph import BGraph, sphere_equator_graph
 from .errors import BTangentError, NotColorableError
 from .euler import euler_report
 from .manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
@@ -197,6 +197,9 @@ def _run_edge(cfg: RunConfig) -> Tuple[int, str]:
 
 def _run_ph_verify(cfg: RunConfig) -> Tuple[int, str]:
     g = load_manifold(_resolve_input(cfg))
+    if g != sphere_equator_graph():
+        raise BTangentError("ph-verify supports only the sphere cut along its equator "
+                            "(bundled sphere_equator)")
     radius = _decimal(cfg.radius, 0.1, float, "radius")
     kit = sphere_height_example()
     coloring = two_color(g)

@@ -65,6 +65,10 @@ class OutOfRangeError(BTangentError):
     """A cylinder coordinate is outside [-1, 1]."""
 
 
+class InvalidArgumentError(BTangentError, ValueError):
+    """A numeric argument is outside the range the operation accepts."""
+
+
 class ManifoldFormatError(BTangentError):
     """A manifold JSON document violates the input schema.
 

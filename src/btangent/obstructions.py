@@ -11,12 +11,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
-from .bgraph import BGraph, Coloring, validate_graph
-from .errors import InconsistentGluingError, NotOrientableError
+from .bgraph import BGraph, Coloring
+from .errors import InconsistentGluingError, InvalidArgumentError, NotOrientableError
 
 PONTRJAGIN_NOTE = "2p(TM) = 2p(bTM) always"
 
@@ -150,69 +148,60 @@ def two_color(g: BGraph) -> Optional[Coloring]:
     return Coloring(color)
 
 
-def _solve_gf2(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """One solution of a x = b over GF(2) (free variables set to 0), or None."""
-    a = a.copy() % 2
-    b = b.copy() % 2
-    rows, cols = a.shape
-    pivot_col: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivots = np.nonzero(a[r:, c])[0]
-        if len(pivots) == 0:
-            continue
-        p = r + pivots[0]
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-            b[[r, p]] = b[[p, r]]
-        hits = np.nonzero(a[:, c])[0]
-        for h in hits:
-            if h != r:
-                a[h] ^= a[r]
-                b[h] ^= b[r]
-        pivot_col.append(c)
-        r += 1
-        if r == rows:
-            break
-    if np.any(b[r:] != 0):
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for i, c in enumerate(pivot_col):
-        x[c] = b[i]
-    return x
-
-
 def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
     """Solve the sign system of a gluing as GF(2) linear algebra.
 
     Each edge with side signs of product -1 demands opposite signs on its
     two regions.  Encoding -1 as the bit 1 turns this into one linear
-    equation per edge; Gaussian elimination decides solvability.  The
-    returned assignment is normalized so that, in every connected component
-    of the graph, the smallest region label gets +1, matching two_color.
+    equation x_a + x_b = 1 per edge.  Every equation has exactly two
+    unknowns, so Gaussian elimination specializes to a union-find in which
+    each region stores its bit relative to its class root: an equation
+    either merges two classes or is checked against the class they already
+    share.  This takes O(E * alpha(V)) time and O(V) memory.  The returned
+    assignment is normalized so that, in every class, the smallest region
+    label gets +1, matching two_color.
 
     Raises:
         InconsistentGluingError: the gluing does not decorate g.
     """
     g.require_valid()
     gluing.check_against(g)
-    labels = sorted(g.region_labels())
-    index = {lab: i for i, lab in enumerate(labels)}
-    a = np.zeros((len(g.edges), len(labels)), dtype=np.uint8)
-    b = np.zeros(len(g.edges), dtype=np.uint8)
-    for row, e in enumerate(g.edges):
+    parent = {lab: lab for lab in g.region_labels()}
+    bit = dict.fromkeys(parent, 0)  # x_lab + x_parent[lab] over GF(2)
+    size = dict.fromkeys(parent, 1)
+
+    def root(lab: str) -> str:
+        path = []
+        while parent[lab] != lab:
+            path.append(lab)
+            lab = parent[lab]
+        acc = 0
+        for node in reversed(path):
+            acc ^= bit[node]
+            bit[node] = acc
+            parent[node] = lab
+        return lab
+
+    for e in g.edges:
         (ra, sa), (rb, sb) = gluing.incidences[e.label]
-        a[row, index[ra]] ^= 1
-        a[row, index[rb]] ^= 1
-        b[row] = 1 if sa * sb == -1 else 0
-    x = _solve_gf2(a, b)
-    if x is None:
-        return None
-    signs = {lab: (1 if x[index[lab]] == 0 else -1) for lab in labels}
-    for comp in g.components():
-        if signs[comp[0]] == -1:
-            for lab in comp:
-                signs[lab] = -signs[lab]
+        ua, ub = root(ra), root(rb)
+        # the equation restated on the two roots: x_ua + x_ub = rhs
+        rhs = bit[ra] ^ bit[rb] ^ (1 if sa * sb == -1 else 0)
+        if ua == ub:
+            if rhs:
+                return None
+            continue
+        if size[ua] < size[ub]:
+            ua, ub = ub, ua
+        parent[ub] = ua
+        bit[ub] = rhs
+        size[ua] += size[ub]
+
+    signs: Dict[str, int] = {}
+    flip: Dict[str, int] = {}
+    for lab in sorted(parent):
+        r = root(lab)
+        signs[lab] = -1 if bit[lab] ^ flip.setdefault(r, bit[lab]) else 1
     return Coloring(signs)
 
 
@@ -223,7 +212,7 @@ def classify_bm(m: int) -> BmClass:
     entirely; an odd power reduces to the order-one case.
     """
     if m < 1:
-        raise ValueError(f"tangency order must be >= 1, got {m}")
+        raise InvalidArgumentError(f"tangency order must be >= 1, got {m}")
     return BmClass.TANGENT_EQUIVALENT if m % 2 == 0 else BmClass.B_TANGENT_EQUIVALENT
 
 
@@ -267,11 +256,11 @@ def edge_obstruction(g: BGraph, dim_m: int, dim_f: int) -> EdgeVerdict:
     over itself inside the sphere admits an isomorphism despite Z).
 
     Raises:
-        ValueError: unless 0 <= dim_f < dim_m.
+        InvalidArgumentError: unless 0 <= dim_f < dim_m.
     """
     g.require_valid()
     if not 0 <= dim_f < dim_m:
-        raise ValueError(f"need 0 <= dim_f < dim_m, got dim_f={dim_f}, dim_m={dim_m}")
+        raise InvalidArgumentError(f"need 0 <= dim_f < dim_m, got dim_f={dim_f}, dim_m={dim_m}")
     if (dim_m - dim_f) % 2 == 1 and two_color(g) is None:
         return EdgeVerdict.OBSTRUCTED
     return EdgeVerdict.INCONCLUSIVE

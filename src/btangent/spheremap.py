@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     EvenDimensionError,
+    InvalidArgumentError,
     NonTangentInputError,
     NonUnitInputError,
     OutOfRangeError,
@@ -120,12 +121,12 @@ def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
 
     Raises:
         UnsupportedDimensionError: n outside 2..8.
-        ValueError: fewer than 10**4 samples.
+        InvalidArgumentError: fewer than 10**4 samples.
     """
     if not 2 <= n <= 8:
         raise UnsupportedDimensionError(f"degree_integral supports 2 <= n <= 8, got {n}")
     if samples < 10_000:
-        raise ValueError(f"need at least 10**4 samples, got {samples}")
+        raise InvalidArgumentError(f"need at least 10**4 samples, got {samples}")
     rng = np.random.Generator(np.random.Philox(seed))
     chunk = 8192
     total = 0.0

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bgraph import BGraph, Coloring, sphere_equator_graph
 from .errors import (
+    InvalidArgumentError,
     NonConvergentError,
     ZeroOnContourError,
     ZeroOnCriticalSetError,
@@ -71,9 +72,10 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
     Raises:
         ZeroOnContourError: |field| <= 1e-12 at some sample point.
         NonConvergentError: the cap is reached with steps still >= pi/2.
+        InvalidArgumentError: radius <= 0.
     """
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise InvalidArgumentError(f"radius must be positive, got {radius}")
     cx, cy = center
     n = MIN_SAMPLES
     while True:

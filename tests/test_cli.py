@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import btangent
 from btangent import ManifoldFormatError, parse_manifold
 from btangent.cli import RunConfig, main, run
 from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
@@ -191,3 +196,20 @@ def test_every_bundled_manifold_loads():
         assert g.regions
     with pytest.raises(KeyError):
         bundled_path("unknown")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "sphere_equator", "--m", "0"],
+    ["edge", "sphere_equator", "--dim-m", "1", "--dim-f", "5"],
+    ["sphere", "--samples", "100"],
+    ["index", "x_delta", "--radius", "-1"],
+    ["ph-verify", "genus2_separating"],
+    ["ph-verify", "circle_4_points"],
+])
+def test_out_of_range_arguments_are_structured_errors(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "btangent.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -79,16 +79,20 @@ def test_coloring_negation_also_proper():
 
 def test_gauge_solver_matches_two_color():
     rng = np.random.default_rng(2024)
+    randoms = [random_bgraph(rng) for _ in range(60)]
     graphs = [
         sphere_equator_graph(), torus_loop_graph(), genus2_separating_graph(),
-        two_annuli_torus_graph(),
-    ] + [circle_graph(k) for k in range(9)] + [random_bgraph(rng) for _ in range(60)]
+        two_annuli_torus_graph(), circle_graph(10**5), circle_graph(10**5 + 1),
+    ] + [circle_graph(k) for k in range(9)] + randoms
     for g in graphs:
         bfs = two_color(g)
         alg = gauge_solvable(SignGluing.canonical(g), g)
         assert (bfs is None) == (alg is None)
         if bfs is not None:
             assert alg.to_json_dict() == bfs.to_json_dict()
+    for g in randoms:
+        alg = gauge_solvable(SignGluing.canonical(g), g)
+        assert (alg is None) == (brute_force_two_colorable(g) is None)
 
 
 def test_gauge_loop_unsolvable():
