@@ -121,12 +121,14 @@ def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
 
     Raises:
         UnsupportedDimensionError: n outside 2..8.
-        InvalidArgumentError: fewer than 10**4 samples.
+        InvalidArgumentError: fewer than 10**4 samples, or a negative seed.
     """
     if not 2 <= n <= 8:
         raise UnsupportedDimensionError(f"degree_integral supports 2 <= n <= 8, got {n}")
     if samples < 10_000:
         raise InvalidArgumentError(f"need at least 10**4 samples, got {samples}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
     chunk = 8192
     total = 0.0

@@ -72,10 +72,13 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
     Raises:
         ZeroOnContourError: |field| <= 1e-12 at some sample point.
         NonConvergentError: the cap is reached with steps still >= pi/2.
-        InvalidArgumentError: radius <= 0.
+        InvalidArgumentError: radius not finite and positive, center not
+            finite, or a non-finite field value at a sample point.
     """
-    if radius <= 0:
-        raise InvalidArgumentError(f"radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise InvalidArgumentError(f"radius must be finite and positive, got {radius}")
+    if not all(map(math.isfinite, center)):
+        raise InvalidArgumentError(f"center must be finite, got {center}")
     cx, cy = center
     n = MIN_SAMPLES
     while True:
@@ -83,6 +86,11 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
         values = []
         for k, t in enumerate(angles):
             u, v = field(cx + radius * math.cos(t), cy + radius * math.sin(t))
+            if not (math.isfinite(u) and math.isfinite(v)):
+                raise InvalidArgumentError(
+                    f"field is not finite at sample {k}/{n} on the contour "
+                    f"(center {center}, radius {radius})"
+                )
             if math.hypot(u, v) <= ZERO_TOLERANCE:
                 raise ZeroOnContourError(
                     f"field vanishes at sample {k}/{n} on the contour "
@@ -168,6 +176,17 @@ def default_center(name: str, delta: float = 0.0) -> Tuple[float, float]:
     if name == "x_delta":
         return (delta, 0.0)
     return (0.0, 0.0)
+
+
+def default_radius(name: str, delta: float = 0.0) -> float:
+    """Default contour radius: 0.1, at most |delta|/2 for x_delta with delta != 0.
+
+    x_delta also vanishes at the origin, so a contour around (delta, 0) must
+    stay closer than |delta| to enclose only its own zero.
+    """
+    if name == "x_delta" and delta != 0:
+        return min(0.1, abs(delta) / 2)
+    return 0.1
 
 
 # ---------------------------------------------------------------------------

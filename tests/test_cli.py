@@ -8,7 +8,7 @@ import pytest
 
 import btangent
 from btangent import ManifoldFormatError, parse_manifold
-from btangent.cli import RunConfig, main, run
+from btangent.cli import build_parser, main, run
 from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 
 from corpus import torus_loop_graph
@@ -41,9 +41,9 @@ def test_analyze_with_bm_classification(capsys):
 
 
 def test_identical_invocations_are_byte_identical():
-    cfg = RunConfig(subcommand="sphere", n="3", samples="10000", seed="7")
-    first = run(cfg)
-    second = run(cfg)
+    args = build_parser().parse_args(["sphere", "--n", "3", "--samples", "10000", "--seed", "7"])
+    first = run(args)
+    second = run(args)
     assert first == second
     assert first[0] == 0
 
@@ -55,6 +55,13 @@ def test_index_subcommand_values(capsys):
 
     main(["index", "x_delta", "--delta", "-0.5"])
     assert json.loads(capsys.readouterr().out)["index"] == -1
+
+    # the second zero at the origin lies inside the default radius 0.1
+    for delta, want in (("0.05", 1), ("-0.05", -1)):
+        assert main(["index", "x_delta", "--delta", delta]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["index"] == want
+        assert doc["radius_used"] == 0.025
 
     main(["index", "x0_degenerate"])
     assert json.loads(capsys.readouterr().out)["index"] == 0
@@ -129,7 +136,22 @@ def test_bad_numeric_flag(capsys):
     code = main(["edge", "sphere_equator", "--dim-m", "two", "--dim-f", "0"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "decimal" in err
+    assert err.startswith("error:")
+    assert "--dim-m" in err and "'two'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "sphere_equator", "--bogus"],
+    ["sphere", "--format", "xml"],
+    ["frobnicate"],
+    [],
+    ["index", "x_delta", "--delta", "abc"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_file_input_and_round_trip(tmp_path, capsys):
@@ -205,6 +227,10 @@ def test_every_bundled_manifold_loads():
     ["index", "x_delta", "--radius", "-1"],
     ["ph-verify", "genus2_separating"],
     ["ph-verify", "circle_4_points"],
+    ["index", "x_delta", "--delta", "nan"],
+    ["index", "x_delta", "--radius", "nan"],
+    ["ph-verify", "sphere_equator", "--radius", "inf"],
+    ["sphere", "--seed", "-1"],
 ])
 def test_out_of_range_arguments_are_structured_errors(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))

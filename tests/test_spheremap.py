@@ -5,6 +5,7 @@ import pytest
 
 from btangent import (
     EvenDimensionError,
+    InvalidArgumentError,
     NonTangentInputError,
     NonUnitInputError,
     OutOfRangeError,
@@ -144,6 +145,8 @@ def test_degree_integral_input_gates():
         degree_integral(9)
     with pytest.raises(ValueError):
         degree_integral(3, samples=100)
+    with pytest.raises(InvalidArgumentError):
+        degree_integral(3, samples=10_000, seed=-1)
 
 
 def test_sphere_map_report_agreement():

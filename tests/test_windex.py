@@ -5,6 +5,7 @@ import pytest
 from btangent import (
     BPlaneField,
     ChartZero,
+    InvalidArgumentError,
     NonConvergentError,
     ZeroOnContourError,
     ZeroOnCriticalSetError,
@@ -78,6 +79,20 @@ def test_negation_preserves_index():
 def test_radius_independence():
     f = named_field("x_delta", 0.5)
     assert winding_index(f, (0.5, 0), 0.1).index == winding_index(f, (0.5, 0), 0.05).index
+
+
+@pytest.mark.parametrize("field,center,radius", [
+    (named_field("radial"), (0.0, 0.0), math.nan),
+    (named_field("radial"), (0.0, 0.0), math.inf),
+    (named_field("radial"), (0.0, 0.0), 0.0),
+    (named_field("radial"), (math.nan, 0.0), 0.1),
+    (named_field("radial"), (0.0, -math.inf), 0.1),
+    ((lambda x, y: (math.nan, y)), (0.0, 0.0), 0.1),
+    ((lambda x, y: (math.inf, y)), (0.0, 0.0), 0.1),
+])
+def test_bad_contour_or_field_value_rejected(field, center, radius):
+    with pytest.raises(InvalidArgumentError):
+        winding_index(field, center, radius)
 
 
 def test_zero_on_contour_detected():
