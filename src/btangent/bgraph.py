@@ -12,9 +12,9 @@ surface with a marked cycle system.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import InvalidZError, NonClosedSurfaceError
 
@@ -167,22 +167,15 @@ def validate_graph(g: BGraph) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _norm_edge(u: int, v: int) -> Edge2:
-    return (u, v) if u < v else (v, u)
-
-
-def _triangle_edges(t: Triangle) -> Tuple[Edge2, Edge2, Edge2]:
-    a, b, c = t
-    return (_norm_edge(a, b), _norm_edge(b, c), _norm_edge(a, c))
-
-
 @dataclass(frozen=True)
 class TriangulatedSurface:
     """A closed triangulated surface with a marked system of edge cycles.
 
     Attributes:
         vertex_count: vertices are the integers 0 .. vertex_count - 1.
-        triangles: faces as vertex triples (stored sorted).
+        triangles: faces as vertex triples (stored sorted).  A stored
+            triangle (a, b, c) is oriented a -> b -> c -> a, so it runs along
+            its two edges at the middle vertex b and against the edge (a, c).
         z_edges: marked edges, each a pair of vertex indices.  Together they
             must form a disjoint union of embedded cycles.
     """
@@ -193,20 +186,20 @@ class TriangulatedSurface:
 
     def __post_init__(self):
         tris = tuple(tuple(sorted(t)) for t in self.triangles)
-        zs = tuple(sorted(_norm_edge(*e) for e in self.z_edges))
+        zs = tuple(sorted((min(u, v), max(u, v)) for u, v in self.z_edges))
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "z_edges", zs)
 
-    def edge_incidence(self) -> Dict[Edge2, List[int]]:
-        inc: Dict[Edge2, List[int]] = defaultdict(list)
-        for i, t in enumerate(self.triangles):
-            for e in _triangle_edges(t):
-                inc[e].append(i)
-        return inc
-
 
 def _check_closed(surf: TriangulatedSurface) -> Dict[Edge2, List[int]]:
+    """Check that the complex is a closed surface and return its edge table.
+
+    The table maps every edge (u, v), u < v, to the two triangles sharing it.
+    """
+    if not surf.triangles:
+        raise NonClosedSurfaceError("the complex has no triangles")
     used = set()
+    sides: Dict[Edge2, List[int]] = defaultdict(list)
     for i, t in enumerate(surf.triangles):
         if len(set(t)) != 3:
             raise NonClosedSurfaceError(f"triangle {i} is degenerate: {t}")
@@ -214,38 +207,60 @@ def _check_closed(surf: TriangulatedSurface) -> Dict[Edge2, List[int]]:
             if not 0 <= v < surf.vertex_count:
                 raise NonClosedSurfaceError(f"triangle {i} uses vertex {v} out of range")
         used.update(t)
+        a, b, c = t
+        sides[a, b].append(i)
+        sides[b, c].append(i)
+        sides[a, c].append(i)
     if len(set(surf.triangles)) != len(surf.triangles):
         raise NonClosedSurfaceError("duplicate triangle in complex")
     if used != set(range(surf.vertex_count)):
         missing = sorted(set(range(surf.vertex_count)) - used)
         raise NonClosedSurfaceError(f"isolated vertices: {missing}")
-    inc = surf.edge_incidence()
-    for e, ts in inc.items():
+    for e, ts in sides.items():
         if len(ts) != 2:
             raise NonClosedSurfaceError(
                 f"edge {e} lies in {len(ts)} triangle(s); a closed surface needs 2"
             )
-    return inc
+    return sides
 
 
-def _check_z(surf: TriangulatedSurface, inc: Dict[Edge2, List[int]]) -> None:
-    degree: Dict[int, int] = defaultdict(int)
-    for e in surf.z_edges:
-        if e not in inc:
-            raise InvalidZError(f"marked edge {e} is not an edge of the complex")
-        degree[e[0]] += 1
-        degree[e[1]] += 1
-    for v, d in sorted(degree.items()):
-        if d != 2:
+def _z_cycles(surf: TriangulatedSurface, sides: Dict[Edge2, List[int]]) -> List[List[Edge2]]:
+    """Check that the marked edges form disjoint cycles and return the cycles.
+
+    Cycles come in the order of their smallest edge.
+    """
+    nbrs: Dict[int, List[int]] = defaultdict(list)
+    for u, v in surf.z_edges:
+        if (u, v) not in sides:
+            raise InvalidZError(f"marked edge {(u, v)} is not an edge of the complex")
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for v, ws in sorted(nbrs.items()):
+        if len(ws) != 2:
             raise InvalidZError(
-                f"vertex {v} has degree {d} in the marked edge set; cycles need 2"
+                f"vertex {v} has degree {len(ws)} in the marked edge set; cycles need 2"
             )
+    seen: set = set()
+    cycles: List[List[Edge2]] = []
+    for start, nxt in surf.z_edges:
+        if start in seen:
+            continue
+        cycle = [(start, nxt)]
+        prev, v = start, nxt
+        seen.add(start)
+        while v != start:
+            seen.add(v)
+            x, y = nbrs[v]
+            prev, v = v, (y if x == prev else x)
+            cycle.append((min(prev, v), max(prev, v)))
+        cycles.append(cycle)
+    return cycles
 
 
 def surface_euler(surf: TriangulatedSurface) -> int:
     """Euler characteristic V - E + F of a valid closed surface."""
-    inc = _check_closed(surf)
-    return surf.vertex_count - len(inc) + len(surf.triangles)
+    sides = _check_closed(surf)
+    return surf.vertex_count - len(sides) + len(surf.triangles)
 
 
 def surface_orientable(surf: TriangulatedSurface) -> bool:
@@ -257,104 +272,77 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
     return _orientable(surf, _check_closed(surf))
 
 
-def _orientable(surf: TriangulatedSurface, inc: Dict[Edge2, List[int]]) -> bool:
-    flip: Dict[int, bool] = {}
+def _orientable(surf: TriangulatedSurface, sides: Dict[Edge2, List[int]]) -> bool:
+    """Flip-bit BFS: stop at the first triangle that needs both orientations.
 
-    def directed(i: int) -> set:
-        a, b, c = surf.triangles[i]
-        if flip[i]:
-            a, b, c = a, c, b
-        return {(a, b), (b, c), (c, a)}
-
-    for start in range(len(surf.triangles)):
-        if start in flip:
+    A stored triangle runs along an edge exactly when the edge holds its
+    middle vertex, so two neighbors across e need opposite flips exactly
+    when both or neither of their middle vertices lie on e.
+    """
+    tris = surf.triangles
+    flip: List[Optional[bool]] = [None] * len(tris)
+    for start in range(len(tris)):
+        if flip[start] is not None:
             continue
         flip[start] = False
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            du = directed(u)
-            for e in _triangle_edges(surf.triangles[u]):
-                x, y = inc[e]
+        queue = [start]
+        for u in queue:
+            a, b, c = tris[u]
+            for e in ((a, b), (b, c), (a, c)):
+                x, y = sides[e]
                 w = y if x == u else x
-                shared = next(d for d in du if _norm_edge(*d) == e)
-                rev = (shared[1], shared[0])
-                if w in flip:
-                    if rev not in directed(w):
-                        return False
-                else:
-                    flip[w] = False
-                    if rev not in directed(w):
-                        flip[w] = True
-                        if rev not in directed(w):
-                            return False
+                want = flip[u] ^ ((b in e) == (tris[w][1] in e))
+                if flip[w] is None:
+                    flip[w] = want
                     queue.append(w)
+                elif flip[w] != want:
+                    return False
     return True
 
 
-def _region_partition(surf: TriangulatedSurface, inc: Dict[Edge2, List[int]]) -> List[List[int]]:
-    """Group triangles by reachability across unmarked edges (BFS)."""
+def _region_numbers(surf: TriangulatedSurface,
+                    sides: Dict[Edge2, List[int]]) -> Tuple[List[int], int]:
+    """Number the triangles by region: BFS across unmarked edges.
+
+    Returns the region number of every triangle and the number of regions.
+    """
     zset = set(surf.z_edges)
-    adj: Dict[int, List[int]] = defaultdict(list)
-    for e, (x, y) in inc.items():
-        if e in zset:
+    tris = surf.triangles
+    region = [-1] * len(tris)
+    count = 0
+    for start in range(len(tris)):
+        if region[start] >= 0:
             continue
-        adj[x].append(y)
-        adj[y].append(x)
-    assigned: Dict[int, int] = {}
-    groups: List[List[int]] = []
-    for start in range(len(surf.triangles)):
-        if start in assigned:
-            continue
-        rid = len(groups)
-        assigned[start] = rid
-        members = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in assigned:
-                    assigned[w] = rid
-                    members.append(w)
+        region[start] = count
+        queue = [start]
+        for u in queue:
+            a, b, c = tris[u]
+            for e in ((a, b), (b, c), (a, c)):
+                if e in zset:
+                    continue
+                x, y = sides[e]
+                w = y if x == u else x
+                if region[w] < 0:
+                    region[w] = count
                     queue.append(w)
-        groups.append(sorted(members))
-    return groups
+        count += 1
+    return region, count
 
 
-def _closure_euler(surf: TriangulatedSurface, members: Sequence[int]) -> int:
-    verts: set = set()
-    edges: set = set()
-    for i in members:
-        t = surf.triangles[i]
-        verts.update(t)
-        edges.update(_triangle_edges(t))
-    return len(verts) - len(edges) + len(members)
-
-
-def _z_components(surf: TriangulatedSurface) -> List[Tuple[Edge2, ...]]:
-    adj: Dict[int, List[Edge2]] = defaultdict(list)
-    for e in surf.z_edges:
-        adj[e[0]].append(e)
-        adj[e[1]].append(e)
-    seen: set = set()
-    comps: List[Tuple[Edge2, ...]] = []
-    for e0 in surf.z_edges:
-        if e0 in seen:
-            continue
-        comp = {e0}
-        seen.add(e0)
-        queue = deque([e0])
-        while queue:
-            e = queue.popleft()
-            for v in e:
-                for e2 in adj[v]:
-                    if e2 not in seen:
-                        seen.add(e2)
-                        comp.add(e2)
-                        queue.append(e2)
-        comps.append(tuple(sorted(comp)))
-    comps.sort()
-    return comps
+def _closure_eulers(surf: TriangulatedSurface, sides: Dict[Edge2, List[int]],
+                    region: List[int], count: int) -> List[int]:
+    """Euler characteristic of each region's closure: corners - edges + faces."""
+    chi = [0] * count
+    for r in region:
+        chi[r] += 1
+    for x, y in sides.values():
+        chi[region[x]] -= 1
+        if region[y] != region[x]:
+            chi[region[y]] -= 1
+    n = surf.vertex_count  # a corner is a (region, vertex) pair, packed as region * n + vertex
+    for key in {region[i] * n + v for i, t in enumerate(surf.triangles) for v in t}:
+        chi[key // n] += 1
+    return chi
 
 
 def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
@@ -367,27 +355,24 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
 
     Raises:
         NonClosedSurfaceError: some edge is not shared by exactly two
-            triangles, or the complex has degenerate/duplicate/stray pieces.
+            triangles, or the complex is empty or has degenerate/duplicate/
+            stray pieces.
         InvalidZError: the marked edges do not form disjoint embedded cycles.
     """
-    inc = _check_closed(surf)
-    _check_z(surf, inc)
+    sides = _check_closed(surf)
+    cycles = _z_cycles(surf, sides)
 
-    groups = _region_partition(surf, inc)
-    region_of_triangle: Dict[int, str] = {}
-    regions = []
-    for rid, members in enumerate(groups):
-        label = f"R{rid}"
-        regions.append(Region(label, _closure_euler(surf, members)))
-        for i in members:
-            region_of_triangle[i] = label
+    region, count = _region_numbers(surf, sides)
+    labels = [f"R{r}" for r in range(count)]
+    regions = [Region(lab, chi)
+               for lab, chi in zip(labels, _closure_eulers(surf, sides, region, count))]
 
     edges = []
-    for k, comp in enumerate(_z_components(surf)):
+    for k, cycle in enumerate(cycles):
         touching: List[str] = []
-        for e in comp:
-            for t in inc[e]:
-                lab = region_of_triangle[t]
+        for e in cycle:
+            for t in sides[e]:
+                lab = labels[region[t]]
                 if lab not in touching:
                     touching.append(lab)
         if len(touching) == 1:
@@ -401,14 +386,14 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
         edges.append(HypersurfaceComponent(f"Z{k}", a, b))
 
     total = sum(r.euler_char for r in regions)
-    if total != surf.vertex_count - len(inc) + len(surf.triangles):
+    if total != surf.vertex_count - len(sides) + len(surf.triangles):
         raise RuntimeError("closure Euler characteristics do not sum to the surface's")
 
     return BGraph(
         regions=tuple(regions),
         edges=tuple(edges),
         ambient_dim=2,
-        orientable=_orientable(surf, inc),
+        orientable=_orientable(surf, sides),
     )
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Tuple
 
 from .bgraph import BGraph, sphere_equator_graph
-from .errors import BTangentError, NotColorableError
+from .errors import BTangentError, InvalidArgumentError, NotColorableError
 from .euler import euler_report
 from .manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 from .obstructions import EdgeVerdict, classify_bm, edge_obstruction, equivalence_report, two_color
@@ -130,6 +131,8 @@ def _run_color(args: argparse.Namespace) -> Tuple[int, str]:
 
 def _run_index(args: argparse.Namespace) -> Tuple[int, str]:
     name, delta = args.field_name, args.delta
+    if not math.isfinite(delta):
+        raise InvalidArgumentError(f"--delta must be finite, got {delta}")
     radius = default_radius(name, delta) if args.radius is None else args.radius
     center = default_center(name, delta)
     if args.frame == "b":
@@ -166,12 +169,8 @@ def _run_ph_verify(args: argparse.Namespace) -> Tuple[int, str]:
         raise BTangentError("ph-verify supports only the sphere cut along its equator "
                             "(bundled sphere_equator)")
     kit = sphere_height_example()
-    coloring = two_color(g)
-    if coloring is None:
-        obj = {"two_colorable": False, "verdict": "NOT TWO-COLORABLE"}
-        return 2, _emit(args, obj, g, None, "NOT TWO-COLORABLE")
     report = verify_poincare_hopf(
-        kit["zeros"], g, coloring, kit["fields"], radius=args.radius,
+        kit["zeros"], g, two_color(g), kit["fields"], radius=args.radius,
         critical_distance=kit["critical_distance"],
     )
     return (0 if report.passed else 2), _emit(args, report.to_json_dict())

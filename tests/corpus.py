@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from btangent import BGraph, HypersurfaceComponent, Region, TriangulatedSurface
 
@@ -60,6 +60,56 @@ def projective_plane() -> TriangulatedSurface:
     faces = [(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
              (2, 3, 5), (2, 3, 6), (2, 4, 6), (3, 4, 5), (4, 5, 6)]
     return TriangulatedSurface(6, tuple(tuple(v - 1 for v in f) for f in faces), ())
+
+
+def grid_surface(n: int, m: int, klein: bool = False,
+                 loop_rows: Sequence[int] = ()) -> TriangulatedSurface:
+    """An n x m grid of split squares closed up into a torus or a Klein bottle.
+
+    Vertex (i, j) is i + n*j; column n is column 0, and row m is row 0 (read
+    backwards on a Klein bottle).  Every row in loop_rows is marked as one
+    closed curve of n edges.  Needs n, m >= 3.
+    """
+
+    def v(i: int, j: int) -> int:
+        if j == m:
+            j = 0
+            if klein:
+                i = -i
+        return i % n + n * j
+
+    tris = []
+    for j in range(m):
+        for i in range(n):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)
+            tris += [(a, b, d), (a, d, c)]
+    z = [(v(i, r), v(i + 1, r)) for r in loop_rows for i in range(n)]
+    return TriangulatedSurface(n * m, tuple(tris), tuple(z))
+
+
+def subdivide(surf: TriangulatedSurface, faces: Sequence[int]) -> TriangulatedSurface:
+    """Cone each listed triangle off a new vertex (stellar subdivision).
+
+    The surface, its marked curves, its regions and its orientability stay
+    the same; each new vertex has degree 3, so the dual graph gets odd cycles.
+    """
+    tris = list(surf.triangles)
+    n = surf.vertex_count
+    for f in sorted(set(faces)):
+        a, b, c = surf.triangles[f]
+        tris[f] = (a, b, n)
+        tris += [(b, c, n), (a, c, n)]
+        n += 1
+    return TriangulatedSurface(n, tuple(tris), surf.z_edges)
+
+
+def relabel(surf: TriangulatedSurface, perm: Sequence[int]) -> TriangulatedSurface:
+    """The same surface with vertex v renamed perm[v]."""
+    return TriangulatedSurface(
+        surf.vertex_count,
+        tuple(tuple(perm[v] for v in t) for t in surf.triangles),
+        tuple(tuple(perm[v] for v in e) for e in surf.z_edges),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +210,32 @@ def region_count_oracle(surf: TriangulatedSurface) -> int:
             continue
         uf.union(ts[0], ts[1])
     return uf.count()
+
+
+def orientable_oracle(surf: TriangulatedSurface) -> bool:
+    """Orientability via union-find on the orientation double cover.
+
+    Node 2i is triangle i with its stored cyclic order (t0 -> t1 -> t2 -> t0),
+    node 2i + 1 the same triangle reversed.  Two triangles that run their
+    shared edge in opposite directions are glued sheet to sheet, two that
+    run it the same way sheet to opposite sheet.  The surface is orientable
+    exactly when no triangle's two sheets end up in one class.
+    """
+    runs = defaultdict(list)  # directed edge -> triangles running along it
+    for i, (a, b, c) in enumerate(surf.triangles):
+        for x, y in ((a, b), (b, c), (c, a)):
+            runs[x, y].append(i)
+    uf = UnionFind(2 * len(surf.triangles))
+    for (x, y), forward in runs.items():
+        for i in forward:
+            for j in runs.get((y, x), ()):
+                uf.union(2 * i, 2 * j)
+                uf.union(2 * i + 1, 2 * j + 1)
+        if len(forward) == 2:
+            i, j = forward
+            uf.union(2 * i, 2 * j + 1)
+            uf.union(2 * i + 1, 2 * j)
+    return all(uf.find(2 * i) != uf.find(2 * i + 1) for i in range(len(surf.triangles)))
 
 
 def crossing_winding(field, center: Tuple[float, float], radius: float, samples: int = 40001) -> int:

@@ -1,6 +1,7 @@
 import numpy as np
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btangent import (
     BGraph,
@@ -16,7 +17,17 @@ from btangent import (
     surface_orientable,
     validate_graph,
 )
-from corpus import genus2, octahedron, projective_plane, region_count_oracle, torus7
+from corpus import (
+    genus2,
+    grid_surface,
+    octahedron,
+    orientable_oracle,
+    projective_plane,
+    region_count_oracle,
+    relabel,
+    subdivide,
+    torus7,
+)
 
 
 def test_octahedron_euler():
@@ -75,6 +86,27 @@ def test_region_count_matches_union_find_oracle():
         assert len(g.regions) == region_count_oracle(surf)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 8),
+    m=st.integers(3, 8),
+    klein=st.booleans(),
+    data=st.data(),
+)
+def test_grid_surfaces_match_construction_and_oracles(n, m, klein, data):
+    rows = sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m), label="loop rows"))
+    faces = data.draw(st.lists(st.integers(0, 2 * n * m - 1), max_size=4), label="coned faces")
+    surf = subdivide(grid_surface(n, m, klein, rows), faces)
+    perm = data.draw(st.permutations(range(surf.vertex_count)), label="relabelling")
+    surf = relabel(surf, perm)
+    assert surface_orientable(surf) == (not klein) == orientable_oracle(surf)
+    g = build_graph_from_surface(surf)
+    assert g.orientable == (not klein)
+    assert len(g.regions) == region_count_oracle(surf) == max(len(rows), 1)
+    assert len(g.edges) == len(rows)
+    assert sum(r.euler_char for r in g.regions) == surface_euler(surf) == 0
+
+
 def _as_multigraph(g: BGraph) -> nx.MultiGraph:
     mg = nx.MultiGraph()
     for r in g.regions:
@@ -87,12 +119,7 @@ def _as_multigraph(g: BGraph) -> nx.MultiGraph:
 def test_vertex_relabeling_gives_isomorphic_graph():
     rng = np.random.default_rng(7)
     surf = octahedron()
-    perm = rng.permutation(surf.vertex_count)
-    relabeled = TriangulatedSurface(
-        surf.vertex_count,
-        tuple(tuple(int(perm[v]) for v in t) for t in surf.triangles),
-        tuple(tuple(int(perm[v]) for v in e) for e in surf.z_edges),
-    )
+    relabeled = relabel(surf, rng.permutation(surf.vertex_count).tolist())
     g1 = build_graph_from_surface(surf)
     g2 = build_graph_from_surface(relabeled)
     assert nx.is_isomorphic(
@@ -103,11 +130,15 @@ def test_vertex_relabeling_gives_isomorphic_graph():
 
 def test_non_closed_surface_rejected():
     surf = octahedron()
-    broken = TriangulatedSurface(6, surf.triangles[:-1], ())
-    with pytest.raises(NonClosedSurfaceError):
-        build_graph_from_surface(broken)
-    with pytest.raises(NonClosedSurfaceError):
-        surface_euler(broken)
+    for broken in (
+        TriangulatedSurface(6, surf.triangles[:-1], ()),
+        TriangulatedSurface(0, (), ()),
+        TriangulatedSurface(-1, (), ()),
+    ):
+        with pytest.raises(NonClosedSurfaceError):
+            build_graph_from_surface(broken)
+        with pytest.raises(NonClosedSurfaceError):
+            surface_euler(broken)
 
 
 def test_isolated_vertex_rejected():

@@ -184,6 +184,15 @@ def test_surface_document_input(tmp_path, capsys):
     assert report["classical_euler"] == 2
 
 
+def test_empty_surface_is_structured_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"surface": {"vertices": 0, "triangles": []}}), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "no triangles" in captured.err
+    assert captured.out == ""
+
+
 def test_malformed_json_reports_pointer(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -231,6 +240,8 @@ def test_every_bundled_manifold_loads():
     ["index", "x_delta", "--radius", "nan"],
     ["ph-verify", "sphere_equator", "--radius", "inf"],
     ["sphere", "--seed", "-1"],
+    ["index", "saddle", "--delta", "nan"],
+    ["index", "radial", "--delta", "inf"],
 ])
 def test_out_of_range_arguments_are_structured_errors(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
