@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .errors import InvalidZError, NonClosedSurfaceError
+from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError
 
 Edge2 = Tuple[int, int]
 Triangle = Tuple[int, int, int]
@@ -40,27 +40,16 @@ class HypersurfaceComponent:
     """A connected component of the critical hypersurface.
 
     ``side_a == side_b`` encodes a component whose two sides meet the same
-    region (a loop edge of the graph).  The component's own Euler
-    characteristic is stored for completeness; for curves it is zero.
+    region (a loop edge of the graph).
     """
 
     label: str
     side_a: str
     side_b: str
-    euler_char: int = 0
 
     @property
     def is_loop(self) -> bool:
         return self.side_a == self.side_b
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -69,6 +58,13 @@ class BGraph:
 
     The orientability flag describes M itself and is trusted as given for
     hand-written graphs; graphs built from a triangulation get it computed.
+
+    A graph checks its own referential integrity when it is built, so every
+    BGraph in existence is well formed: it has a region, its region and edge
+    labels are unique, every edge side names a region, and ambient_dim >= 1.
+
+    Raises:
+        InvalidArgumentError: listing every violation found.
     """
 
     regions: Tuple[Region, ...]
@@ -79,14 +75,29 @@ class BGraph:
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "edges", tuple(self.edges))
+        violations: List[str] = []
+        if not self.regions:
+            violations.append("graph has no regions")
+        seen = set()
+        for r in self.regions:
+            if r.label in seen:
+                violations.append(f"duplicate region label {r.label!r}")
+            seen.add(r.label)
+        edge_labels = set()
+        for e in self.edges:
+            if e.label in edge_labels:
+                violations.append(f"duplicate edge label {e.label!r}")
+            edge_labels.add(e.label)
+            for side in (e.side_a, e.side_b):
+                if side not in seen:
+                    violations.append(f"edge {e.label!r} references missing region {side!r}")
+        if self.ambient_dim < 1:
+            violations.append(f"ambient_dim must be >= 1, got {self.ambient_dim}")
+        if violations:
+            raise InvalidArgumentError("invalid region graph: " + "; ".join(violations))
 
     def region_labels(self) -> Tuple[str, ...]:
         return tuple(r.label for r in self.regions)
-
-    def require_valid(self) -> None:
-        report = validate_graph(self)
-        if not report.ok:
-            raise ValueError("invalid region graph: " + "; ".join(report.violations))
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,7 +120,7 @@ class Coloring:
         object.__setattr__(self, "assignment", dict(self.assignment))
         for label, value in self.assignment.items():
             if value not in (1, -1):
-                raise ValueError(f"color of {label!r} must be +1 or -1, got {value!r}")
+                raise InvalidArgumentError(f"color of {label!r} must be +1 or -1, got {value!r}")
 
     def __getitem__(self, label: str) -> int:
         return self.assignment[label]
@@ -131,35 +142,6 @@ class Coloring:
 
     def to_json_dict(self) -> dict:
         return dict(sorted(self.assignment.items()))
-
-
-def validate_graph(g: BGraph) -> ValidationReport:
-    """Check referential integrity of a region graph.
-
-    Returns:
-        A report listing every violation found; an empty report means the
-        graph is well formed.
-    """
-    violations: List[str] = []
-    labels = [r.label for r in g.regions]
-    if not labels:
-        violations.append("graph has no regions")
-    seen = set()
-    for lab in labels:
-        if lab in seen:
-            violations.append(f"duplicate region label {lab!r}")
-        seen.add(lab)
-    edge_labels = set()
-    for e in g.edges:
-        if e.label in edge_labels:
-            violations.append(f"duplicate edge label {e.label!r}")
-        edge_labels.add(e.label)
-        for side in (e.side_a, e.side_b):
-            if side not in seen:
-                violations.append(f"edge {e.label!r} references missing region {side!r}")
-    if g.ambient_dim < 1:
-        violations.append(f"ambient_dim must be >= 1, got {g.ambient_dim}")
-    return ValidationReport(tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +207,16 @@ def _check_closed(surf: TriangulatedSurface) -> Dict[Edge2, List[int]]:
 
 
 def _z_cycles(surf: TriangulatedSurface, sides: Dict[Edge2, List[int]]) -> List[List[Edge2]]:
-    """Check that the marked edges form disjoint cycles and return the cycles.
+    """Check that the marked edges are distinct and form disjoint cycles; return the cycles.
 
     Cycles come in the order of their smallest edge.
     """
     nbrs: Dict[int, List[int]] = defaultdict(list)
-    for u, v in surf.z_edges:
+    for k, (u, v) in enumerate(surf.z_edges):
         if (u, v) not in sides:
             raise InvalidZError(f"marked edge {(u, v)} is not an edge of the complex")
+        if k and surf.z_edges[k - 1] == (u, v):  # stored sorted: a repeat is a neighbour
+            raise InvalidZError(f"marked edge {(u, v)} is listed twice")
         nbrs[u].append(v)
         nbrs[v].append(u)
     for v, ws in sorted(nbrs.items()):
@@ -357,7 +341,8 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
         NonClosedSurfaceError: some edge is not shared by exactly two
             triangles, or the complex is empty or has degenerate/duplicate/
             stray pieces.
-        InvalidZError: the marked edges do not form disjoint embedded cycles.
+        InvalidZError: the marked edges repeat or do not form disjoint
+            embedded cycles.
     """
     sides = _check_closed(surf)
     cycles = _z_cycles(surf, sides)
@@ -419,7 +404,7 @@ def circle_graph(k: int) -> BGraph:
     arc whose endpoints meet at the one marked point (a loop edge).
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidArgumentError("k must be >= 0")
     if k == 0:
         return BGraph((Region("A0", 1),), (), ambient_dim=1, orientable=True)
     regions = tuple(Region(f"A{i}", 1) for i in range(k))

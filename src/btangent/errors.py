@@ -66,7 +66,11 @@ class OutOfRangeError(BTangentError):
 
 
 class InvalidArgumentError(BTangentError, ValueError):
-    """A numeric argument is outside the range the operation accepts."""
+    """An argument the operation does not accept.
+
+    For example a number out of range, an unknown field name, a sign other
+    than +1 or -1, or a region graph with missing or repeated labels.
+    """
 
 
 class ManifoldFormatError(BTangentError):

@@ -2,19 +2,18 @@
 
 In even ambient dimension the rescaled bundle's relative Euler number is the
 coloring-weighted sum of region Euler characteristics; the classical Euler
-characteristic is the unweighted sum.
+characteristic is the unweighted sum.  That sum is chi(M) in every even
+dimension n: cutting M open along the two-sided hypersurface Z leaves the
+disjoint union of the region closures, bounded by two copies of Z, so
+chi(M) = sum_U chi(closure of U) - chi(Z).  Z is a closed manifold of odd
+dimension n - 1, hence chi(Z) = 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .bgraph import BGraph, Coloring
-from .errors import (
-    ImproperColoringError,
-    NotColorableError,
-    OddDimensionError,
-    UnsupportedDimensionError,
-)
+from .errors import ImproperColoringError, NotColorableError, OddDimensionError
 from .obstructions import two_color
 
 
@@ -40,7 +39,6 @@ def b_euler_number(g: BGraph, coloring: Coloring) -> int:
         OddDimensionError: ambient dimension is odd (both Euler numbers
             vanish identically there; the sum would be meaningless).
     """
-    g.require_valid()
     if g.ambient_dim % 2 != 0:
         raise OddDimensionError(
             f"b-Euler number needs even ambient dimension, got {g.ambient_dim}"
@@ -51,19 +49,17 @@ def b_euler_number(g: BGraph, coloring: Coloring) -> int:
 
 
 def classical_euler_number(g: BGraph) -> int:
-    """Euler characteristic of the ambient surface as the plain region sum.
+    """Euler characteristic of the ambient manifold as the plain region sum.
 
-    Only ambient dimension 2 is supported: there the marked hypersurface is
-    a union of circles, which contribute nothing, so the closure
-    characteristics add up to chi(M) on the nose.
+    This is the one place the sum is taken.  It equals chi(M) in every even
+    ambient dimension, where Z contributes chi(Z) = 0 (see the module note).
 
     Raises:
-        UnsupportedDimensionError: ambient dimension differs from 2.
+        OddDimensionError: ambient dimension is odd.
     """
-    g.require_valid()
-    if g.ambient_dim != 2:
-        raise UnsupportedDimensionError(
-            f"classical Euler number via region sums needs ambient_dim == 2, got {g.ambient_dim}"
+    if g.ambient_dim % 2 != 0:
+        raise OddDimensionError(
+            f"classical Euler number needs even ambient dimension, got {g.ambient_dim}"
         )
     return sum(r.euler_char for r in g.regions)
 
@@ -72,20 +68,16 @@ def euler_report(g: BGraph) -> EulerReport:
     """Both Euler numbers under the canonical coloring.
 
     Raises:
+        OddDimensionError: ambient dimension is odd.
         NotColorableError: the graph admits no proper sign coloring, so the
             rescaled bundle has no well-defined relative Euler number.
-        OddDimensionError: ambient dimension is odd.
     """
-    g.require_valid()
-    if g.ambient_dim % 2 != 0:
-        raise OddDimensionError(
-            f"Euler report needs even ambient dimension, got {g.ambient_dim}"
-        )
+    classical = classical_euler_number(g)
     coloring = two_color(g)
     if coloring is None:
         raise NotColorableError("graph is not two-colorable; no global sign choice exists")
     return EulerReport(
         b_euler=b_euler_number(g, coloring),
-        classical_euler=sum(r.euler_char for r in g.regions),
+        classical_euler=classical,
         coloring_used=coloring,
     )

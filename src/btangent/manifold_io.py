@@ -26,9 +26,8 @@ from .bgraph import (
     Region,
     TriangulatedSurface,
     build_graph_from_surface,
-    validate_graph,
 )
-from .errors import ManifoldFormatError
+from .errors import InvalidArgumentError, ManifoldFormatError
 
 BUNDLED_NAMES = (
     "sphere_equator",
@@ -89,11 +88,10 @@ def _parse_graph(doc: dict, pointer: str) -> BGraph:
                 raise ManifoldFormatError(f"unknown region {side!r}", f"{p}/{key}")
         edges.append(HypersurfaceComponent(label, a, b))
 
-    g = BGraph(tuple(regions), tuple(edges), ambient_dim=ambient, orientable=orientable)
-    report = validate_graph(g)
-    if not report.ok:
-        raise ManifoldFormatError("; ".join(report.violations), pointer)
-    return g
+    try:
+        return BGraph(tuple(regions), tuple(edges), ambient_dim=ambient, orientable=orientable)
+    except InvalidArgumentError as exc:
+        raise ManifoldFormatError(str(exc), pointer) from exc
 
 
 def _parse_int_list(raw: Any, length: int, pointer: str) -> Tuple[int, ...]:

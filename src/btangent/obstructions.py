@@ -74,46 +74,38 @@ class SignGluing:
                 )
 
 
+# Criteria equivalent to two-colorability for an orientable M: each restates
+# the one answer through a different invariant, so a verdict reports each
+# name with the two_colorable value.
+_EQUIVALENT_CRITERIA = (
+    "line_bundle_trivial",
+    "sw_classes_equal",
+    "b_tangent_orientable",
+    "global_defining_function",
+    "ko_classes_equal",
+)
+
+
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    """Bundle of equivalent answers for one region graph.
+    """The isomorphism verdict for one region graph, held as its coloring.
 
-    All boolean fields agree by construction; they are reported separately
-    because each phrases the same obstruction through a different invariant.
+    The graph is two-colorable exactly when a proper coloring exists; every
+    other criterion in the JSON form restates that same answer.
     """
 
-    two_colorable: bool
     coloring: Optional[Coloring]
-    line_bundle_trivial: bool
-    sw_classes_equal: bool
-    b_tangent_orientable: bool
-    global_defining_function: bool
-    ko_classes_equal: bool
     pontrjagin_note: str = PONTRJAGIN_NOTE
 
-    def __post_init__(self):
-        flags = {
-            self.two_colorable,
-            self.line_bundle_trivial,
-            self.sw_classes_equal,
-            self.b_tangent_orientable,
-            self.global_defining_function,
-            self.ko_classes_equal,
-        }
-        if len(flags) != 1:
-            raise ValueError("equivalence verdict fields disagree")
-        if self.two_colorable != (self.coloring is not None):
-            raise ValueError("coloring presence must match the verdict")
+    @property
+    def two_colorable(self) -> bool:
+        return self.coloring is not None
 
     def to_json_dict(self) -> dict:
         return {
             "two_colorable": self.two_colorable,
             "coloring": None if self.coloring is None else self.coloring.to_json_dict(),
-            "line_bundle_trivial": self.line_bundle_trivial,
-            "sw_classes_equal": self.sw_classes_equal,
-            "b_tangent_orientable": self.b_tangent_orientable,
-            "global_defining_function": self.global_defining_function,
-            "ko_classes_equal": self.ko_classes_equal,
+            **dict.fromkeys(_EQUIVALENT_CRITERIA, self.two_colorable),
             "pontrjagin_note": self.pontrjagin_note,
         }
 
@@ -124,7 +116,6 @@ def two_color(g: BGraph) -> Optional[Coloring]:
     Deterministic tie-break: in every connected component the
     lexicographically smallest region label receives +1.
     """
-    g.require_valid()
     if any(e.is_loop for e in g.edges):
         return None
     adj: Dict[str, set] = {r.label: set() for r in g.regions}
@@ -164,7 +155,6 @@ def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
     Raises:
         InconsistentGluingError: the gluing does not decorate g.
     """
-    g.require_valid()
     gluing.check_against(g)
     parent = {lab: lab for lab in g.region_labels()}
     bit = dict.fromkeys(parent, 0)  # x_lab + x_parent[lab] over GF(2)
@@ -223,26 +213,15 @@ def equivalence_report(g: BGraph) -> ClassificationVerdict:
         NotOrientableError: the ambient manifold is flagged non-orientable;
             the bundle-level reformulations assume orientability of M.
     """
-    g.require_valid()
     if not g.orientable:
         raise NotOrientableError("equivalence_report requires an orientable ambient manifold")
-    coloring = two_color(g)
-    colorable = coloring is not None
-    return ClassificationVerdict(
-        two_colorable=colorable,
-        coloring=coloring,
-        line_bundle_trivial=colorable,
-        sw_classes_equal=colorable,
-        b_tangent_orientable=colorable,
-        global_defining_function=colorable,
-        ko_classes_equal=colorable,
-    )
+    return ClassificationVerdict(two_color(g))
 
 
 def circle_criterion(k: int) -> bool:
     """Isomorphism criterion for the circle with k marked points: k even."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidArgumentError("k must be >= 0")
     return k % 2 == 0
 
 
@@ -258,7 +237,6 @@ def edge_obstruction(g: BGraph, dim_m: int, dim_f: int) -> EdgeVerdict:
     Raises:
         InvalidArgumentError: unless 0 <= dim_f < dim_m.
     """
-    g.require_valid()
     if not 0 <= dim_f < dim_m:
         raise InvalidArgumentError(f"need 0 <= dim_f < dim_m, got dim_f={dim_f}, dim_m={dim_m}")
     if (dim_m - dim_f) % 2 == 1 and two_color(g) is None:

@@ -289,7 +289,7 @@ def _paired_rotation(v: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """
     d = v.shape[-1]
     if d % 2 != 0:
-        raise ValueError("paired rotation needs even dimension")
+        raise InvalidArgumentError("paired rotation needs even dimension")
     c = np.cos(angle)
     s = np.sin(angle)
     out = np.empty(np.broadcast_shapes(v.shape, c.shape + (d,)))
@@ -315,13 +315,14 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
         EvenDimensionError: n is even (the degree is 2 there; no null
             homotopy exists).
         UnsupportedDimensionError: n outside 3..7.
+        InvalidArgumentError: grid < 3.
     """
     if n % 2 == 0:
         raise EvenDimensionError(f"no null homotopy in even dimension n = {n}")
     if not 3 <= n <= 7:
         raise UnsupportedDimensionError(f"homotopy_endpoints supports odd 3 <= n <= 7, got {n}")
     if grid < 3:
-        raise ValueError("grid must be >= 3")
+        raise InvalidArgumentError("grid must be >= 3")
 
     rng = np.random.Generator(np.random.Philox(0))
     vs = rng.normal(size=(grid, n - 1))
@@ -396,7 +397,7 @@ def edge_homotopy_witness(steps: int = 1000) -> CheckReport:
     obstruction can arise.  Checks endpoints and det == 1 along the path.
     """
     if steps < 2:
-        raise ValueError("steps must be >= 2")
+        raise InvalidArgumentError("steps must be >= 2")
     ts = np.linspace(0.0, 1.0, steps)
     mats = np.stack([edge_homotopy_matrix(float(t)) for t in ts])
     dev0 = float(np.max(np.abs(mats[0] + np.eye(2))))
@@ -434,7 +435,7 @@ def rotation_from_pole(y) -> np.ndarray:
     if s < 1e-13:
         if c > 0:
             return np.eye(n)
-        raise ValueError("rotation to the antipode of the pole is not unique")
+        raise InvalidArgumentError("rotation to the antipode of the pole is not unique")
     w = w / s
     return (
         np.eye(n)
@@ -454,7 +455,7 @@ def local_trivialization_residual(q) -> float:
     q = _as_unit(q)
     height = float(q[-1])
     if not 0.0 < height < 1.0 / math.sqrt(2.0):
-        raise ValueError(f"q must lie strictly inside the upper band, height = {height}")
+        raise InvalidArgumentError(f"q must lie strictly inside the upper band, height = {height}")
     qe = q.copy()
     qe[-1] = 0.0
     qe /= np.linalg.norm(qe)

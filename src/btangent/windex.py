@@ -20,7 +20,7 @@ from .errors import (
     ZeroOnContourError,
     ZeroOnCriticalSetError,
 )
-from .euler import b_euler_number
+from .euler import b_euler_number, classical_euler_number
 
 PlaneField = Callable[[float, float], Tuple[float, float]]
 
@@ -155,7 +155,7 @@ def named_field(name: str, delta: float = 0.0) -> PlaneField:
         return lambda x, y: (x * x, y)
     if name == "sphere_height_b":
         return _sphere_height_chart
-    raise KeyError(f"unknown field {name!r}")
+    raise InvalidArgumentError(f"unknown field {name!r}")
 
 
 def named_b_field(name: str, delta: float = 0.0) -> BPlaneField:
@@ -168,7 +168,7 @@ def named_b_field(name: str, delta: float = 0.0) -> BPlaneField:
         return BPlaneField(a=lambda x, y: 1.0, b=lambda x, y: -y)
     if name == "x0_degenerate":
         return BPlaneField(a=lambda x, y: x, b=lambda x, y: y)
-    raise KeyError(f"no rescaled frame for field {name!r}")
+    raise InvalidArgumentError(f"no rescaled frame for field {name!r}")
 
 
 def default_center(name: str, delta: float = 0.0) -> Tuple[float, float]:
@@ -269,7 +269,6 @@ def verify_poincare_hopf(
     The pass flag records exact integer equality of the colored index sum
     with the rescaled Euler number; no tolerance is involved.
     """
-    g.require_valid()
     results: List[ZeroIndex] = []
     for z in zeros:
         if critical_distance is not None:
@@ -283,13 +282,12 @@ def verify_poincare_hopf(
     colored = sum(coloring[r.region] * r.index for r in results)
     unsigned = sum(r.index for r in results)
     be = b_euler_number(g, coloring)
-    classical = sum(r.euler_char for r in g.regions)
     return VerificationReport(
         zeros=tuple(results),
         colored_sum=colored,
         b_euler=be,
         unsigned_sum=unsigned,
-        classical_euler=classical,
+        classical_euler=classical_euler_number(g),
         passed=(colored == be),
     )
 

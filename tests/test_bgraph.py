@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 from btangent import (
     BGraph,
     HypersurfaceComponent,
+    InvalidArgumentError,
     InvalidZError,
+    ManifoldFormatError,
     NonClosedSurfaceError,
     Region,
     TriangulatedSurface,
     build_graph_from_surface,
     circle_graph,
+    parse_manifold,
     sphere_equator_graph,
     surface_euler,
     surface_orientable,
-    validate_graph,
 )
 from corpus import (
     genus2,
@@ -161,17 +163,76 @@ def test_z_edge_outside_complex_rejected():
         )
 
 
-def test_validate_graph_reports():
-    assert validate_graph(sphere_equator_graph()).ok
-    dangling = BGraph(
-        (Region("A", 1),), (HypersurfaceComponent("E", "A", "missing"),)
-    )
-    report = validate_graph(dangling)
-    assert len(report.violations) == 1
-    assert "missing" in report.violations[0]
-    dupes = BGraph((Region("A", 1), Region("A", 2)), ())
-    assert not validate_graph(dupes).ok
-    assert not validate_graph(BGraph((), ())).ok
+def test_repeated_z_edge_rejected():
+    # listed once each way, the edge would otherwise pass as the loop 1-2-1
+    surf = octahedron()
+    with pytest.raises(InvalidZError, match="listed twice"):
+        build_graph_from_surface(TriangulatedSurface(6, surf.triangles, ((1, 2), (2, 1))))
+
+
+def test_invalid_graph_raises_at_construction():
+    sphere_equator_graph()
+    with pytest.raises(InvalidArgumentError, match="missing") as exc:
+        BGraph((Region("A", 1),), (HypersurfaceComponent("E", "A", "missing"),))
+    assert "; " not in str(exc.value)  # exactly one violation
+    with pytest.raises(InvalidArgumentError, match="duplicate region label"):
+        BGraph((Region("A", 1), Region("A", 2)), ())
+    with pytest.raises(InvalidArgumentError, match="no regions"):
+        BGraph((), ())
+
+
+@st.composite
+def _graph_parts(draw):
+    """Regions, edges, ambient dimension and orientability of a valid graph."""
+    labels = draw(st.lists(st.text("ABCD", min_size=1, max_size=3),
+                           min_size=1, max_size=6, unique=True))
+    regions = [Region(lab, draw(st.integers(-4, 4))) for lab in labels]
+    side = st.sampled_from(labels)
+    edges = [HypersurfaceComponent(f"Z{k}", draw(side), draw(side))
+             for k in range(draw(st.integers(0, 6)))]
+    return regions, edges, draw(st.integers(1, 6)), draw(st.booleans())
+
+
+def _graph_document(regions, edges, dim, orientable) -> dict:
+    return {"graph": {
+        "regions": [{"label": r.label, "chi": r.euler_char} for r in regions],
+        "edges": [{"label": e.label, "a": e.side_a, "b": e.side_b} for e in edges],
+        "ambient_dim": dim,
+        "orientable": orientable,
+    }}
+
+
+_DEFECTS = ("no regions", "duplicate region label", "duplicate edge label",
+            "references missing region", "ambient_dim must be >= 1")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_graph_parts(), st.sampled_from(_DEFECTS))
+def test_graph_constructor_checks_every_defect(parts, defect):
+    regions, edges, dim, orientable = parts
+    g = BGraph(regions, edges, dim, orientable)
+    assert parse_manifold({"graph": g.to_json_dict()}) == g
+
+    first = regions[0].label
+    pointer = "/graph"
+    if defect == "no regions":
+        regions, edges = [], []
+    elif defect == "duplicate region label":
+        regions = regions + [Region(first, 0)]
+    elif defect == "duplicate edge label":
+        edges = edges + [HypersurfaceComponent("Z0", first, first)] * 2
+    elif defect == "references missing region":
+        pointer = f"/graph/edges/{len(edges)}/a"
+        edges = edges + [HypersurfaceComponent("Zx", "Q", first)]
+    else:
+        dim = 0
+    with pytest.raises(InvalidArgumentError, match=defect):
+        BGraph(regions, edges, dim, orientable)
+    with pytest.raises(ManifoldFormatError) as exc:
+        parse_manifold(_graph_document(regions, edges, dim, orientable))
+    assert exc.value.pointer == pointer
+    if pointer == "/graph":
+        assert defect in str(exc.value)
 
 
 def test_circle_graph_shapes():

@@ -11,7 +11,14 @@ from btangent import ManifoldFormatError, parse_manifold
 from btangent.cli import build_parser, main, run
 from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 
-from corpus import torus_loop_graph
+from corpus import octahedron, torus_loop_graph
+
+
+def _cold_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "btangent.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def test_euler_on_bundled_sphere(capsys):
@@ -242,11 +249,27 @@ def test_every_bundled_manifold_loads():
     ["sphere", "--seed", "-1"],
     ["index", "saddle", "--delta", "nan"],
     ["index", "radial", "--delta", "inf"],
+    ["index", "sphere_height_b", "--frame", "b"],
 ])
 def test_out_of_range_arguments_are_structured_errors(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "btangent.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _cold_cli(*argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"surface": {"vertices": 6, "triangles": [list(t) for t in octahedron().triangles],
+                  "z_edges": [[1, 2], [2, 1]]}}, "listed twice"),
+    ({"graph": {"regions": [{"label": "A", "chi": 1}, {"label": "A", "chi": 1}],
+                "edges": [], "ambient_dim": 2, "orientable": True}},
+     "duplicate region label"),
+])
+def test_invalid_documents_are_structured_errors(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _cold_cli("analyze", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -8,7 +8,6 @@ from btangent import (
     NotColorableError,
     OddDimensionError,
     Region,
-    UnsupportedDimensionError,
     b_euler_number,
     classical_euler_number,
     euler_report,
@@ -92,10 +91,11 @@ def test_odd_dimension_refused():
         euler_report(g)
 
 
-def test_classical_requires_dim2():
-    g = BGraph((Region("A", 1),), (), ambient_dim=4)
-    with pytest.raises(UnsupportedDimensionError):
-        classical_euler_number(g)
+def test_classical_requires_even_dimension():
+    g = BGraph((Region("A", 1), Region("B", 1)), (), ambient_dim=4)
+    assert classical_euler_number(g) == 2
+    with pytest.raises(OddDimensionError):
+        classical_euler_number(BGraph((Region("A", 1),), (), ambient_dim=3))
     assert classical_euler_number(empty_z_sphere_graph()) == 2
 
 

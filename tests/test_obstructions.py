@@ -136,8 +136,10 @@ def test_classify_bm_parity():
 
 def test_equivalence_report_sphere():
     v = equivalence_report(sphere_equator_graph())
-    assert v.two_colorable and v.line_bundle_trivial and v.sw_classes_equal
-    assert v.b_tangent_orientable and v.global_defining_function and v.ko_classes_equal
+    doc = v.to_json_dict()
+    assert v.two_colorable and doc["line_bundle_trivial"] and doc["sw_classes_equal"]
+    assert doc["b_tangent_orientable"] and doc["global_defining_function"]
+    assert doc["ko_classes_equal"]
     assert v.coloring.to_json_dict() == {"B+": 1, "B-": -1}
     assert "2p(TM)" in v.pontrjagin_note
 
@@ -145,7 +147,8 @@ def test_equivalence_report_sphere():
 def test_equivalence_report_torus_loop():
     v = equivalence_report(torus_loop_graph())
     assert not v.two_colorable and v.coloring is None
-    assert not v.ko_classes_equal and not v.global_defining_function
+    doc = v.to_json_dict()
+    assert not doc["ko_classes_equal"] and not doc["global_defining_function"]
 
 
 def test_equivalence_report_empty_z():
