@@ -339,8 +339,9 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
 
     Raises:
         NonClosedSurfaceError: some edge is not shared by exactly two
-            triangles, or the complex is empty or has degenerate/duplicate/
-            stray pieces.
+            triangles, the complex is empty or has degenerate/duplicate/
+            stray pieces, or the closure Euler characteristics do not add up
+            to the surface's (a pinched vertex, whose link is not one cycle).
         InvalidZError: the marked edges repeat or do not form disjoint
             embedded cycles.
     """
@@ -372,7 +373,8 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
 
     total = sum(r.euler_char for r in regions)
     if total != surf.vertex_count - len(sides) + len(surf.triangles):
-        raise RuntimeError("closure Euler characteristics do not sum to the surface's")
+        raise NonClosedSurfaceError("closure Euler characteristics do not sum to the "
+                                    "surface's: the complex is not a surface at some vertex")
 
     return BGraph(
         regions=tuple(regions),

@@ -152,12 +152,15 @@ def _run_sphere(args: argparse.Namespace) -> Tuple[int, str]:
 def _run_edge(args: argparse.Namespace) -> Tuple[int, str]:
     g = load_manifold(_resolve_input(args.input))
     verdict = edge_obstruction(g, args.dim_m, args.dim_f)
+    codim = args.dim_m - args.dim_f
+    # in odd codimension the verdict already records the two-coloring it ran
+    colorable = verdict is EdgeVerdict.INCONCLUSIVE if codim % 2 else two_color(g) is not None
     obj = {
         "verdict": verdict.value,
         "dim_m": args.dim_m,
         "dim_f": args.dim_f,
-        "codimension": args.dim_m - args.dim_f,
-        "two_colorable": two_color(g) is not None,
+        "codimension": codim,
+        "two_colorable": colorable,
     }
     code = 2 if verdict is EdgeVerdict.OBSTRUCTED else 0
     return code, _emit(args, obj)

@@ -80,28 +80,23 @@ def pole_map_differential(q, v) -> np.ndarray:
 def _tangent_frames(q: np.ndarray) -> np.ndarray:
     """Positively oriented orthonormal tangent frames for a batch of unit rows.
 
-    Per row the standard basis vector most parallel to q is dropped, the
-    rest are Gram-Schmidt orthonormalized against q in index order, and the
-    last vector is flipped where needed so det[q | v_1 | ... | v_{n-1}] > 0.
+    Per row, with k the index of the largest |q_k| and s = -sign(q_k), the
+    Householder reflection H = I - 2 w w^T / |w|^2 along w = s e_k - q sends
+    s e_k to q.  Since |w|^2 = 2 + 2|q_k| >= 2, it is well conditioned
+    everywhere, the poles included.  Row k of H is s q, so the other rows,
+    in index order, are an orthonormal basis of the tangent space.  As
+    det H = -1, det[q | v_1 | ... | v_{n-1}] = -s (-1)^k: the last vector is
+    flipped where that sign is negative.
     """
     m, n = q.shape
-    drop = np.argmax(np.abs(q), axis=1)
-    idx = np.broadcast_to(np.arange(n), (m, n))
-    keep = idx[idx != drop[:, None]].reshape(m, n - 1)
-    frames = np.zeros((m, n - 1, n))
     rows = np.arange(m)
-    for j in range(n - 1):
-        b = np.zeros((m, n))
-        b[rows, keep[:, j]] = 1.0
-        b -= np.sum(b * q, axis=1, keepdims=True) * q
-        for i in range(j):
-            v = frames[:, i, :]
-            b -= np.sum(b * v, axis=1, keepdims=True) * v
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-        frames[:, j, :] = b
-    mats = np.concatenate([q[:, None, :], frames], axis=1)
-    neg = np.linalg.det(mats) < 0
-    frames[neg, -1, :] *= -1.0
+    k = np.argmax(np.abs(q), axis=1)
+    s = -np.sign(q[rows, k])
+    w = -q
+    w[rows, k] += s
+    h = np.eye(n) - (2.0 / np.sum(w * w, axis=1))[:, None, None] * w[:, :, None] * w[:, None, :]
+    frames = h[np.arange(n) != k[:, None]].reshape(m, n - 1, n)
+    frames[s * (-1.0) ** k > 0, -1, :] *= -1.0
     return frames
 
 
@@ -169,19 +164,17 @@ def _confirm_preimage_isolation(
     gap = 2.0 * (1.0 - t[outside] ** 2)
     if gap.size and float(np.min(gap)) <= margin:
         raise RuntimeError("unexpected near-preimage of the south pole off the poles")
-    tight = q[outside][np.argsort(gap)[:32]]
-    for row in tight:
-        p = row.copy()
-        for _ in range(150):
-            tt = p[-1]
-            grad = 4.0 * tt * (north_pole(n) - tt * p)
-            p = p + 0.5 * grad
-            p /= np.linalg.norm(p)
-        tt = p[-1]
-        in_cap = abs(tt) >= math.cos(cap_radius)
-        value_gap = 2.0 * (1.0 - tt * tt)
-        if not in_cap and value_gap <= margin:
-            raise RuntimeError("refinement found a candidate preimage off the poles")
+    p = q[outside][np.argsort(gap)[:32]]
+    for _ in range(150):
+        tt = p[:, -1:]
+        grad = 4.0 * tt * (north_pole(n) - tt * p)
+        p = p + 0.5 * grad
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+    tt = p[:, -1]
+    in_cap = np.abs(tt) >= math.cos(cap_radius)
+    value_gap = 2.0 * (1.0 - tt * tt)
+    if np.any(~in_cap & (value_gap <= margin)):
+        raise RuntimeError("refinement found a candidate preimage off the poles")
 
 
 def degree_preimage(n: int) -> int:

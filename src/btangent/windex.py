@@ -263,12 +263,22 @@ def verify_poincare_hopf(
             `radius` of the critical set is rejected.
 
     Raises:
+        InvalidArgumentError: a zero names a chart missing from `fields`, or
+            a region missing from the graph or the coloring.
         ZeroOnCriticalSetError: a listed zero sits on or too near Z, where
             winding indices of the honest field are not defined.
 
     The pass flag records exact integer equality of the colored index sum
     with the rescaled Euler number; no tolerance is involved.
     """
+    labels = set(g.region_labels())
+    for z in zeros:
+        if z.chart not in fields:
+            raise InvalidArgumentError(f"zero {z.point} is in chart {z.chart!r}, which has no field")
+        if z.region not in labels or z.region not in coloring.assignment:
+            raise InvalidArgumentError(
+                f"zero {z.point} names region {z.region!r}, which the graph or coloring lacks"
+            )
     results: List[ZeroIndex] = []
     for z in zeros:
         if critical_distance is not None:

@@ -30,6 +30,17 @@ def octahedron(with_equator: bool = True) -> TriangulatedSurface:
     return TriangulatedSurface(6, tuple(triangles), tuple(z))
 
 
+def pinched_octahedra() -> TriangulatedSurface:
+    """Two octahedra sharing vertex 0, the first with its equator marked.
+
+    The complex is not a surface at vertex 0, whose link is two disjoint
+    squares; every edge still lies in exactly two triangles.
+    """
+    first = octahedron()
+    second = tuple(tuple(0 if v == 0 else v + 5 for v in t) for t in octahedron(False).triangles)
+    return TriangulatedSurface(11, first.triangles + second, first.z_edges)
+
+
 def torus7(z_edges: Tuple[Tuple[int, int], ...] = ((0, 1), (1, 2), (0, 2))) -> TriangulatedSurface:
     """The 7-vertex torus; the default marked 3-cycle does not separate."""
     tris = [tuple(sorted((i % 7, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]

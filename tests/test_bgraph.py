@@ -24,6 +24,7 @@ from corpus import (
     grid_surface,
     octahedron,
     orientable_oracle,
+    pinched_octahedra,
     projective_plane,
     region_count_oracle,
     relabel,
@@ -141,6 +142,12 @@ def test_non_closed_surface_rejected():
             build_graph_from_surface(broken)
         with pytest.raises(NonClosedSurfaceError):
             surface_euler(broken)
+
+
+def test_pinched_surface_is_structured_error():
+    # vertex 0 lies off Z in the closures of two regions, so their chi overcount
+    with pytest.raises(NonClosedSurfaceError, match="not a surface at some vertex"):
+        build_graph_from_surface(pinched_octahedra())
 
 
 def test_isolated_vertex_rejected():

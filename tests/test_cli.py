@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 import btangent
-from btangent import ManifoldFormatError, parse_manifold
+from btangent import ManifoldFormatError, cli, obstructions, parse_manifold
 from btangent.cli import build_parser, main, run
 from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 
-from corpus import octahedron, torus_loop_graph
+from corpus import octahedron, pinched_octahedra, torus_loop_graph
 
 
 def _cold_cli(*argv: str) -> subprocess.CompletedProcess:
@@ -87,6 +87,25 @@ def test_edge_subcommand_exit_codes(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["verdict"] == "Inconclusive"
+
+
+@pytest.mark.parametrize("dim_m", ["3", "4"])
+def test_edge_runs_one_two_coloring(monkeypatch, capsys, dim_m):
+    real = obstructions.two_color
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(obstructions, "two_color", counted)
+    monkeypatch.setattr(cli, "two_color", counted)
+    for name in BUNDLED_NAMES:
+        calls.clear()
+        main(["edge", name, "--dim-m", dim_m, "--dim-f", "2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert doc["two_colorable"] is (real(load_manifold(bundled_path(name))) is not None)
 
 
 def test_ph_verify_passes_on_sphere(capsys):
@@ -264,6 +283,9 @@ def test_out_of_range_arguments_are_structured_errors(argv):
     ({"graph": {"regions": [{"label": "A", "chi": 1}, {"label": "A", "chi": 1}],
                 "edges": [], "ambient_dim": 2, "orientable": True}},
      "duplicate region label"),
+    ({"surface": {"vertices": 11, "triangles": [list(t) for t in pinched_octahedra().triangles],
+                  "z_edges": [list(e) for e in pinched_octahedra().z_edges]}},
+     "not a surface at some vertex"),
 ])
 def test_invalid_documents_are_structured_errors(tmp_path, doc, message):
     path = tmp_path / "bad.json"

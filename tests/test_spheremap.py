@@ -108,8 +108,12 @@ def test_differential_matches_finite_differences():
 def test_tangent_frame_orthonormal_and_oriented():
     rng = np.random.default_rng(6)
     for n in range(2, 9):
-        for _ in range(50):
-            q = _unit(rng, n)
+        eye = np.eye(n)
+        axes = [sign * e for e in eye for sign in (1.0, -1.0)]
+        # rows whose largest |q_k| is tied: the diagonal, and a +/- pair at either end
+        ties = [np.full(n, 1.0 / math.sqrt(n)), (eye[1] - eye[0]) / math.sqrt(2.0),
+                (eye[-2] - eye[-1]) / math.sqrt(2.0)]
+        for q in [_unit(rng, n) for _ in range(50)] + axes + ties:
             frame = tangent_frame(q)
             mat = np.vstack([q[None, :], frame])
             assert np.allclose(mat @ mat.T, np.eye(n), atol=1e-12)
@@ -118,6 +122,18 @@ def test_tangent_frame_orthonormal_and_oriented():
     for q in (north_pole(5), -north_pole(5)):
         frame = tangent_frame(q)
         assert np.allclose(frame @ q, 0.0, atol=1e-14)
+
+
+def test_pole_map_jacobian_matches_closed_form():
+    # per sample, det[f(q) | df(v_1) | ... | df(v_{n-1})] = 2 (-2 t)^(n-2) with t = q_n,
+    # so a wrong frame orientation and a wrong differential fail here separately
+    rng = np.random.default_rng(14)
+    for n in range(2, 9):
+        for _ in range(200):
+            q = _unit(rng, n)
+            cols = [pole_map(q)] + [pole_map_differential(q, v) for v in tangent_frame(q)]
+            expected = 2.0 * (-2.0 * q[-1]) ** (n - 2)
+            assert abs(np.linalg.det(np.column_stack(cols)) - expected) <= 1e-12
 
 
 def test_degree_preimage_parity():

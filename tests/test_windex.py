@@ -158,6 +158,25 @@ def test_zero_on_critical_set_rejected():
         )
 
 
+@pytest.mark.parametrize("bad", [
+    ChartZero("north", (0.0, 0.0), "B?"),
+    ChartZero("east", (0.0, 0.0), "B+"),
+])
+def test_zero_naming_unknown_region_or_chart_rejected(bad):
+    kit = sphere_height_example()
+    g = kit["graph"]
+    calls = []
+
+    def field(x, y):
+        calls.append((x, y))
+        return kit["fields"]["north"](x, y)
+
+    fields = {"north": field, "south": field}
+    with pytest.raises(InvalidArgumentError):
+        verify_poincare_hopf(kit["zeros"] + (bad,), g, two_color(g), fields)
+    assert calls == []
+
+
 def test_empty_z_radial_from_poles():
     # plain sphere, no critical set: outward field in both stereographic
     # charts has one source per pole; all-plus coloring gives the classical count
