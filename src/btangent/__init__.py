@@ -54,26 +54,6 @@ from .obstructions import (
     gauge_solvable,
     two_color,
 )
-from .spheremap import (
-    CheckItem,
-    CheckReport,
-    SphereMapReport,
-    cylinder_lift,
-    cylinder_projection,
-    degree_integral,
-    degree_preimage,
-    edge_homotopy_matrix,
-    edge_homotopy_witness,
-    homotopy_endpoints,
-    local_trivialization_residual,
-    north_pole,
-    pole_map,
-    pole_map_differential,
-    reflection,
-    rotation_from_pole,
-    sphere_map_report,
-    tangent_frame,
-)
 from .windex import (
     BPlaneField,
     ChartZero,
@@ -92,6 +72,41 @@ from .windex import (
 )
 
 __version__ = "0.1.0"
+
+# spheremap needs numpy, so it is imported on first use (PEP 562)
+_SPHEREMAP_NAMES = (
+    "CheckItem",
+    "CheckReport",
+    "SphereMapReport",
+    "cylinder_lift",
+    "cylinder_projection",
+    "degree_integral",
+    "degree_preimage",
+    "edge_homotopy_matrix",
+    "edge_homotopy_witness",
+    "homotopy_endpoints",
+    "local_trivialization_residual",
+    "north_pole",
+    "pole_map",
+    "pole_map_differential",
+    "reflection",
+    "rotation_from_pole",
+    "sphere_map_report",
+    "tangent_frame",
+)
+
+
+def __getattr__(name: str):
+    if name in _SPHEREMAP_NAMES:
+        from . import spheremap
+
+        return getattr(spheremap, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SPHEREMAP_NAMES))
+
 
 __all__ = [
     "BGraph",

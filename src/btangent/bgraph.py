@@ -14,9 +14,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Edge2 = Tuple[int, int]
 Triangle = Tuple[int, int, int]
@@ -173,78 +176,143 @@ class TriangulatedSurface:
         object.__setattr__(self, "z_edges", zs)
 
 
-def _check_closed(surf: TriangulatedSurface) -> Dict[Edge2, List[int]]:
-    """Check that the complex is a closed surface and return its edge table.
+@dataclass(frozen=True)
+class _HalfEdges:
+    """A checked closed surface as flat arrays.
 
-    The table maps every edge (u, v), u < v, to the two triangles sharing it.
+    Half-edge 3i + s is side s of stored triangle i = (a, b, c): (a, b) for
+    s = 0, (b, c) for s = 1 and (a, c) for s = 2.  The first two run along
+    their edge and the third against it.
     """
-    if not surf.triangles:
+
+    tris: np.ndarray  # F x 3 vertex numbers, rows sorted
+    keys: np.ndarray  # one key u * V + w (u < w) per edge, ascending
+    pairs: np.ndarray  # E x 2: the two half-edges of each edge, in key order
+    nbr: np.ndarray  # 3F: the triangle across each half-edge
+    same: np.ndarray  # 3F: both triangles run the same way along this half-edge's edge
+
+
+def _half_edges(surf: TriangulatedSurface) -> _HalfEdges:
+    """Check that the complex is a closed surface and pair up its half-edges.
+
+    The 3F half-edges are keyed u * V + w and sorted once; the complex is
+    closed exactly when every run of equal keys has length two.
+    """
+    import numpy as np
+
+    tris = surf.triangles
+    if not tris:
         raise NonClosedSurfaceError("the complex has no triangles")
-    used = set()
-    sides: Dict[Edge2, List[int]] = defaultdict(list)
-    for i, t in enumerate(surf.triangles):
-        if len(set(t)) != 3:
-            raise NonClosedSurfaceError(f"triangle {i} is degenerate: {t}")
-        for v in t:
-            if not 0 <= v < surf.vertex_count:
-                raise NonClosedSurfaceError(f"triangle {i} uses vertex {v} out of range")
-        used.update(t)
-        a, b, c = t
-        sides[a, b].append(i)
-        sides[b, c].append(i)
-        sides[a, c].append(i)
-    if len(set(surf.triangles)) != len(surf.triangles):
+    n, f = surf.vertex_count, len(tris)
+    # the checks below run on the triangles before the first one without 3 vertices
+    short = f if set(map(len, tris)) == {3} else next(
+        i for i, tri in enumerate(tris) if len(tri) != 3)
+    t = np.array(tris[:short]).reshape(short, 3)  # int64 unless a vertex is a float or past int64
+    outside = (t < 0) | (t >= n)
+    if t.dtype != np.int64:  # only whole numbers name vertices
+        outside |= t % 1 != 0
+    a, b, c = t.T
+    degenerate = (a == b) | (b == c)
+    bad = degenerate | outside.any(axis=1)
+    if bad.any() or short < f:
+        i = int(bad.argmax()) if bad.any() else short
+        if i == short or degenerate[i]:
+            raise NonClosedSurfaceError(f"triangle {i} is degenerate: {tris[i]}")
+        v = tris[i][int(outside[i].argmax())]
+        raise NonClosedSurfaceError(f"triangle {i} uses vertex {v} out of range")
+    rows = t[np.lexsort(t.T[::-1])]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise NonClosedSurfaceError("duplicate triangle in complex")
-    if used != set(range(surf.vertex_count)):
-        missing = sorted(set(range(surf.vertex_count)) - used)
-        raise NonClosedSurfaceError(f"isolated vertices: {missing}")
-    for e, ts in sides.items():
-        if len(ts) != 2:
-            raise NonClosedSurfaceError(
-                f"edge {e} lies in {len(ts)} triangle(s); a closed surface needs 2"
-            )
-    return sides
+    # every vertex in use bounds V by 3F, so the keys below fit in int64
+    if n > 3 * f or not np.bincount(t.astype(np.int64).ravel(), minlength=n).all():
+        used = np.unique(t)
+        missing = [int(v) for v in np.setdiff1d(np.arange(min(n, used.size + 10)), used)[:10]]
+        total = n - used.size
+        raise NonClosedSurfaceError(f"isolated vertices: {missing}"
+                                    + (f" ({total} in all)" if total > len(missing) else ""))
+
+    t = t.astype(np.int64, copy=False)
+    a, b, c = t.T
+    keys = (np.stack((a, b, a), axis=1) * n + np.stack((b, c, c), axis=1)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    runs = np.diff(np.append(starts, 3 * f))
+    if (runs != 2).any():
+        # a stable sort starts each run at its first half-edge: report the
+        # edge met first in triangle order
+        bad_runs = np.flatnonzero(runs != 2)
+        r = bad_runs[order[starts[bad_runs]].argmin()]
+        e = divmod(int(keys[starts[r]]), n)
+        raise NonClosedSurfaceError(
+            f"edge {e} lies in {runs[r]} triangle(s); a closed surface needs 2"
+        )
+
+    pairs = order.reshape(-1, 2)
+    h, k = pairs.T
+    nbr = np.empty(3 * f, dtype=np.int64)
+    nbr[h], nbr[k] = k // 3, h // 3
+    same = np.empty(3 * f, dtype=bool)
+    same[h] = same[k] = (h % 3 < 2) == (k % 3 < 2)
+    return _HalfEdges(t, keys[::2], pairs, nbr, same)
 
 
-def _z_cycles(surf: TriangulatedSurface, sides: Dict[Edge2, List[int]]) -> List[List[Edge2]]:
-    """Check that the marked edges are distinct and form disjoint cycles; return the cycles.
+def _z_cycles(surf: TriangulatedSurface, mesh: _HalfEdges) -> Tuple[List[List[int]], np.ndarray]:
+    """Check that the marked edges are distinct and form disjoint cycles.
 
-    Cycles come in the order of their smallest edge.
+    Returns the cycles, each a list of indices into ``surf.z_edges`` in the
+    order of its smallest edge, and the edge number (index into
+    ``mesh.keys``) of every marked edge.
     """
-    nbrs: Dict[int, List[int]] = defaultdict(list)
-    for k, (u, v) in enumerate(surf.z_edges):
-        if (u, v) not in sides:
-            raise InvalidZError(f"marked edge {(u, v)} is not an edge of the complex")
-        if k and surf.z_edges[k - 1] == (u, v):  # stored sorted: a repeat is a neighbour
-            raise InvalidZError(f"marked edge {(u, v)} is listed twice")
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    for v, ws in sorted(nbrs.items()):
-        if len(ws) != 2:
+    import numpy as np
+
+    z, n = surf.z_edges, surf.vertex_count
+    # -1 for a pair that names no edge: out of range, a loop, or not whole numbers
+    zkeys = np.array([u * n + v if 0 <= u < v < n and u % 1 == v % 1 == 0 else -1
+                      for u, v in z], dtype=np.int64)
+    edge = np.searchsorted(mesh.keys, zkeys).clip(max=len(mesh.keys) - 1)
+    off = mesh.keys[edge] != zkeys
+    repeat = np.zeros(len(z), dtype=bool)  # stored sorted: a repeat is a neighbour
+    repeat[1:] = zkeys[1:] == zkeys[:-1]
+    if (off | repeat).any():
+        k = int((off | repeat).argmax())
+        if off[k]:
+            raise InvalidZError(f"marked edge {z[k]} is not an edge of the complex")
+        raise InvalidZError(f"marked edge {z[k]} is listed twice")
+
+    at: Dict[int, List[int]] = defaultdict(list)  # vertex -> marked edges ending there
+    for k, (u, v) in enumerate(z):
+        at[u].append(k)
+        at[v].append(k)
+    for v, ks in sorted(at.items()):
+        if len(ks) != 2:
             raise InvalidZError(
-                f"vertex {v} has degree {len(ws)} in the marked edge set; cycles need 2"
+                f"vertex {v} has degree {len(ks)} in the marked edge set; cycles need 2"
             )
-    seen: set = set()
-    cycles: List[List[Edge2]] = []
-    for start, nxt in surf.z_edges:
-        if start in seen:
+    seen = [False] * len(z)
+    cycles: List[List[int]] = []
+    for first in range(len(z)):
+        if seen[first]:
             continue
-        cycle = [(start, nxt)]
-        prev, v = start, nxt
-        seen.add(start)
+        start, v = z[first]
+        k = first
+        cycle = [k]
+        seen[k] = True
         while v != start:
-            seen.add(v)
-            x, y = nbrs[v]
-            prev, v = v, (y if x == prev else x)
-            cycle.append((min(prev, v), max(prev, v)))
+            x, y = at[v]
+            k = y if x == k else x
+            cycle.append(k)
+            seen[k] = True
+            u, w = z[k]
+            v = w if u == v else u
         cycles.append(cycle)
-    return cycles
+    return cycles, edge
 
 
 def surface_euler(surf: TriangulatedSurface) -> int:
     """Euler characteristic V - E + F of a valid closed surface."""
-    sides = _check_closed(surf)
-    return surf.vertex_count - len(sides) + len(surf.triangles)
+    mesh = _half_edges(surf)
+    return surf.vertex_count - len(mesh.keys) + len(surf.triangles)
 
 
 def surface_orientable(surf: TriangulatedSurface) -> bool:
@@ -253,30 +321,27 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
     Neighboring triangles are consistently oriented exactly when they
     traverse their shared edge in opposite directions.
     """
-    return _orientable(surf, _check_closed(surf))
+    return _orientable(_half_edges(surf))
 
 
-def _orientable(surf: TriangulatedSurface, sides: Dict[Edge2, List[int]]) -> bool:
+def _orientable(mesh: _HalfEdges) -> bool:
     """Flip-bit BFS: stop at the first triangle that needs both orientations.
 
-    A stored triangle runs along an edge exactly when the edge holds its
-    middle vertex, so two neighbors across e need opposite flips exactly
-    when both or neither of their middle vertices lie on e.
+    Two neighbors need opposite flips exactly when they run the same way
+    along their shared edge.  Each side of a triangle is read as one number,
+    2 * neighbor + same.
     """
-    tris = surf.triangles
-    flip: List[Optional[bool]] = [None] * len(tris)
-    for start in range(len(tris)):
-        if flip[start] is not None:
+    side0, side1, side2 = (mesh.nbr * 2 + mesh.same).reshape(-1, 3).T.tolist()
+    flip = [-1] * len(mesh.tris)
+    for start in range(len(flip)):
+        if flip[start] >= 0:
             continue
-        flip[start] = False
+        flip[start] = 0
         queue = [start]
         for u in queue:
-            a, b, c = tris[u]
-            for e in ((a, b), (b, c), (a, c)):
-                x, y = sides[e]
-                w = y if x == u else x
-                want = flip[u] ^ ((b in e) == (tris[w][1] in e))
-                if flip[w] is None:
+            for x in (side0[u], side1[u], side2[u]):
+                w, want = x >> 1, flip[u] ^ (x & 1)
+                if flip[w] < 0:
                     flip[w] = want
                     queue.append(w)
                 elif flip[w] != want:
@@ -284,49 +349,44 @@ def _orientable(surf: TriangulatedSurface, sides: Dict[Edge2, List[int]]) -> boo
     return True
 
 
-def _region_numbers(surf: TriangulatedSurface,
-                    sides: Dict[Edge2, List[int]]) -> Tuple[List[int], int]:
+def _region_numbers(mesh: _HalfEdges, marked: np.ndarray) -> Tuple[np.ndarray, int]:
     """Number the triangles by region: BFS across unmarked edges.
 
-    Returns the region number of every triangle and the number of regions.
+    ``marked`` holds the half-edges of the marked edges.  Returns the region
+    number of every triangle and the number of regions.
     """
-    zset = set(surf.z_edges)
-    tris = surf.triangles
-    region = [-1] * len(tris)
+    import numpy as np
+
+    across = mesh.nbr.copy()
+    across[marked] = marked // 3  # a marked side leads back to its own triangle
+    side0, side1, side2 = across.reshape(-1, 3).T.tolist()
+    region = [-1] * len(mesh.tris)
     count = 0
-    for start in range(len(tris)):
+    for start in range(len(region)):
         if region[start] >= 0:
             continue
         region[start] = count
         queue = [start]
         for u in queue:
-            a, b, c = tris[u]
-            for e in ((a, b), (b, c), (a, c)):
-                if e in zset:
-                    continue
-                x, y = sides[e]
-                w = y if x == u else x
+            for w in (side0[u], side1[u], side2[u]):
                 if region[w] < 0:
                     region[w] = count
                     queue.append(w)
         count += 1
-    return region, count
+    return np.array(region), count
 
 
-def _closure_eulers(surf: TriangulatedSurface, sides: Dict[Edge2, List[int]],
-                    region: List[int], count: int) -> List[int]:
+def _closure_eulers(mesh: _HalfEdges, n: int, region: np.ndarray, count: int) -> List[int]:
     """Euler characteristic of each region's closure: corners - edges + faces."""
-    chi = [0] * count
-    for r in region:
-        chi[r] += 1
-    for x, y in sides.values():
-        chi[region[x]] -= 1
-        if region[y] != region[x]:
-            chi[region[y]] -= 1
-    n = surf.vertex_count  # a corner is a (region, vertex) pair, packed as region * n + vertex
-    for key in {region[i] * n + v for i, t in enumerate(surf.triangles) for v in t}:
-        chi[key // n] += 1
-    return chi
+    import numpy as np
+
+    sides = region[mesh.pairs // 3]  # the regions on the two sides of each edge
+    edges = np.concatenate((sides[:, 0], sides[sides[:, 0] != sides[:, 1], 1]))
+    corners = np.sort(np.repeat(region, 3) * n + mesh.tris.ravel())  # (region, vertex) pairs
+    corners = corners[np.concatenate(([True], corners[1:] != corners[:-1]))]
+    chi = (np.bincount(region, minlength=count) - np.bincount(edges, minlength=count)
+           + np.bincount(corners // n, minlength=count))
+    return chi.tolist()
 
 
 def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
@@ -345,34 +405,28 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
         InvalidZError: the marked edges repeat or do not form disjoint
             embedded cycles.
     """
-    sides = _check_closed(surf)
-    cycles = _z_cycles(surf, sides)
+    mesh = _half_edges(surf)
+    cycles, edge = _z_cycles(surf, mesh)
 
-    region, count = _region_numbers(surf, sides)
+    region, count = _region_numbers(mesh, mesh.pairs[edge].ravel())
     labels = [f"R{r}" for r in range(count)]
-    regions = [Region(lab, chi)
-               for lab, chi in zip(labels, _closure_eulers(surf, sides, region, count))]
+    chis = _closure_eulers(mesh, surf.vertex_count, region, count)
+    regions = [Region(lab, chi) for lab, chi in zip(labels, chis)]
 
     edges = []
     for k, cycle in enumerate(cycles):
-        touching: List[str] = []
-        for e in cycle:
-            for t in sides[e]:
-                lab = labels[region[t]]
-                if lab not in touching:
-                    touching.append(lab)
+        touching = sorted(labels[r] for r in set(region[mesh.pairs[edge[cycle]] // 3].flat))
         if len(touching) == 1:
             a = b = touching[0]
         elif len(touching) == 2:
-            a, b = sorted(touching)
+            a, b = touching
         else:
             raise InvalidZError(
                 f"marked cycle {k} touches {len(touching)} regions; at most 2 possible"
             )
         edges.append(HypersurfaceComponent(f"Z{k}", a, b))
 
-    total = sum(r.euler_char for r in regions)
-    if total != surf.vertex_count - len(sides) + len(surf.triangles):
+    if sum(chis) != surf.vertex_count - len(mesh.keys) + len(surf.triangles):
         raise NonClosedSurfaceError("closure Euler characteristics do not sum to the "
                                     "surface's: the complex is not a surface at some vertex")
 
@@ -380,7 +434,7 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
         regions=tuple(regions),
         edges=tuple(edges),
         ambient_dim=2,
-        orientable=_orientable(surf, sides),
+        orientable=_orientable(mesh),
     )
 
 

@@ -25,7 +25,6 @@ from .errors import BTangentError, InvalidArgumentError, NotColorableError
 from .euler import euler_report
 from .manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 from .obstructions import EdgeVerdict, classify_bm, edge_obstruction, equivalence_report, two_color
-from .spheremap import sphere_map_report
 from .windex import (
     b_frame_index,
     default_center,
@@ -145,6 +144,8 @@ def _run_index(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_sphere(args: argparse.Namespace) -> Tuple[int, str]:
+    from .spheremap import sphere_map_report  # numpy loads only for this subcommand
+
     report = sphere_map_report(args.n, samples=args.samples, seed=args.seed)
     return 0, _emit(args, report.to_json_dict())
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Any, List, Tuple
+from typing import Any, List
 
 from .bgraph import (
     BGraph,
@@ -94,15 +94,24 @@ def _parse_graph(doc: dict, pointer: str) -> BGraph:
         raise ManifoldFormatError(str(exc), pointer) from exc
 
 
-def _parse_int_list(raw: Any, length: int, pointer: str) -> Tuple[int, ...]:
+def _check_int_list(raw: Any, length: int, pointer: str) -> None:
     if not isinstance(raw, list) or len(raw) != length:
         raise ManifoldFormatError(f"expected a list of {length} integers", pointer)
-    out = []
     for j, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ManifoldFormatError("expected an integer", f"{pointer}/{j}")
-        out.append(v)
-    return tuple(out)
+
+
+def _int_lists(raw: list, length: int, pointer: str) -> list:
+    """Check that every entry of raw is a list of `length` integers; return raw.
+
+    Entry pointers are built only to locate a bad entry.
+    """
+    if not (all(type(e) is list and len(e) == length for e in raw)
+            and all(type(v) is int for e in raw for v in e)):
+        for i, e in enumerate(raw):
+            _check_int_list(e, length, f"{pointer}/{i}")
+    return raw
 
 
 def _parse_surface(doc: dict, pointer: str) -> TriangulatedSurface:
@@ -111,10 +120,8 @@ def _parse_surface(doc: dict, pointer: str) -> TriangulatedSurface:
     z_raw = doc.get("z_edges", [])
     if not isinstance(z_raw, list):
         raise ManifoldFormatError("'z_edges' must be a list", f"{pointer}/z_edges")
-    triangles = [
-        _parse_int_list(t, 3, f"{pointer}/triangles/{i}") for i, t in enumerate(triangles_raw)
-    ]
-    z_edges = [_parse_int_list(e, 2, f"{pointer}/z_edges/{i}") for i, e in enumerate(z_raw)]
+    triangles = _int_lists(triangles_raw, 3, f"{pointer}/triangles")
+    z_edges = _int_lists(z_raw, 2, f"{pointer}/z_edges")
     return TriangulatedSurface(vertices, tuple(triangles), tuple(z_edges))
 
 
@@ -140,14 +147,16 @@ def load_manifold(path) -> BGraph:
     """Load a manifold JSON file into a region graph.
 
     Raises:
-        ManifoldFormatError: malformed JSON or schema violation (with the
-            JSON-pointer path of the problem).
+        ManifoldFormatError: text that is not UTF-8, malformed or too deeply
+            nested JSON, or a schema violation (with the JSON-pointer path of
+            the problem).
         NonClosedSurfaceError / InvalidZError: structurally invalid surface.
         OSError: unreadable path.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ManifoldFormatError(f"not UTF-8 text: {exc}", "/") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ManifoldFormatError(f"not valid JSON: {exc}", "/") from exc
     return parse_manifold(doc)

@@ -150,6 +150,67 @@ def test_pinched_surface_is_structured_error():
         build_graph_from_surface(pinched_octahedra())
 
 
+def _bad_complexes():
+    """Each defect alone, with the exact error it raises."""
+    oct_ = octahedron()
+    tris, z = oct_.triangles, oct_.z_edges
+    with_vertex = tris[:3] + ((0, 2, 6),) + tris[3:]
+    grid = grid_surface(10, 10)
+    return [
+        ("open", TriangulatedSurface(6, tris[:-1], ()), NonClosedSurfaceError,
+         "edge (1, 4) lies in 1 triangle(s); a closed surface needs 2"),
+        ("empty", TriangulatedSurface(0, (), ()), NonClosedSurfaceError,
+         "the complex has no triangles"),
+        ("degenerate", TriangulatedSurface(6, tris + ((1, 1, 2),), ()), NonClosedSurfaceError,
+         "triangle 8 is degenerate: (1, 1, 2)"),
+        ("four vertices", TriangulatedSurface(6, tris[:2] + ((0, 1, 2, 3),) + tris[2:], ()),
+         NonClosedSurfaceError, "triangle 2 is degenerate: (0, 1, 2, 3)"),
+        ("out of range", TriangulatedSurface(6, with_vertex, ()), NonClosedSurfaceError,
+         "triangle 3 uses vertex 6 out of range"),
+        ("beyond int64", TriangulatedSurface(6, tris[:3] + ((0, 2, 2**63),) + tris[3:], ()),
+         NonClosedSurfaceError, f"triangle 3 uses vertex {2**63} out of range"),
+        ("float vertex", TriangulatedSurface(6, tris[:3] + ((0, 2, 2.5),) + tris[3:], ()),
+         NonClosedSurfaceError, "triangle 3 uses vertex 2.5 out of range"),
+        ("duplicate", TriangulatedSurface(6, tris + (tris[2],), ()), NonClosedSurfaceError,
+         "duplicate triangle in complex"),
+        ("isolated vertex", TriangulatedSurface(7, tris, z), NonClosedSurfaceError,
+         "isolated vertices: [6]"),
+        ("edge in 3 triangles",
+         TriangulatedSurface(7, tris + ((0, 1, 6), (1, 2, 6), (0, 2, 6)), ()),
+         NonClosedSurfaceError, "edge (0, 1) lies in 3 triangle(s); a closed surface needs 2"),
+        # three edges in 3 triangles each: the one met first in triangle order is named
+        ("first of several edges in 3 triangles",
+         TriangulatedSurface(103, grid.triangles + tuple(
+             (t[0], t[1], 100 + j) for j, t in enumerate(grid.triangles[i] for i in (98, 194, 107))
+         ), ()),
+         NonClosedSurfaceError, "edge (40, 49) lies in 3 triangle(s); a closed surface needs 2"),
+        ("marked edge off the complex", TriangulatedSurface(6, tris, ((1, 3), (3, 4), (4, 1))),
+         InvalidZError, "marked edge (1, 3) is not an edge of the complex"),
+        ("degree-4 marked vertex",
+         TriangulatedSurface(6, tris, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4))),
+         InvalidZError, "vertex 0 has degree 4 in the marked edge set; cycles need 2"),
+        ("repeated marked edge", TriangulatedSurface(6, tris, ((1, 2), (2, 1))),
+         InvalidZError, "marked edge (1, 2) is listed twice"),
+        ("pinched octahedra", pinched_octahedra(), NonClosedSurfaceError,
+         "closure Euler characteristics do not sum to the surface's: "
+         "the complex is not a surface at some vertex"),
+    ]
+
+
+@pytest.mark.parametrize("name, surf, error, message", _bad_complexes(),
+                         ids=[case[0] for case in _bad_complexes()])
+def test_bad_complex_gives_its_exact_error(name, surf, error, message):
+    with pytest.raises(error) as exc:
+        build_graph_from_surface(surf)
+    assert type(exc.value) is error and str(exc.value) == message
+    if error is NonClosedSurfaceError and name != "pinched octahedra":
+        # the checks on the complex come first and are shared by every reader
+        for reader in (surface_euler, surface_orientable):
+            with pytest.raises(error) as exc:
+                reader(surf)
+            assert str(exc.value) == message
+
+
 def test_isolated_vertex_rejected():
     surf = octahedron()
     with pytest.raises(NonClosedSurfaceError):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +15,11 @@ from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 from corpus import octahedron, pinched_octahedra, torus_loop_graph
 
 
-def _cold_cli(*argv: str) -> subprocess.CompletedProcess:
+def _cold_cli(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter, as a user would."""
     env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-m", "btangent.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
 def test_euler_on_bundled_sphere(capsys):
@@ -277,21 +278,48 @@ def test_out_of_range_arguments_are_structured_errors(argv):
     assert "Traceback" not in proc.stderr
 
 
+_OCTAHEDRON = [list(t) for t in octahedron().triangles]
+
+
 @pytest.mark.parametrize("doc, message", [
-    ({"surface": {"vertices": 6, "triangles": [list(t) for t in octahedron().triangles],
-                  "z_edges": [[1, 2], [2, 1]]}}, "listed twice"),
+    ({"surface": {"vertices": 6, "triangles": _OCTAHEDRON, "z_edges": [[1, 2], [2, 1]]}},
+     "listed twice"),
     ({"graph": {"regions": [{"label": "A", "chi": 1}, {"label": "A", "chi": 1}],
                 "edges": [], "ambient_dim": 2, "orientable": True}},
      "duplicate region label"),
     ({"surface": {"vertices": 11, "triangles": [list(t) for t in pinched_octahedra().triangles],
                   "z_edges": [list(e) for e in pinched_octahedra().z_edges]}},
      "not a surface at some vertex"),
+    pytest.param(b"\xff\xfe" + json.dumps({"surface": {"vertices": 6}}).encode(),
+                 "not UTF-8 text", id="doc3-not UTF-8 text"),
+    pytest.param(b"[" * 100_000, "not valid JSON", id="doc4-not valid JSON"),
 ])
 def test_invalid_documents_are_structured_errors(tmp_path, doc, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     proc = _cold_cli("analyze", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    if isinstance(doc, bytes):
+        with pytest.raises(ManifoldFormatError) as exc:
+            load_manifold(path)
+        assert exc.value.pointer == "/"
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_huge_vertex_count_is_a_quick_structured_error(tmp_path):
+    # the vertex range is never built, so 10**12 vertices cost no memory; the
+    # address-space cap and the timeout keep a regression from taking the machine
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"surface": {"vertices": 10**12, "triangles": _OCTAHEDRON}}),
+                    encoding="utf-8")
+    proc = _cold_cli("analyze", str(path), preexec_fn=_cap_memory, timeout=5)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: isolated vertices: [6, 7, 8, 9, 10, 11, 12, 13, 14, 15] "
+                           f"({10**12 - 6} in all)\n")
     assert proc.stdout == ""
