@@ -26,6 +26,7 @@ from .euler import euler_report
 from .manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 from .obstructions import EdgeVerdict, classify_bm, edge_obstruction, equivalence_report, two_color
 from .windex import (
+    FIELD_NAMES,
     b_frame_index,
     default_center,
     default_radius,
@@ -35,8 +36,6 @@ from .windex import (
     verify_poincare_hopf,
     winding_index,
 )
-
-FIELD_NAMES = ("x_delta", "radial", "saddle", "x0_degenerate", "sphere_height_b")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,13 +49,13 @@ def _resolve_input(name: str) -> Path:
     p = Path(name)
     if p.exists():
         return p
-    stem = p.name[: -len(".json")] if p.name.endswith(".json") else p.name
-    if stem in BUNDLED_NAMES:
-        return bundled_path(stem)
-    raise BTangentError(
-        f"no such file {name!r} and no bundled manifold of that name "
-        f"(bundled: {', '.join(BUNDLED_NAMES)})"
-    )
+    try:
+        return bundled_path(p.name)
+    except KeyError:
+        raise BTangentError(
+            f"no such file {name!r} and no bundled manifold of that name "
+            f"(bundled: {', '.join(BUNDLED_NAMES)})"
+        ) from None
 
 
 def _render_json(obj: dict) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -31,6 +31,11 @@ from .errors import (
 
 UNIT_TOLERANCE = 1e-12
 TANGENT_TOLERANCE = 1e-10
+
+# preimage isolation sweep: polar cap radius (radians), value margin, samples
+ISOLATION_CAP = 0.2
+ISOLATION_MARGIN = 0.05
+ISOLATION_GRID = 20_000
 
 
 def north_pole(n: int) -> np.ndarray:
@@ -77,10 +82,10 @@ def pole_map_differential(q, v) -> np.ndarray:
     return -2.0 * v[-1] * q - 2.0 * q[-1] * v
 
 
-def _tangent_frames(q: np.ndarray) -> np.ndarray:
-    """Positively oriented orthonormal tangent frames for a batch of unit rows.
+def tangent_frame(q) -> np.ndarray:
+    """Positively oriented orthonormal basis of the tangent space at q.
 
-    Per row, with k the index of the largest |q_k| and s = -sign(q_k), the
+    With k the index of the largest |q_k| and s = -sign(q_k), the
     Householder reflection H = I - 2 w w^T / |w|^2 along w = s e_k - q sends
     s e_k to q.  Since |w|^2 = 2 + 2|q_k| >= 2, it is well conditioned
     everywhere, the poles included.  Row k of H is s q, so the other rows,
@@ -88,31 +93,26 @@ def _tangent_frames(q: np.ndarray) -> np.ndarray:
     det H = -1, det[q | v_1 | ... | v_{n-1}] = -s (-1)^k: the last vector is
     flipped where that sign is negative.
     """
-    m, n = q.shape
-    rows = np.arange(m)
-    k = np.argmax(np.abs(q), axis=1)
-    s = -np.sign(q[rows, k])
-    w = -q
-    w[rows, k] += s
-    h = np.eye(n) - (2.0 / np.sum(w * w, axis=1))[:, None, None] * w[:, :, None] * w[:, None, :]
-    frames = h[np.arange(n) != k[:, None]].reshape(m, n - 1, n)
-    frames[s * (-1.0) ** k > 0, -1, :] *= -1.0
-    return frames
-
-
-def tangent_frame(q) -> np.ndarray:
-    """Positively oriented orthonormal basis of the tangent space at q."""
     q = _as_unit(q)
-    return _tangent_frames(q[None, :])[0]
+    k = int(np.argmax(np.abs(q)))
+    s = -np.sign(q[k])
+    w = -q
+    w[k] += s
+    h = np.eye(q.size) - (2.0 / float(w @ w)) * np.outer(w, w)
+    frame = np.delete(h, k, axis=0)
+    if s * (-1.0) ** k > 0:
+        frame[-1] *= -1.0
+    return frame
 
 
 def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
     """Monte Carlo estimate of the mapping degree of pole_map on S^{n-1}.
 
     Averages the pulled-back volume density det[f(q) | df(v_1) | ... ] over
-    uniform q with a positively oriented orthonormal tangent frame (v_i).
-    Uses a counter-based generator and fixed-size chunks, so a given
-    (n, samples, seed) always reproduces the same value.
+    uniform q, where (v_i) is any positively oriented orthonormal tangent
+    frame at q; no frame is built (see the loop).  Uses a counter-based
+    generator and fixed-size chunks, so a given (n, samples, seed) always
+    reproduces the same value.
 
     Raises:
         UnsupportedDimensionError: n outside 2..8.
@@ -126,43 +126,41 @@ def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
     chunk = 8192
+    eye = np.eye(n)
     total = 0.0
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
         q = rng.normal(size=(m, n))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        frames = _tangent_frames(q)
         t = q[:, -1]
-        mu = -2.0 * t[:, None] * q
-        mu[:, -1] += 1.0
-        cols = (
-            -2.0 * frames[:, :, -1][:, :, None] * q[:, None, :]
-            - 2.0 * t[:, None, None] * frames
-        )
-        mats = np.concatenate([mu[:, None, :], cols], axis=1)
-        total += float(np.sum(np.linalg.det(mats)))
+        # A = 2t(qq^T - I) - 2q e_n^T + e_n q^T is dF + f q^T for the degree-0
+        # extension F(x) = p_n - 2 x_n x / |x|^2, so Aq = f and Av = df(v) for
+        # tangent v; det[q | v_1 | ...] = 1, hence det A is the density.
+        a = 2.0 * t[:, None, None] * (q[:, :, None] * q[:, None, :] - eye)
+        a[:, :, -1] -= 2.0 * q
+        a[:, -1, :] += q
+        total += float(np.sum(np.linalg.det(a)))
         done += m
     return total / samples
 
 
-def _confirm_preimage_isolation(
-    n: int, cap_radius: float = 0.2, margin: float = 0.05, grid: int = 20_000
-) -> None:
+def _confirm_preimage_isolation(n: int) -> None:
     """Desk-scale exhaustiveness check: no preimages of -p_n away from the poles.
 
     On a seeded dense sample outside polar caps of angular radius
-    `cap_radius`, the image stays at least `margin` away from the south pole
-    in inner-product terms; ascent refinement from the tightest samples must
-    end inside a cap (or at the equatorial minimum, far from the value).
+    ISOLATION_CAP, the image stays more than ISOLATION_MARGIN away from the
+    south pole in inner-product terms; ascent refinement from the tightest
+    samples must end inside a cap (or at the equatorial minimum, far from
+    the value).
     """
     rng = np.random.Generator(np.random.Philox(2023))
-    q = rng.normal(size=(grid, n))
+    q = rng.normal(size=(ISOLATION_GRID, n))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     t = q[:, -1]
-    outside = np.abs(t) < math.cos(cap_radius)
+    outside = np.abs(t) < math.cos(ISOLATION_CAP)
     gap = 2.0 * (1.0 - t[outside] ** 2)
-    if gap.size and float(np.min(gap)) <= margin:
+    if gap.size and float(np.min(gap)) <= ISOLATION_MARGIN:
         raise RuntimeError("unexpected near-preimage of the south pole off the poles")
     p = q[outside][np.argsort(gap)[:32]]
     for _ in range(150):
@@ -171,9 +169,9 @@ def _confirm_preimage_isolation(
         p = p + 0.5 * grad
         p /= np.linalg.norm(p, axis=1, keepdims=True)
     tt = p[:, -1]
-    in_cap = np.abs(tt) >= math.cos(cap_radius)
+    in_cap = np.abs(tt) >= math.cos(ISOLATION_CAP)
     value_gap = 2.0 * (1.0 - tt * tt)
-    if np.any(~in_cap & (value_gap <= margin)):
+    if np.any(~in_cap & (value_gap <= ISOLATION_MARGIN)):
         raise RuntimeError("refinement found a candidate preimage off the poles")
 
 
@@ -243,8 +241,11 @@ def cylinder_lift(v, x: float) -> Tuple[np.ndarray, float]:
 class CheckItem:
     name: str
     value: float
-    tolerance: Optional[float]
-    passed: bool
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tolerance
 
     def to_json_dict(self) -> dict:
         return {
@@ -364,9 +365,9 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
     step_x = float(np.max(np.linalg.norm(np.diff(h, axis=1), axis=-1)))
 
     items = (
-        CheckItem("time0_matches_pole_map", start_dev, 1e-9, start_dev <= 1e-9),
-        CheckItem("time1_constant_south_pole", end_dev, 1e-12, end_dev <= 1e-12),
-        CheckItem("images_unit_norm", norm_dev, 1e-12, norm_dev <= 1e-12),
+        CheckItem("time0_matches_pole_map", start_dev, 1e-9),
+        CheckItem("time1_constant_south_pole", end_dev, 1e-12),
+        CheckItem("images_unit_norm", norm_dev, 1e-12),
     )
     return CheckReport(
         name=f"null_homotopy_n{n}",
@@ -397,9 +398,9 @@ def edge_homotopy_witness(steps: int = 1000) -> CheckReport:
     dev1 = float(np.max(np.abs(mats[-1] - np.eye(2))))
     det_dev = float(np.max(np.abs(np.linalg.det(mats) - 1.0)))
     items = (
-        CheckItem("starts_at_minus_identity", dev0, 1e-12, dev0 <= 1e-12),
-        CheckItem("ends_at_identity", dev1, 1e-12, dev1 <= 1e-12),
-        CheckItem("stays_in_rotation_group", det_dev, 1e-12, det_dev <= 1e-12),
+        CheckItem("starts_at_minus_identity", dev0, 1e-12),
+        CheckItem("ends_at_identity", dev1, 1e-12),
+        CheckItem("stays_in_rotation_group", det_dev, 1e-12),
     )
     return CheckReport(
         name="edge_rotation_path",

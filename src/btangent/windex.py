@@ -29,6 +29,8 @@ MIN_SAMPLES = 64
 MAX_SAMPLES = 1 << 16
 MAX_STEP = math.pi / 2
 
+FIELD_NAMES = ("x_delta", "radial", "saddle", "x0_degenerate", "sphere_height_b")
+
 
 @dataclass(frozen=True)
 class BPlaneField:
@@ -142,20 +144,14 @@ def _sphere_height_chart(x: float, y: float) -> Tuple[float, float]:
 def named_field(name: str, delta: float = 0.0) -> PlaneField:
     """Look up a built-in plane field by name.
 
-    Known names: x_delta (takes delta), radial, saddle, x0_degenerate,
-    sphere_height_b.
+    Known names are FIELD_NAMES; x_delta takes delta.  Each field but
+    sphere_height_b is the honest form of its rescaled frame.
     """
-    if name == "x_delta":
-        return lambda x, y: (x * (x - delta), y)
-    if name == "radial":
-        return lambda x, y: (x, y)
-    if name == "saddle":
-        return lambda x, y: (x, -y)
-    if name == "x0_degenerate":
-        return lambda x, y: (x * x, y)
     if name == "sphere_height_b":
         return _sphere_height_chart
-    raise InvalidArgumentError(f"unknown field {name!r}")
+    if name not in FIELD_NAMES:
+        raise InvalidArgumentError(f"unknown field {name!r}")
+    return named_b_field(name, delta).honest()
 
 
 def named_b_field(name: str, delta: float = 0.0) -> BPlaneField:

@@ -148,6 +148,22 @@ def test_degree_integral_small():
     assert abs(degree_integral(5, samples=40_000, seed=1)) < 0.1
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_degree_integral_is_the_mean_of_the_closed_form_density(n):
+    # the same Philox draws in the same 8192-row chunks; per sample the density
+    # is 2 (-2 t)^(n-2), so a sign error shows even for odd n, where the degree
+    # is 0 and the 0.1 agreement check cannot see it
+    for samples in (10_000, 20_000):
+        for seed in (0, 1, 7):
+            rng = np.random.Generator(np.random.Philox(seed))
+            total = 0.0
+            for start in range(0, samples, 8192):
+                q = rng.normal(size=(min(8192, samples - start), n))
+                q /= np.linalg.norm(q, axis=1, keepdims=True)
+                total += float(np.sum(2.0 * (-2.0 * q[:, -1]) ** (n - 2)))
+            assert abs(degree_integral(n, samples, seed) - total / samples) <= 1e-12
+
+
 def test_degree_integral_reproducible():
     a = degree_integral(3, samples=20_000, seed=9)
     b = degree_integral(3, samples=20_000, seed=9)
