@@ -18,9 +18,9 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from .bgraph import BGraph, sphere_equator_graph
+from .bgraph import BGraph
 from .errors import BTangentError, InvalidArgumentError, NotColorableError
 from .euler import euler_report
 from .manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
@@ -168,10 +168,10 @@ def _run_edge(args: argparse.Namespace) -> Tuple[int, str]:
 
 def _run_ph_verify(args: argparse.Namespace) -> Tuple[int, str]:
     g = load_manifold(_resolve_input(args.input))
-    if g != sphere_equator_graph():
+    kit = sphere_height_example()
+    if g != kit["graph"]:
         raise BTangentError("ph-verify supports only the sphere cut along its equator "
                             "(bundled sphere_equator)")
-    kit = sphere_height_example()
     report = verify_poincare_hopf(
         kit["zeros"], g, two_color(g), kit["fields"], radius=args.radius,
         critical_distance=kit["critical_distance"],
@@ -179,20 +179,9 @@ def _run_ph_verify(args: argparse.Namespace) -> Tuple[int, str]:
     return (0 if report.passed else 2), _emit(args, report.to_json_dict())
 
 
-_RUNNERS = {
-    "analyze": _run_analyze,
-    "euler": _run_euler,
-    "color": _run_color,
-    "index": _run_index,
-    "sphere": _run_sphere,
-    "edge": _run_edge,
-    "ph-verify": _run_ph_verify,
-}
-
-
 def run(args: argparse.Namespace) -> Tuple[int, str]:
     """Execute one parsed subcommand; returns (exit code, report text)."""
-    return _RUNNERS[args.subcommand](args)
+    return args.runner(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,21 +191,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name: str, summary: str, needs_input: bool = True, dot: bool = False):
+    def command(name: str, summary: str, runner: Callable[[argparse.Namespace], Tuple[int, str]],
+                needs_input: bool = True, dot: bool = False):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(runner=runner)
         if needs_input:
             p.add_argument("input", metavar="INPUT", help="manifold JSON file (or a bundled name)")
         p.add_argument("--format", default="json",
                        choices=("json", "markdown", "dot") if dot else ("json", "markdown"))
         return p
 
-    p = command("analyze", "full equivalence verdict for a region graph", dot=True)
+    p = command("analyze", "full equivalence verdict for a region graph", _run_analyze, dot=True)
     p.add_argument("--m", type=int, help="also classify the order-m rescaling")
 
-    command("euler", "rescaled and classical Euler numbers", dot=True)
-    command("color", "two-coloring of the region graph", dot=True)
+    command("euler", "rescaled and classical Euler numbers", _run_euler, dot=True)
+    command("color", "two-coloring of the region graph", _run_color, dot=True)
 
-    p = command("index", "winding index of a named plane field", needs_input=False)
+    p = command("index", "winding index of a named plane field", _run_index,
+                needs_input=False)
     p.add_argument("field_name", choices=FIELD_NAMES, metavar="FIELD",
                    help=f"one of: {', '.join(FIELD_NAMES)}")
     p.add_argument("--delta", type=float, default=0.0, help="parameter of the x_delta family")
@@ -225,17 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", default="honest", choices=("honest", "b"),
                    help="compute the index of the honest field or of its rescaled frame")
 
-    p = command("sphere", "degree of the reflection-induced sphere map", needs_input=False)
+    p = command("sphere", "degree of the reflection-induced sphere map", _run_sphere,
+                needs_input=False)
     p.add_argument("--n", type=int, default=2, help="ambient dimension (sphere S^{n-1}), default 2")
     p.add_argument("--samples", type=int, default=200_000,
                    help="Monte Carlo samples, default 200000")
     p.add_argument("--seed", type=int, default=0, help="generator seed, default 0")
 
-    p = command("edge", "edge-structure obstruction test")
+    p = command("edge", "edge-structure obstruction test", _run_edge)
     p.add_argument("--dim-m", type=int, required=True, help="ambient dimension")
     p.add_argument("--dim-f", type=int, required=True, help="typical fibre dimension")
 
-    p = command("ph-verify", "index-sum verification on the two-chart sphere")
+    p = command("ph-verify", "index-sum verification on the two-chart sphere", _run_ph_verify)
     p.add_argument("--radius", type=float, default=0.1, help="contour radius (default 0.1)")
 
     return parser

@@ -8,15 +8,12 @@ linear system over the edge constraints, so each route checks the other.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
 from .bgraph import BGraph, Coloring
 from .errors import InconsistentGluingError, InvalidArgumentError, NotOrientableError
-
-PONTRJAGIN_NOTE = "2p(TM) = 2p(bTM) always"
 
 
 class BmClass(Enum):
@@ -95,7 +92,7 @@ class ClassificationVerdict:
     """
 
     coloring: Optional[Coloring]
-    pontrjagin_note: str = PONTRJAGIN_NOTE
+    pontrjagin_note: ClassVar[str] = "2p(TM) = 2p(bTM) always"
 
     @property
     def two_colorable(self) -> bool:
@@ -114,7 +111,8 @@ def two_color(g: BGraph) -> Optional[Coloring]:
     """Proper sign coloring of the region graph, or None if none exists.
 
     Deterministic tie-break: in every connected component the
-    lexicographically smallest region label receives +1.
+    lexicographically smallest region label receives +1.  That root's sign
+    fixes the component's proper coloring, so neighbour order is free.
     """
     if any(e.is_loop for e in g.edges):
         return None
@@ -127,10 +125,9 @@ def two_color(g: BGraph) -> Optional[Coloring]:
         if start in color:
             continue
         color[start] = 1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in sorted(adj[u]):
+        queue = [start]
+        for u in queue:
+            for w in adj[u]:
                 if w not in color:
                     color[w] = -color[u]
                     queue.append(w)

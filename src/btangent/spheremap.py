@@ -14,6 +14,7 @@ null homotopy on grids.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
@@ -63,10 +64,14 @@ def reflection(q) -> np.ndarray:
     return np.eye(q.size) - 2.0 * np.outer(q, q)
 
 
+def _pole_image(q: np.ndarray) -> np.ndarray:
+    """pole_map along the last axis of q, with no input checks."""
+    return north_pole(q.shape[-1]) - 2.0 * q[..., -1:] * q
+
+
 def pole_map(q) -> np.ndarray:
     """Image of the north pole under reflection across q-perp."""
-    q = _as_unit(q)
-    return north_pole(q.size) - 2.0 * q[-1] * q
+    return _pole_image(_as_unit(q))
 
 
 def pole_map_differential(q, v) -> np.ndarray:
@@ -145,6 +150,7 @@ def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
     return total / samples
 
 
+@functools.lru_cache(maxsize=None)
 def _confirm_preimage_isolation(n: int) -> None:
     """Desk-scale exhaustiveness check: no preimages of -p_n away from the poles.
 
@@ -152,7 +158,8 @@ def _confirm_preimage_isolation(n: int) -> None:
     ISOLATION_CAP, the image stays more than ISOLATION_MARGIN away from the
     south pole in inner-product terms; ascent refinement from the tightest
     samples must end inside a cap (or at the equatorial minimum, far from
-    the value).
+    the value).  The outcome depends on n alone, so a passing sweep is
+    cached; a failing one raises, which is never cached.
     """
     rng = np.random.Generator(np.random.Philox(2023))
     q = rng.normal(size=(ISOLATION_GRID, n))
@@ -209,13 +216,23 @@ def degree_preimage(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _collapse(direction: np.ndarray, height: np.ndarray) -> np.ndarray:
+    """Cylinder collapse (v, y) -> (sqrt(1 - y^2) v, y) along the last axis.
+
+    Batched over the leading axes of direction and height; no input checks.
+    """
+    radial = np.sqrt(np.clip(1.0 - height * height, 0.0, None))[..., None] * direction
+    return np.concatenate(
+        [radial, np.broadcast_to(height[..., None], radial.shape[:-1] + (1,))], axis=-1
+    )
+
+
 def cylinder_projection(v, x: float) -> np.ndarray:
     """Collapse map S^{n-2} x [-1, 1] -> S^{n-1}, lids to the poles."""
     v = _as_unit(v, "v")
     if not -1.0 <= x <= 1.0:
         raise OutOfRangeError(f"cylinder coordinate x = {x} outside [-1, 1]")
-    r = math.sqrt(max(1.0 - x * x, 0.0))
-    return np.append(r * v, x)
+    return _collapse(v, np.float64(x))
 
 
 def cylinder_lift(v, x: float) -> Tuple[np.ndarray, float]:
@@ -328,35 +345,15 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
     x3 = xs[None, :, None]                         # (1,X,1)
     t3 = ts[None, None, :]                         # (1,1,T)
 
+    # t in [0, 1/2]: s1 turns the upper half's direction from -v back to v;
+    # t in [1/2, 1]: s2 slides every height from 1 - 2x^2 down to -1.
     s1 = np.clip(2.0 * t3, 0.0, 1.0)
-    angle = math.pi * (1.0 - s1)                   # pi -> 0: antipodal to identity
-    rotated = _paired_rotation(v4, np.broadcast_to(angle, (1, 1, grid)))
-    first_dir = np.where((x3 > 0)[..., None], rotated, v4)
-    y_first = np.broadcast_to(1.0 - 2.0 * x3 * x3, (1, grid, grid))
-
     s2 = np.clip(2.0 * t3 - 1.0, 0.0, 1.0)
-    y_second = (1.0 - s2) * (1.0 - 2.0 * x3 * x3) - s2
+    direction = _paired_rotation(v4, math.pi * (1.0 - s1) * (x3 > 0))
+    h = _collapse(direction, (1.0 - s2) * (1.0 - 2.0 * x3 * x3) - s2)
 
-    in_first = t3 <= 0.5
-    y = np.where(in_first, y_first, y_second)
-    direction = np.where(in_first[..., None], first_dir, np.broadcast_to(v4, first_dir.shape))
-    radial = np.sqrt(np.clip(1.0 - y * y, 0.0, None))
-    equatorial = radial[..., None] * direction
-    h = np.concatenate(
-        [equatorial, np.broadcast_to(y[..., None], equatorial.shape[:-1] + (1,))], axis=-1
-    )
-
-    start = h[:, :, 0, :]
-    rad0 = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    base = np.concatenate(
-        [rad0[None, :, None] * vs[:, None, :],
-         np.broadcast_to(xs[None, :, None], (grid, grid, 1))],
-        axis=-1,
-    )
-    tq = base[..., -1]
-    mu = -2.0 * tq[..., None] * base
-    mu[..., -1] += 1.0
-    start_dev = float(np.max(np.linalg.norm(start - mu, axis=-1)))
+    base = _collapse(vs[:, None, :], xs[None, :])
+    start_dev = float(np.max(np.linalg.norm(h[:, :, 0, :] - _pole_image(base), axis=-1)))
 
     south = -north_pole(n)
     end_dev = float(np.max(np.linalg.norm(h[:, :, -1, :] - south, axis=-1)))

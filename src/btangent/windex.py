@@ -17,6 +17,7 @@ from .bgraph import BGraph, Coloring, sphere_equator_graph
 from .errors import (
     InvalidArgumentError,
     NonConvergentError,
+    NotColorableError,
     ZeroOnContourError,
     ZeroOnCriticalSetError,
 )
@@ -240,7 +241,7 @@ class VerificationReport:
 def verify_poincare_hopf(
     zeros: Sequence[ChartZero],
     g: BGraph,
-    coloring: Coloring,
+    coloring: Optional[Coloring],
     fields: Mapping[str, PlaneField],
     radius: float = 0.1,
     critical_distance: Optional[Callable[[str, Tuple[float, float]], float]] = None,
@@ -251,7 +252,8 @@ def verify_poincare_hopf(
         zeros: the complete zero list of the field, each tagged with the
             chart it is visible in and the region containing it.
         g: region graph of the underlying pair.
-        coloring: proper sign coloring used to weight the indices.
+        coloring: proper sign coloring used to weight the indices, as
+            two_color returns it (None when the graph has none).
         fields: chart name -> plane field giving the honest field there.
         radius: contour radius for every index computation.
         critical_distance: optional (chart, point) -> distance to the
@@ -259,6 +261,8 @@ def verify_poincare_hopf(
             `radius` of the critical set is rejected.
 
     Raises:
+        NotColorableError: coloring is None; without a global sign choice
+            the colored index sum has no meaning.
         InvalidArgumentError: a zero names a chart missing from `fields`, or
             a region missing from the graph or the coloring.
         ZeroOnCriticalSetError: a listed zero sits on or too near Z, where
@@ -267,6 +271,8 @@ def verify_poincare_hopf(
     The pass flag records exact integer equality of the colored index sum
     with the rescaled Euler number; no tolerance is involved.
     """
+    if coloring is None:
+        raise NotColorableError("graph is not two-colorable; no global sign choice exists")
     labels = set(g.region_labels())
     for z in zeros:
         if z.chart not in fields:

@@ -103,10 +103,12 @@ def test_gauge_loop_unsolvable():
 def test_gauge_two_parallel_edges():
     g = two_annuli_torus_graph()
     # of the four sign assignments exactly two satisfy both edge constraints
+    assert len(g.edges) == 2
+    signs = [{"A": sa, "B": sb} for sa in (1, -1) for sb in (1, -1)]
     satisfying = [
-        (sa, sb)
-        for sa in (1, -1) for sb in (1, -1)
-        if all(sa * sb == -1 for _ in g.edges)
+        (c["A"], c["B"])
+        for c in signs
+        if all(c[e.side_a] * c[e.side_b] == -1 for e in g.edges)
     ]
     assert satisfying == [(1, -1), (-1, 1)]
     # normalization picks the one with A = +1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from btangent import spheremap
 from btangent import (
     EvenDimensionError,
     InvalidArgumentError,
@@ -140,6 +141,24 @@ def test_degree_preimage_parity():
     assert [degree_preimage(n) for n in range(2, 9)] == [2, 0, 2, 0, 2, 0, 2]
     with pytest.raises(UnsupportedDimensionError):
         degree_preimage(9)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_isolation_sweep_fails_when_margin_exceeds_every_gap(monkeypatch, n):
+    # off the poles the gap 2(1 - t^2) is at most 2, so a larger margin must trip the sweep
+    monkeypatch.setattr(spheremap, "ISOLATION_MARGIN", 2.01)
+    with pytest.raises(RuntimeError):
+        spheremap._confirm_preimage_isolation.__wrapped__(n)
+
+
+def test_isolation_sweep_runs_once_per_dimension():
+    sweep = spheremap._confirm_preimage_isolation
+    sweep.cache_clear()
+    for _ in range(3):
+        assert degree_preimage(3) == 0
+        assert degree_preimage(4) == 2
+    info = sweep.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_degree_integral_small():

@@ -3,10 +3,13 @@ import math
 import pytest
 
 from btangent import (
+    BGraph,
     BPlaneField,
     ChartZero,
+    HypersurfaceComponent,
     InvalidArgumentError,
     NonConvergentError,
+    NotColorableError,
     ZeroOnContourError,
     ZeroOnCriticalSetError,
     b_euler_number,
@@ -174,6 +177,23 @@ def test_zero_naming_unknown_region_or_chart_rejected(bad):
     fields = {"north": field, "south": field}
     with pytest.raises(InvalidArgumentError):
         verify_poincare_hopf(kit["zeros"] + (bad,), g, two_color(g), fields)
+    assert calls == []
+
+
+def test_graph_without_coloring_rejected_before_any_index():
+    kit = sphere_height_example()
+    g = kit["graph"]
+    looped = BGraph(g.regions, g.edges + (HypersurfaceComponent("Z1", "B+", "B+"),))
+    assert two_color(looped) is None
+    calls = []
+
+    def field(x, y):
+        calls.append((x, y))
+        return kit["fields"]["north"](x, y)
+
+    fields = {"north": field, "south": field}
+    with pytest.raises(NotColorableError):
+        verify_poincare_hopf(kit["zeros"], looped, two_color(looped), fields)
     assert calls == []
 
 
