@@ -12,9 +12,8 @@ surface with a marked cycle system.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Tuple
 
 from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError
 
@@ -158,9 +157,10 @@ class TriangulatedSurface:
 
     Attributes:
         vertex_count: vertices are the integers 0 .. vertex_count - 1.
-        triangles: faces as vertex triples (stored sorted).  A stored
-            triangle (a, b, c) is oriented a -> b -> c -> a, so it runs along
-            its two edges at the middle vertex b and against the edge (a, c).
+        triangles: faces as vertex triples, stored as given.  Each is
+            oriented by its sorted order: a triangle with vertices a < b < c
+            runs a -> b -> c -> a, along its two edges at the middle vertex b
+            and against the edge (a, c).
         z_edges: marked edges, each a pair of vertex indices.  Together they
             must form a disjoint union of embedded cycles.
     """
@@ -170,9 +170,8 @@ class TriangulatedSurface:
     z_edges: Tuple[Edge2, ...] = ()
 
     def __post_init__(self):
-        tris = tuple(tuple(sorted(t)) for t in self.triangles)
         zs = tuple(sorted((min(u, v), max(u, v)) for u, v in self.z_edges))
-        object.__setattr__(self, "triangles", tris)
+        object.__setattr__(self, "triangles", tuple(map(tuple, self.triangles)))
         object.__setattr__(self, "z_edges", zs)
 
 
@@ -180,16 +179,14 @@ class TriangulatedSurface:
 class _HalfEdges:
     """A checked closed surface as flat arrays.
 
-    Half-edge 3i + s is side s of stored triangle i = (a, b, c): (a, b) for
-    s = 0, (b, c) for s = 1 and (a, c) for s = 2.  The first two run along
-    their edge and the third against it.
+    Half-edge 3i + s is side s of triangle i with sorted vertices a < b < c:
+    (a, b) for s = 0, (b, c) for s = 1 and (a, c) for s = 2.  The first two
+    run along their edge and the third against it.
     """
 
     tris: np.ndarray  # F x 3 vertex numbers, rows sorted
     keys: np.ndarray  # one key u * V + w (u < w) per edge, ascending
     pairs: np.ndarray  # E x 2: the two half-edges of each edge, in key order
-    nbr: np.ndarray  # 3F: the triangle across each half-edge
-    same: np.ndarray  # 3F: both triangles run the same way along this half-edge's edge
 
 
 def _half_edges(surf: TriangulatedSurface) -> _HalfEdges:
@@ -212,7 +209,7 @@ def _half_edges(surf: TriangulatedSurface) -> _HalfEdges:
     if t.dtype != np.int64:  # only whole numbers name vertices
         outside |= t % 1 != 0
     a, b, c = t.T
-    degenerate = (a == b) | (b == c)
+    degenerate = (a == b) | (b == c) | (a == c)
     bad = degenerate | outside.any(axis=1)
     if bad.any() or short < f:
         i = int(bad.argmax()) if bad.any() else short
@@ -220,6 +217,7 @@ def _half_edges(surf: TriangulatedSurface) -> _HalfEdges:
             raise NonClosedSurfaceError(f"triangle {i} is degenerate: {tris[i]}")
         v = tris[i][int(outside[i].argmax())]
         raise NonClosedSurfaceError(f"triangle {i} uses vertex {v} out of range")
+    t = np.sort(t, axis=1)
     rows = t[np.lexsort(t.T[::-1])]
     if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise NonClosedSurfaceError("duplicate triangle in complex")
@@ -248,21 +246,43 @@ def _half_edges(surf: TriangulatedSurface) -> _HalfEdges:
             f"edge {e} lies in {runs[r]} triangle(s); a closed surface needs 2"
         )
 
-    pairs = order.reshape(-1, 2)
-    h, k = pairs.T
-    nbr = np.empty(3 * f, dtype=np.int64)
-    nbr[h], nbr[k] = k // 3, h // 3
-    same = np.empty(3 * f, dtype=bool)
-    same[h] = same[k] = (h % 3 < 2) == (k % 3 < 2)
-    return _HalfEdges(t, keys[::2], pairs, nbr, same)
+    return _HalfEdges(t, keys[::2], order.reshape(-1, 2))
 
 
-def _z_cycles(surf: TriangulatedSurface, mesh: _HalfEdges) -> Tuple[List[List[int]], np.ndarray]:
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label every node 0 .. n-1 with the smallest node of its component.
+
+    Hook and shortcut, as in Shiloach & Vishkin (1982): each round hooks the
+    larger root of every edge whose ends still have different roots onto the
+    smaller one, then jumps pointers until every node points at a root.
+    Roots only ever hook onto smaller roots, so the smallest node of each
+    component ends as its root.  Hooking an edge inside one tree changes
+    nothing; such edges are dropped after the round.  Each round replaces
+    u and v by the edges left, so arrays the caller does not keep are freed.
+    """
+    import numpy as np
+
+    f = np.arange(n)
+    while True:
+        fu, fv = f[u], f[v]
+        live = fu != fv
+        if not live.any():
+            return f
+        hi = np.maximum(fu, fv)
+        np.minimum.at(f, hi, np.minimum(fu, fv, out=fu))
+        del fu, fv, hi
+        u, v = u[live], v[live]
+        jumped = f[f]
+        while (jumped != f).any():
+            f, jumped = jumped, jumped[jumped]
+
+
+def _z_cycles(surf: TriangulatedSurface, mesh: _HalfEdges) -> Tuple[np.ndarray, np.ndarray]:
     """Check that the marked edges are distinct and form disjoint cycles.
 
-    Returns the cycles, each a list of indices into ``surf.z_edges`` in the
-    order of its smallest edge, and the edge number (index into
-    ``mesh.keys``) of every marked edge.
+    Returns, for every marked edge, its cycle number (cycles numbered in the
+    order of their smallest edge in ``surf.z_edges``) and its edge number
+    (index into ``mesh.keys``).
     """
     import numpy as np
 
@@ -280,33 +300,18 @@ def _z_cycles(surf: TriangulatedSurface, mesh: _HalfEdges) -> Tuple[List[List[in
             raise InvalidZError(f"marked edge {z[k]} is not an edge of the complex")
         raise InvalidZError(f"marked edge {z[k]} is listed twice")
 
-    at: Dict[int, List[int]] = defaultdict(list)  # vertex -> marked edges ending there
-    for k, (u, v) in enumerate(z):
-        at[u].append(k)
-        at[v].append(k)
-    for v, ks in sorted(at.items()):
-        if len(ks) != 2:
-            raise InvalidZError(
-                f"vertex {v} has degree {len(ks)} in the marked edge set; cycles need 2"
-            )
-    seen = [False] * len(z)
-    cycles: List[List[int]] = []
-    for first in range(len(z)):
-        if seen[first]:
-            continue
-        start, v = z[first]
-        k = first
-        cycle = [k]
-        seen[k] = True
-        while v != start:
-            x, y = at[v]
-            k = y if x == k else x
-            cycle.append(k)
-            seen[k] = True
-            u, w = z[k]
-            v = w if u == v else u
-        cycles.append(cycle)
-    return cycles, edge
+    ends = np.stack((zkeys // n, zkeys % n), axis=1).ravel()  # end s of marked edge k at 2k + s
+    degree = np.bincount(ends)
+    bad = np.flatnonzero((degree != 0) & (degree != 2))
+    if bad.size:
+        v = int(bad[0])
+        raise InvalidZError(
+            f"vertex {v} has degree {degree[v]} in the marked edge set; cycles need 2"
+        )
+    # every vertex ends two marked edges: sorted by vertex, the ends pair up
+    at = np.argsort(ends, kind="stable") // 2
+    cycle = np.unique(_components(len(z), at[0::2], at[1::2]), return_inverse=True)[1]
+    return cycle, edge
 
 
 def surface_euler(surf: TriangulatedSurface) -> int:
@@ -316,7 +321,7 @@ def surface_euler(surf: TriangulatedSurface) -> int:
 
 
 def surface_orientable(surf: TriangulatedSurface) -> bool:
-    """Decide orientability by propagating triangle orientations.
+    """Decide orientability on the orientation double cover.
 
     Neighboring triangles are consistently oriented exactly when they
     traverse their shared edge in opposite directions.
@@ -325,55 +330,37 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
 
 
 def _orientable(mesh: _HalfEdges) -> bool:
-    """Flip-bit BFS: stop at the first triangle that needs both orientations.
+    """Components of the orientation double cover.
 
-    Two neighbors need opposite flips exactly when they run the same way
-    along their shared edge.  Each side of a triangle is read as one number,
-    2 * neighbor + same.
+    Node 2i + s is triangle i with its stored orientation (s = 0) or the
+    reverse (s = 1).  Across an edge, sheet s meets sheet s of the neighbor,
+    or sheet 1 - s when both run the same way along the edge.  The surface
+    is orientable exactly when no triangle's two sheets are joined.
     """
-    side0, side1, side2 = (mesh.nbr * 2 + mesh.same).reshape(-1, 3).T.tolist()
-    flip = [-1] * len(mesh.tris)
-    for start in range(len(flip)):
-        if flip[start] >= 0:
-            continue
-        flip[start] = 0
-        queue = [start]
-        for u in queue:
-            for x in (side0[u], side1[u], side2[u]):
-                w, want = x >> 1, flip[u] ^ (x & 1)
-                if flip[w] < 0:
-                    flip[w] = want
-                    queue.append(w)
-                elif flip[w] != want:
-                    return False
-    return True
+    import numpy as np
+
+    h, k = mesh.pairs.T
+    sheet = np.arange(2)[:, None]
+    same = (h % 3 < 2) == (k % 3 < 2)
+    f = _components(2 * len(mesh.tris), (2 * (h // 3) + sheet).ravel(),
+                    (2 * (k // 3) + (sheet ^ same)).ravel())
+    return bool((f[0::2] != f[1::2]).all())
 
 
-def _region_numbers(mesh: _HalfEdges, marked: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Number the triangles by region: BFS across unmarked edges.
+def _region_numbers(mesh: _HalfEdges, edge: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Number the triangles by region: components across unmarked edges.
 
-    ``marked`` holds the half-edges of the marked edges.  Returns the region
+    ``edge`` holds the edge numbers of the marked edges.  Regions are
+    numbered in the order of their smallest triangle.  Returns the region
     number of every triangle and the number of regions.
     """
     import numpy as np
 
-    across = mesh.nbr.copy()
-    across[marked] = marked // 3  # a marked side leads back to its own triangle
-    side0, side1, side2 = across.reshape(-1, 3).T.tolist()
-    region = [-1] * len(mesh.tris)
-    count = 0
-    for start in range(len(region)):
-        if region[start] >= 0:
-            continue
-        region[start] = count
-        queue = [start]
-        for u in queue:
-            for w in (side0[u], side1[u], side2[u]):
-                if region[w] < 0:
-                    region[w] = count
-                    queue.append(w)
-        count += 1
-    return np.array(region), count
+    unmarked = np.ones(len(mesh.pairs), dtype=bool)
+    unmarked[edge] = False
+    h, k = mesh.pairs[unmarked].T
+    roots, region = np.unique(_components(len(mesh.tris), h // 3, k // 3), return_inverse=True)
+    return region, len(roots)
 
 
 def _closure_eulers(mesh: _HalfEdges, n: int, region: np.ndarray, count: int) -> List[int]:
@@ -405,25 +392,30 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
         InvalidZError: the marked edges repeat or do not form disjoint
             embedded cycles.
     """
-    mesh = _half_edges(surf)
-    cycles, edge = _z_cycles(surf, mesh)
+    import numpy as np
 
-    region, count = _region_numbers(mesh, mesh.pairs[edge].ravel())
+    mesh = _half_edges(surf)
+    cycle, edge = _z_cycles(surf, mesh)
+
+    region, count = _region_numbers(mesh, edge)
     labels = [f"R{r}" for r in range(count)]
     chis = _closure_eulers(mesh, surf.vertex_count, region, count)
     regions = [Region(lab, chi) for lab, chi in zip(labels, chis)]
 
+    # the distinct (cycle, region) pairs across every marked edge, by cycle;
+    # not np.unique, whose first call without an inverse imports numpy.ma
+    # (8 ms of a cold start)
+    sides = np.sort(np.repeat(cycle, 2) * count + region[mesh.pairs[edge] // 3].ravel())
+    first = np.ones(len(sides), dtype=bool)
+    first[1:] = sides[1:] != sides[:-1]
+    touching: List[List[str]] = [[] for _ in range(int(cycle.max(initial=-1)) + 1)]
+    for k, r in zip(*(x.tolist() for x in np.divmod(sides[first], count))):
+        touching[k].append(labels[r])
     edges = []
-    for k, cycle in enumerate(cycles):
-        touching = sorted(labels[r] for r in set(region[mesh.pairs[edge[cycle]] // 3].flat))
-        if len(touching) == 1:
-            a = b = touching[0]
-        elif len(touching) == 2:
-            a, b = touching
-        else:
-            raise InvalidZError(
-                f"marked cycle {k} touches {len(touching)} regions; at most 2 possible"
-            )
+    for k, near in enumerate(touching):
+        if len(near) > 2:
+            raise InvalidZError(f"marked cycle {k} touches {len(near)} regions; at most 2 possible")
+        a, b = sorted(near) if len(near) == 2 else near * 2
         edges.append(HypersurfaceComponent(f"Z{k}", a, b))
 
     if sum(chis) != surf.vertex_count - len(mesh.keys) + len(surf.triangles):

@@ -265,6 +265,8 @@ def verify_poincare_hopf(
             the colored index sum has no meaning.
         InvalidArgumentError: a zero names a chart missing from `fields`, or
             a region missing from the graph or the coloring.
+        ImproperColoringError: coloring is not a proper coloring of g.
+        OddDimensionError: the ambient dimension of g is odd.
         ZeroOnCriticalSetError: a listed zero sits on or too near Z, where
             winding indices of the honest field are not defined.
 
@@ -281,6 +283,9 @@ def verify_poincare_hopf(
             raise InvalidArgumentError(
                 f"zero {z.point} names region {z.region!r}, which the graph or coloring lacks"
             )
+    # the sums check the coloring and the dimension before any field is evaluated
+    be = b_euler_number(g, coloring)
+    classical = classical_euler_number(g)
     results: List[ZeroIndex] = []
     for z in zeros:
         if critical_distance is not None:
@@ -293,13 +298,12 @@ def verify_poincare_hopf(
         results.append(ZeroIndex(z.chart, z.point, z.region, res.index))
     colored = sum(coloring[r.region] * r.index for r in results)
     unsigned = sum(r.index for r in results)
-    be = b_euler_number(g, coloring)
     return VerificationReport(
         zeros=tuple(results),
         colored_sum=colored,
         b_euler=be,
         unsigned_sum=unsigned,
-        classical_euler=classical_euler_number(g),
+        classical_euler=classical,
         passed=(colored == be),
     )
 

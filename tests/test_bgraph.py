@@ -19,7 +19,9 @@ from btangent import (
     surface_euler,
     surface_orientable,
 )
+from btangent.bgraph import _components
 from corpus import (
+    UnionFind,
     genus2,
     grid_surface,
     octahedron,
@@ -89,6 +91,45 @@ def test_region_count_matches_union_find_oracle():
         assert len(g.regions) == region_count_oracle(surf)
 
 
+def _expected_graph(surf: TriangulatedSurface):
+    """Regions as (label, closure chi) and Z components as (label, a, b).
+
+    Regions are numbered in the order of their smallest triangle and Z
+    components in the order of their smallest marked edge, both found with
+    a union-find.
+    """
+    zset = set(surf.z_edges)
+    by_edge = {}
+    for i, t in enumerate(surf.triangles):
+        for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
+            by_edge.setdefault(tuple(sorted(e)), []).append(i)
+    faces = UnionFind(len(surf.triangles))
+    for e, (i, j) in by_edge.items():
+        if e not in zset:
+            faces.union(i, j)
+    number = {}
+    region = [number.setdefault(faces.find(i), len(number)) for i in range(len(surf.triangles))]
+    regions = []
+    for r in range(len(number)):
+        tris = [t for i, t in enumerate(surf.triangles) if region[i] == r]
+        edges = {tuple(sorted(e)) for t in tris for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
+        regions.append((f"R{r}", len({v for t in tris for v in t}) - len(edges) + len(tris)))
+
+    marked = UnionFind(len(surf.z_edges))
+    first_at = {}
+    for k, e in enumerate(surf.z_edges):
+        for v in e:
+            marked.union(first_at.setdefault(v, k), k)
+    cycles = {}
+    for k in range(len(surf.z_edges)):
+        cycles.setdefault(marked.find(k), []).append(k)
+    edges = []
+    for c, ks in enumerate(cycles.values()):
+        near = sorted({f"R{region[i]}" for k in ks for i in by_edge[surf.z_edges[k]]})
+        edges.append((f"Z{c}", near[0], near[-1]))
+    return regions, edges
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(3, 8),
@@ -102,12 +143,52 @@ def test_grid_surfaces_match_construction_and_oracles(n, m, klein, data):
     surf = subdivide(grid_surface(n, m, klein, rows), faces)
     perm = data.draw(st.permutations(range(surf.vertex_count)), label="relabelling")
     surf = relabel(surf, perm)
+    # rows in any order, each rotated or reversed: the surface stays the same
+    order = data.draw(st.permutations(range(len(surf.triangles))), label="triangle order")
+    turns = data.draw(st.lists(st.integers(0, 5), min_size=len(order), max_size=len(order)),
+                      label="row turns")
+    tris = [surf.triangles[i] for i in order]
+    tris = [(t[s % 3:] + t[:s % 3])[::1 if s < 3 else -1] for t, s in zip(tris, turns)]
+    surf = TriangulatedSurface(surf.vertex_count, tuple(tris), surf.z_edges)
     assert surface_orientable(surf) == (not klein) == orientable_oracle(surf)
     g = build_graph_from_surface(surf)
     assert g.orientable == (not klein)
     assert len(g.regions) == region_count_oracle(surf) == max(len(rows), 1)
     assert len(g.edges) == len(rows)
     assert sum(r.euler_char for r in g.regions) == surface_euler(surf) == 0
+    regions, edges = _expected_graph(surf)
+    assert [(r.label, r.euler_char) for r in g.regions] == regions
+    assert [(e.label, e.side_a, e.side_b) for e in g.edges] == edges
+
+
+def _smallest_in_component(n, u, v):
+    """The smallest node of each node's component, by a plain union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in zip(u, v):
+        parent[find(a)] = find(b)
+    smallest = {}
+    for x in range(n):  # ascending: the first node met in a class is its smallest
+        smallest.setdefault(find(x), x)
+    return [smallest[find(x)] for x in range(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_components_match_union_find(data):
+    # small n meets self-loops, repeated edges and isolated nodes often
+    n = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)), label="nodes")
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=3 * n), label="edges")
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    # equal labels exactly on the union-find's classes, each its class's smallest node
+    assert _components(n, u, v).tolist() == _smallest_in_component(n, u.tolist(), v.tolist())
 
 
 def _as_multigraph(g: BGraph) -> nx.MultiGraph:
@@ -156,6 +237,12 @@ def _bad_complexes():
     tris, z = oct_.triangles, oct_.z_edges
     with_vertex = tris[:3] + ((0, 2, 6),) + tris[3:]
     grid = grid_surface(10, 10)
+    # rows 1 and 3 of a 6x6 grid cross column 2 at vertices 8 and 20;
+    # swapping vertices 0 and 19 lists the marked edge (0, 20) first
+    grid_6x6 = grid_surface(6, 6, loop_rows=(1, 3))
+    column = tuple((2 + 6 * j, 2 + 6 * (j + 1) % 36) for j in range(6))
+    swap = [19] + list(range(1, 19)) + [0] + list(range(20, 36))
+    crossed = relabel(TriangulatedSurface(36, grid_6x6.triangles, grid_6x6.z_edges + column), swap)
     return [
         ("open", TriangulatedSurface(6, tris[:-1], ()), NonClosedSurfaceError,
          "edge (1, 4) lies in 1 triangle(s); a closed surface needs 2"),
@@ -163,6 +250,8 @@ def _bad_complexes():
          "the complex has no triangles"),
         ("degenerate", TriangulatedSurface(6, tris + ((1, 1, 2),), ()), NonClosedSurfaceError,
          "triangle 8 is degenerate: (1, 1, 2)"),
+        ("degenerate, repeat not adjacent", TriangulatedSurface(6, tris + ((1, 2, 1),), ()),
+         NonClosedSurfaceError, "triangle 8 is degenerate: (1, 2, 1)"),
         ("four vertices", TriangulatedSurface(6, tris[:2] + ((0, 1, 2, 3),) + tris[2:], ()),
          NonClosedSurfaceError, "triangle 2 is degenerate: (0, 1, 2, 3)"),
         ("out of range", TriangulatedSurface(6, with_vertex, ()), NonClosedSurfaceError,
@@ -173,6 +262,9 @@ def _bad_complexes():
          NonClosedSurfaceError, "triangle 3 uses vertex 2.5 out of range"),
         ("duplicate", TriangulatedSurface(6, tris + (tris[2],), ()), NonClosedSurfaceError,
          "duplicate triangle in complex"),
+        ("duplicate in another order",
+         TriangulatedSurface(6, tris[:1] + ((2, 1, 0),) + tris[1:], ()),
+         NonClosedSurfaceError, "duplicate triangle in complex"),
         ("isolated vertex", TriangulatedSurface(7, tris, z), NonClosedSurfaceError,
          "isolated vertices: [6]"),
         ("edge in 3 triangles",
@@ -189,6 +281,8 @@ def _bad_complexes():
         ("degree-4 marked vertex",
          TriangulatedSurface(6, tris, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4))),
          InvalidZError, "vertex 0 has degree 4 in the marked edge set; cycles need 2"),
+        ("smallest of two degree-4 marked vertices", crossed, InvalidZError,
+         "vertex 8 has degree 4 in the marked edge set; cycles need 2"),
         ("repeated marked edge", TriangulatedSurface(6, tris, ((1, 2), (2, 1))),
          InvalidZError, "marked edge (1, 2) is listed twice"),
         ("pinched octahedra", pinched_octahedra(), NonClosedSurfaceError,

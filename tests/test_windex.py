@@ -6,10 +6,13 @@ from btangent import (
     BGraph,
     BPlaneField,
     ChartZero,
+    Coloring,
     HypersurfaceComponent,
+    ImproperColoringError,
     InvalidArgumentError,
     NonConvergentError,
     NotColorableError,
+    OddDimensionError,
     ZeroOnContourError,
     ZeroOnCriticalSetError,
     b_euler_number,
@@ -161,6 +164,15 @@ def test_zero_on_critical_set_rejected():
         )
 
 
+def _recording_fields(kit, calls):
+    """The sphere kit's charts, with every evaluation appended to calls."""
+    def field(x, y):
+        calls.append((x, y))
+        return kit["fields"]["north"](x, y)
+
+    return {"north": field, "south": field}
+
+
 @pytest.mark.parametrize("bad", [
     ChartZero("north", (0.0, 0.0), "B?"),
     ChartZero("east", (0.0, 0.0), "B+"),
@@ -169,12 +181,7 @@ def test_zero_naming_unknown_region_or_chart_rejected(bad):
     kit = sphere_height_example()
     g = kit["graph"]
     calls = []
-
-    def field(x, y):
-        calls.append((x, y))
-        return kit["fields"]["north"](x, y)
-
-    fields = {"north": field, "south": field}
+    fields = _recording_fields(kit, calls)
     with pytest.raises(InvalidArgumentError):
         verify_poincare_hopf(kit["zeros"] + (bad,), g, two_color(g), fields)
     assert calls == []
@@ -186,14 +193,25 @@ def test_graph_without_coloring_rejected_before_any_index():
     looped = BGraph(g.regions, g.edges + (HypersurfaceComponent("Z1", "B+", "B+"),))
     assert two_color(looped) is None
     calls = []
-
-    def field(x, y):
-        calls.append((x, y))
-        return kit["fields"]["north"](x, y)
-
-    fields = {"north": field, "south": field}
+    fields = _recording_fields(kit, calls)
     with pytest.raises(NotColorableError):
         verify_poincare_hopf(kit["zeros"], looped, two_color(looped), fields)
+    assert calls == []
+
+
+@pytest.mark.parametrize("odd_dim, coloring, error", [
+    (False, Coloring({"B+": 1, "B-": 1}), ImproperColoringError),
+    (True, Coloring({"B+": 1, "B-": -1}), OddDimensionError),
+], ids=["improper coloring", "odd dimension"])
+def test_coloring_and_dimension_checked_before_any_index(odd_dim, coloring, error):
+    kit = sphere_height_example()
+    g = kit["graph"]
+    if odd_dim:
+        g = BGraph(g.regions, g.edges, ambient_dim=3)
+    calls = []
+    fields = _recording_fields(kit, calls)
+    with pytest.raises(error):
+        verify_poincare_hopf(kit["zeros"], g, coloring, fields)
     assert calls == []
 
 
