@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -45,12 +46,21 @@ def north_pole(n: int) -> np.ndarray:
     return p
 
 
+def _as_int(value, name: str) -> int:
+    """value as a Python int; InvalidArgumentError naming `name` if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _as_unit(q, name: str = "q") -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size < 2:
         raise NonUnitInputError(f"{name} must be a vector of dimension >= 2")
     dev = abs(np.linalg.norm(q) - 1.0)
-    if dev > UNIT_TOLERANCE:
+    # written so that a NaN deviation fails the check
+    if not dev <= UNIT_TOLERANCE:
         raise NonUnitInputError(f"{name} is off the unit sphere by {dev:.3e}")
     return q
 
@@ -82,8 +92,9 @@ def pole_map_differential(q, v) -> np.ndarray:
     """
     q = _as_unit(q)
     v = np.asarray(v, dtype=float)
-    if abs(float(q @ v)) > TANGENT_TOLERANCE:
-        raise NonTangentInputError(f"<q, v> = {float(q @ v):.3e} exceeds tangency tolerance")
+    dot = float(q @ v)
+    if not abs(dot) <= TANGENT_TOLERANCE:
+        raise NonTangentInputError(f"<q, v> = {dot:.3e} exceeds tangency tolerance")
     return -2.0 * v[-1] * q - 2.0 * q[-1] * v
 
 
@@ -110,19 +121,50 @@ def tangent_frame(q) -> np.ndarray:
     return frame
 
 
+def _pullback_density(q: np.ndarray) -> np.ndarray:
+    """Pulled-back density det A for each unit row q.
+
+    With t = q_n, A = 2t(qq^T - I) - 2q e_n^T + e_n q^T is dF + f q^T for
+    the degree-0 extension F(x) = p_n - 2 x_n x / |x|^2, so Aq = f and
+    Av = df(v) for tangent v; det[q | v_1 | ...] = 1, hence det A is the
+    density det[f(q) | df(v_1) | ... ].  It is evaluated as c^(n-2) det K
+    with K = cI_2 + V^T U (see degree_integral), whose entries need only
+    q.q and t.
+    """
+    n = q.shape[1]
+    t = q[:, -1]
+    qq = np.einsum("ij,ij->i", q, q)
+    c = -2.0 * t
+    k11 = c + 2.0 * t * qq - 2.0 * t   # V_1 . U_1
+    k12 = 2.0 * t * t - 2.0            # V_1 . U_2
+    k21 = qq                           # V_2 . U_1
+    k22 = c + t                        # V_2 . U_2
+    return c ** (n - 2) * (k11 * k22 - k12 * k21)
+
+
 def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
     """Monte Carlo estimate of the mapping degree of pole_map on S^{n-1}.
 
     Averages the pulled-back volume density det[f(q) | df(v_1) | ... ] over
     uniform q, where (v_i) is any positively oriented orthonormal tangent
-    frame at q; no frame is built (see the loop).  Uses a counter-based
-    generator and fixed-size chunks, so a given (n, samples, seed) always
-    reproduces the same value.
+    frame at q.  No frame and no n x n matrix is built: the density is
+    det A for the rank-2 update A = cI_n + UV^T of a multiple of the
+    identity, with t = q_n, c = -2t, U = [q, e_n] and V = [2tq - 2e_n, q]
+    (see _pullback_density).  The matrix determinant lemma gives
+
+        det(cI_n + UV^T) = c^(n-2) det(cI_2 + V^T U),
+
+    O(n) work per sample.  Uses a counter-based generator and fixed-size
+    chunks, so a given (n, samples, seed) always reproduces the same value.
 
     Raises:
         UnsupportedDimensionError: n outside 2..8.
-        InvalidArgumentError: fewer than 10**4 samples, or a negative seed.
+        InvalidArgumentError: n, samples or seed not an integer, fewer than
+            10**4 samples, or a negative seed.
     """
+    n = _as_int(n, "n")
+    samples = _as_int(samples, "samples")
+    seed = _as_int(seed, "seed")
     if not 2 <= n <= 8:
         raise UnsupportedDimensionError(f"degree_integral supports 2 <= n <= 8, got {n}")
     if samples < 10_000:
@@ -131,21 +173,15 @@ def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
     chunk = 8192
-    eye = np.eye(n)
     total = 0.0
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
         q = rng.normal(size=(m, n))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        t = q[:, -1]
-        # A = 2t(qq^T - I) - 2q e_n^T + e_n q^T is dF + f q^T for the degree-0
-        # extension F(x) = p_n - 2 x_n x / |x|^2, so Aq = f and Av = df(v) for
-        # tangent v; det[q | v_1 | ...] = 1, hence det A is the density.
-        a = 2.0 * t[:, None, None] * (q[:, :, None] * q[:, None, :] - eye)
-        a[:, :, -1] -= 2.0 * q
-        a[:, -1, :] += q
-        total += float(np.sum(np.linalg.det(a)))
+        # det(cI_n + UV^T) = c^(n-2) det(cI_2 + V^T U), c = -2t,
+        # U = [q, e_n], V = [2tq - 2e_n, q]
+        total += float(np.sum(_pullback_density(q)))
         done += m
     return total / samples
 
@@ -194,7 +230,9 @@ def degree_preimage(n: int) -> int:
 
     Raises:
         UnsupportedDimensionError: n outside 2..8.
+        InvalidArgumentError: n not an integer.
     """
+    n = _as_int(n, "n")
     if not 2 <= n <= 8:
         raise UnsupportedDimensionError(f"degree_preimage supports 2 <= n <= 8, got {n}")
     south = -north_pole(n)
@@ -326,8 +364,10 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
         EvenDimensionError: n is even (the degree is 2 there; no null
             homotopy exists).
         UnsupportedDimensionError: n outside 3..7.
-        InvalidArgumentError: grid < 3.
+        InvalidArgumentError: n or grid not an integer, or grid < 3.
     """
+    n = _as_int(n, "n")
+    grid = _as_int(grid, "grid")
     if n % 2 == 0:
         raise EvenDimensionError(f"no null homotopy in even dimension n = {n}")
     if not 3 <= n <= 7:
@@ -387,6 +427,7 @@ def edge_homotopy_witness(steps: int = 1000) -> CheckReport:
     flip of the gluing sits in the identity component, so no coloring
     obstruction can arise.  Checks endpoints and det == 1 along the path.
     """
+    steps = _as_int(steps, "steps")
     if steps < 2:
         raise InvalidArgumentError("steps must be >= 2")
     ts = np.linspace(0.0, 1.0, steps)

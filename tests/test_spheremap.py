@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ def test_differential_rejects_non_tangent():
     q = north_pole(3)
     with pytest.raises(NonTangentInputError):
         pole_map_differential(q, q)
+
+
+def test_nan_fails_the_unit_and_tangency_checks():
+    with pytest.raises(NonUnitInputError):
+        pole_map(np.array([math.nan, 0.0]))
+    with pytest.raises(NonUnitInputError):
+        local_trivialization_residual(np.array([math.nan, math.nan]))
+    with pytest.raises(NonTangentInputError):
+        pole_map_differential(np.array([1.0, 0.0]), np.array([math.nan, 0.0]))
+    with pytest.raises(NonUnitInputError):
+        cylinder_projection(np.array([math.nan, 1.0]), 0.5)
 
 
 def test_differential_matches_finite_differences():
@@ -183,6 +195,42 @@ def test_degree_integral_is_the_mean_of_the_closed_form_density(n):
             assert abs(degree_integral(n, samples, seed) - total / samples) <= 1e-12
 
 
+def _density_matrices(q):
+    # A = 2t(qq^T - I) - 2q e_n^T + e_n q^T, assembled term by term from its definition
+    n = q.shape[1]
+    t = q[:, -1, None, None]
+    e_n = np.zeros(n)
+    e_n[-1] = 1.0
+    return (2.0 * t * (q[:, :, None] * q[:, None, :] - np.eye(n))
+            - 2.0 * q[:, :, None] * e_n[None, None, :]
+            + e_n[None, :, None] * q[:, None, :])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pullback_density_matches_the_full_determinant(n):
+    rng = np.random.Generator(np.random.Philox(n))
+    q = rng.normal(size=(3000, n))
+    equator = rng.normal(size=(50, n))
+    equator[:, -1] = 0.0
+    q = np.vstack([q, equator, north_pole(n), -north_pole(n), np.eye(n)])
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    assert np.any(q[:, -1] == 0.0) and np.any(q[:, -1] == 1.0) and np.any(q[:, -1] == -1.0)
+    full = np.linalg.det(_density_matrices(q))
+    lemma = spheremap._pullback_density(q)
+    assert np.all(np.abs(lemma - full) <= 1e-12 * np.maximum(1.0, np.abs(full)))
+
+
+def test_degree_integral_memory_stays_per_chunk():
+    # a per-sample n x n tensor over one 8192-row chunk at n = 8 alone takes 4.2 MB
+    tracemalloc.start()
+    try:
+        degree_integral(8, 200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_degree_integral_reproducible():
     a = degree_integral(3, samples=20_000, seed=9)
     b = degree_integral(3, samples=20_000, seed=9)
@@ -198,6 +246,21 @@ def test_degree_integral_input_gates():
         degree_integral(3, samples=100)
     with pytest.raises(InvalidArgumentError):
         degree_integral(3, samples=10_000, seed=-1)
+    assert degree_integral(2, np.int64(10_000), np.uint8(3)) == degree_integral(2, 10_000, 3)
+
+
+@pytest.mark.parametrize("func, args, name", [
+    (degree_integral, (2, 20000.5), "samples"),
+    (degree_integral, (2.5,), "n"),
+    (degree_integral, (2, 20000, 1.5), "seed"),
+    (degree_preimage, (4.0,), "n"),
+    (homotopy_endpoints, (3, 10.5), "grid"),
+    (homotopy_endpoints, (3.0,), "n"),
+    (edge_homotopy_witness, (100.5,), "steps"),
+])
+def test_sizes_must_be_integers(func, args, name):
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
+        func(*args)
 
 
 def test_sphere_map_report_agreement():
