@@ -121,7 +121,7 @@ class Coloring:
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
         for label, value in self.assignment.items():
-            if value not in (1, -1):
+            if isinstance(value, bool) or value not in (1, -1):
                 raise InvalidArgumentError(f"color of {label!r} must be +1 or -1, got {value!r}")
 
     def __getitem__(self, label: str) -> int:
@@ -221,15 +221,16 @@ def _half_edges(surf: TriangulatedSurface) -> _HalfEdges:
     rows = t[np.lexsort(t.T[::-1])]
     if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise NonClosedSurfaceError("duplicate triangle in complex")
-    # every vertex in use bounds V by 3F, so the keys below fit in int64
-    if n > 3 * f or not np.bincount(t.astype(np.int64).ravel(), minlength=n).all():
+    # every vertex in use bounds V by 3F, so the vertices and the keys below fit in int64
+    if n <= 3 * f:
+        t = t.astype(np.int64, copy=False)
+    if n > 3 * f or not np.bincount(t.ravel(), minlength=n).all():
         used = np.unique(t)
         missing = [int(v) for v in np.setdiff1d(np.arange(min(n, used.size + 10)), used)[:10]]
         total = n - used.size
         raise NonClosedSurfaceError(f"isolated vertices: {missing}"
                                     + (f" ({total} in all)" if total > len(missing) else ""))
 
-    t = t.astype(np.int64, copy=False)
     a, b, c = t.T
     keys = (np.stack((a, b, a), axis=1) * n + np.stack((b, c, c), axis=1)).ravel()
     order = np.argsort(keys, kind="stable")

@@ -122,7 +122,7 @@ def _parse_surface(doc: dict, pointer: str) -> TriangulatedSurface:
         raise ManifoldFormatError("'z_edges' must be a list", f"{pointer}/z_edges")
     triangles = _int_lists(triangles_raw, 3, f"{pointer}/triangles")
     z_edges = _int_lists(z_raw, 2, f"{pointer}/z_edges")
-    return TriangulatedSurface(vertices, tuple(triangles), tuple(z_edges))
+    return TriangulatedSurface(vertices, triangles, z_edges)
 
 
 def parse_manifold(doc: Any) -> BGraph:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Dict, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Optional
 
 from .bgraph import BGraph, Coloring
 from .errors import InconsistentGluingError, InvalidArgumentError, NotOrientableError
@@ -30,45 +30,18 @@ class EdgeVerdict(Enum):
 
 @dataclass(frozen=True)
 class SignGluing:
-    """Sign-level gluing data attached to the edges of a region graph.
+    """The sign gluing of a region graph, which the graph alone determines.
 
-    Each edge stores its two sides as (region label, sign) pairs; a loop edge
-    records the same region twice.  The sign convention for the rescaled
-    bundle forces the two signs on every edge to multiply to -1.
+    The rescaling forces the two side signs of every edge to multiply to
+    -1, so a graph has exactly one gluing up to which side is called +1.
     """
 
-    incidences: Mapping[str, Tuple[Tuple[str, int], Tuple[str, int]]]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "incidences",
-            {k: (tuple(v[0]), tuple(v[1])) for k, v in dict(self.incidences).items()},
-        )
+    graph: BGraph
 
     @classmethod
     def canonical(cls, g: BGraph) -> "SignGluing":
-        """The standard gluing: +1 on side_a, -1 on side_b of every edge."""
-        return cls({e.label: ((e.side_a, 1), (e.side_b, -1)) for e in g.edges})
-
-    def check_against(self, g: BGraph) -> None:
-        """Raise InconsistentGluingError unless this gluing decorates g."""
-        want = {e.label: (e.side_a, e.side_b) for e in g.edges}
-        if set(self.incidences) != set(want):
-            raise InconsistentGluingError(
-                f"edge labels {sorted(self.incidences)} do not match graph edges {sorted(want)}"
-            )
-        for label, ((ra, sa), (rb, sb)) in self.incidences.items():
-            if sa not in (1, -1) or sb not in (1, -1):
-                raise InconsistentGluingError(f"edge {label!r} carries a non-sign entry")
-            if sorted((ra, rb)) != sorted(want[label]):
-                raise InconsistentGluingError(
-                    f"edge {label!r} joins {sorted((ra, rb))}, graph says {sorted(want[label])}"
-                )
-            if sa * sb != -1:
-                raise InconsistentGluingError(
-                    f"edge {label!r} has side signs with product {sa * sb}, need -1"
-                )
+        """The gluing of g: +1 on side_a, -1 on side_b of every edge."""
+        return cls(g)
 
 
 # Criteria equivalent to two-colorability for an orientable M: each restates
@@ -137,10 +110,10 @@ def two_color(g: BGraph) -> Optional[Coloring]:
 
 
 def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
-    """Solve the sign system of a gluing as GF(2) linear algebra.
+    """Solve the sign system of the graph's gluing as GF(2) linear algebra.
 
-    Each edge with side signs of product -1 demands opposite signs on its
-    two regions.  Encoding -1 as the bit 1 turns this into one linear
+    Each edge's side signs multiply to -1, so it demands opposite signs on
+    its two regions.  Encoding -1 as the bit 1 turns this into one linear
     equation x_a + x_b = 1 per edge.  Every equation has exactly two
     unknowns, so Gaussian elimination specializes to a union-find in which
     each region stores its bit relative to its class root: an equation
@@ -150,9 +123,10 @@ def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
     label gets +1, matching two_color.
 
     Raises:
-        InconsistentGluingError: the gluing does not decorate g.
+        InconsistentGluingError: the gluing belongs to a different graph.
     """
-    gluing.check_against(g)
+    if gluing.graph != g:
+        raise InconsistentGluingError("the sign gluing belongs to a different region graph")
     parent = {lab: lab for lab in g.region_labels()}
     bit = dict.fromkeys(parent, 0)  # x_lab + x_parent[lab] over GF(2)
     size = dict.fromkeys(parent, 1)
@@ -170,10 +144,10 @@ def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
         return lab
 
     for e in g.edges:
-        (ra, sa), (rb, sb) = gluing.incidences[e.label]
+        ra, rb = e.side_a, e.side_b
         ua, ub = root(ra), root(rb)
-        # the equation restated on the two roots: x_ua + x_ub = rhs
-        rhs = bit[ra] ^ bit[rb] ^ (1 if sa * sb == -1 else 0)
+        # the equation x_ra + x_rb = 1 restated on the two roots: x_ua + x_ub = rhs
+        rhs = bit[ra] ^ bit[rb] ^ 1
         if ua == ub:
             if rhs:
                 return None

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from btangent import (
     BGraph,
+    Coloring,
     HypersurfaceComponent,
     InvalidArgumentError,
     InvalidZError,
@@ -341,6 +342,15 @@ def test_invalid_graph_raises_at_construction():
         BGraph((Region("A", 1), Region("A", 2)), ())
     with pytest.raises(InvalidArgumentError, match="no regions"):
         BGraph((), ())
+
+
+def test_coloring_signs_are_integers_not_bools():
+    # True == 1, so a membership test alone would take it for +1
+    for value in (True, False, 0, 2, -2):
+        with pytest.raises(InvalidArgumentError, match="'B\\+' must be \\+1 or -1"):
+            Coloring({"B+": value, "B-": -1})
+    c = Coloring({"B+": np.int64(1), "B-": np.int8(-1)})
+    assert c.is_proper(sphere_equator_graph())
 
 
 @st.composite

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from btangent import (
     edge_obstruction,
     equivalence_report,
     gauge_solvable,
+    parse_manifold,
     sphere_equator_graph,
     two_color,
 )
@@ -116,14 +119,16 @@ def test_gauge_two_parallel_edges():
     assert c.to_json_dict() == {"A": 1, "B": -1}
 
 
-def test_gauge_inconsistent_gluing_rejected():
+def test_gauge_takes_only_the_gluing_of_its_own_graph():
     g = sphere_equator_graph()
-    with pytest.raises(InconsistentGluingError):
-        gauge_solvable(SignGluing({"Z0": (("B+", 1), ("B-", 1))}), g)
-    with pytest.raises(InconsistentGluingError):
-        gauge_solvable(SignGluing({"bogus": (("B+", 1), ("B-", -1))}), g)
-    with pytest.raises(InconsistentGluingError):
-        gauge_solvable(SignGluing({"Z0": (("B+", 1), ("B+", -1))}), g)
+    assert [f.name for f in fields(SignGluing)] == ["graph"]
+    for other in (circle_graph(2), torus_loop_graph(),
+                  BGraph(g.regions, g.edges, ambient_dim=3)):
+        with pytest.raises(InconsistentGluingError):
+            gauge_solvable(SignGluing.canonical(other), g)
+    rebuilt = parse_manifold({"graph": g.to_json_dict()})
+    assert rebuilt is not g
+    assert gauge_solvable(SignGluing.canonical(rebuilt), g).to_json_dict() == {"B+": 1, "B-": -1}
 
 
 def test_classify_bm_parity():
