@@ -170,9 +170,13 @@ class TriangulatedSurface:
     z_edges: Tuple[Edge2, ...] = ()
 
     def __post_init__(self):
-        zs = tuple(sorted((min(u, v), max(u, v)) for u, v in self.z_edges))
         object.__setattr__(self, "triangles", tuple(map(tuple, self.triangles)))
-        object.__setattr__(self, "z_edges", zs)
+        object.__setattr__(self, "z_edges", _marked_edges(self.z_edges))
+
+
+def _marked_edges(z) -> Tuple[Edge2, ...]:
+    """Marked edges as stored: each pair (min, max), the pairs sorted."""
+    return tuple(sorted((min(u, v), max(u, v)) for u, v in z))
 
 
 @dataclass(frozen=True)
@@ -189,42 +193,86 @@ class _HalfEdges:
     pairs: np.ndarray  # E x 2: the two half-edges of each edge, in key order
 
 
-def _half_edges(surf: TriangulatedSurface) -> _HalfEdges:
-    """Check that the complex is a closed surface and pair up its half-edges.
+def _triangle_array(n: int, tris) -> np.ndarray:
+    """The rows of tris as an F x 3 array, int64 unless numpy cannot read them so.
 
-    The 3F half-edges are keyed u * V + w and sorted once; the complex is
-    closed exactly when every run of equal keys has length two.
+    Rows that numpy cannot read as int64 (one without three vertices, a
+    float, a vertex past int64) are checked here, where a message can quote
+    the row as given; ``_half_edges`` checks the rest.
     """
     import numpy as np
 
-    tris = surf.triangles
-    if not tris:
-        raise NonClosedSurfaceError("the complex has no triangles")
-    n, f = surf.vertex_count, len(tris)
+    f = len(tris)
     # the checks below run on the triangles before the first one without 3 vertices
-    short = f if set(map(len, tris)) == {3} else next(
+    short = f if not tris or set(map(len, tris)) == {3} else next(
         i for i, tri in enumerate(tris) if len(tri) != 3)
     t = np.array(tris[:short]).reshape(short, 3)  # int64 unless a vertex is a float or past int64
+    if t.dtype != np.int64 or short < f:
+        i, j = _first_bad_row(n, t)
+        if i < f:
+            raise _bad_row(i, j, tris[i])
+    return t
+
+
+def _first_bad_row(n: int, t: np.ndarray) -> Tuple[int, int]:
+    """The first row of t that is degenerate or has a vertex outside 0 .. n-1.
+
+    Returns the row and the column of its first vertex out of range, or -1
+    when the row is degenerate; ``(len(t), -1)`` when every row is good.
+    """
+    import numpy as np
+
     outside = (t < 0) | (t >= n)
     if t.dtype != np.int64:  # only whole numbers name vertices
         outside |= t % 1 != 0
     a, b, c = t.T
     degenerate = (a == b) | (b == c) | (a == c)
     bad = degenerate | outside.any(axis=1)
-    if bad.any() or short < f:
-        i = int(bad.argmax()) if bad.any() else short
-        if i == short or degenerate[i]:
-            raise NonClosedSurfaceError(f"triangle {i} is degenerate: {tris[i]}")
-        v = tris[i][int(outside[i].argmax())]
-        raise NonClosedSurfaceError(f"triangle {i} uses vertex {v} out of range")
-    t = np.sort(t, axis=1)
+    if not bad.any():
+        return len(t), -1
+    i = int(bad.argmax())
+    return i, -1 if degenerate[i] else int(outside[i].argmax())
+
+
+def _bad_row(i: int, j: int, row) -> NonClosedSurfaceError:
+    if j < 0:
+        return NonClosedSurfaceError(f"triangle {i} is degenerate: {tuple(row)}")
+    return NonClosedSurfaceError(f"triangle {i} uses vertex {row[j]} out of range")
+
+
+def _check_distinct(t: np.ndarray) -> None:
+    """Raise when two rows of t, each sorted, are equal."""
+    import numpy as np
+
     rows = t[np.lexsort(t.T[::-1])]
     if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise NonClosedSurfaceError("duplicate triangle in complex")
+
+
+def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
+    """Check that the complex is a closed surface and pair up its half-edges.
+
+    ``t`` holds the triangles of a complex on the vertices 0 .. n-1, as
+    ``_triangle_array`` returns them.  The 3F half-edges are keyed u * V + w
+    and sorted once; the complex is closed exactly when every run of equal
+    keys has length two.  The defects are reported in a fixed order:
+    degenerate or out-of-range triangles, duplicates, isolated vertices,
+    edges not in two triangles.
+    """
+    import numpy as np
+
+    f = len(t)
+    if not f:
+        raise NonClosedSurfaceError("the complex has no triangles")
+    i, j = _first_bad_row(n, t)
+    if i < f:
+        raise _bad_row(i, j, t[i].tolist())
+    t = np.sort(t, axis=1)
     # every vertex in use bounds V by 3F, so the vertices and the keys below fit in int64
     if n <= 3 * f:
         t = t.astype(np.int64, copy=False)
     if n > 3 * f or not np.bincount(t.ravel(), minlength=n).all():
+        _check_distinct(t)
         used = np.unique(t)
         missing = [int(v) for v in np.setdiff1d(np.arange(min(n, used.size + 10)), used)[:10]]
         total = n - used.size
@@ -233,11 +281,14 @@ def _half_edges(surf: TriangulatedSurface) -> _HalfEdges:
 
     a, b, c = t.T
     keys = (np.stack((a, b, a), axis=1) * n + np.stack((b, c, c), axis=1)).ravel()
+    # stable, which the report below relies on; on triangles listed in grid
+    # order it is also faster than the default sort, which wins on shuffled ones
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     runs = np.diff(np.append(starts, 3 * f))
     if (runs != 2).any():
+        _check_distinct(t)
         # a stable sort starts each run at its first half-edge: report the
         # edge met first in triangle order
         bad_runs = np.flatnonzero(runs != 2)
@@ -246,8 +297,15 @@ def _half_edges(surf: TriangulatedSurface) -> _HalfEdges:
         raise NonClosedSurfaceError(
             f"edge {e} lies in {runs[r]} triangle(s); a closed surface needs 2"
         )
+    pairs = order.reshape(-1, 2)
+    # every edge lies in exactly two triangles, so a repeated triangle meets
+    # its copy across an edge: the two triangles there share their third
+    # vertex, which for half-edge 3i + s is vertex (s + 2) % 3 of triangle i
+    third = t.ravel()[pairs - pairs % 3 + (pairs + 2) % 3]
+    if (third[:, 0] == third[:, 1]).any():
+        raise NonClosedSurfaceError("duplicate triangle in complex")
 
-    return _HalfEdges(t, keys[::2], order.reshape(-1, 2))
+    return _HalfEdges(t, keys[::2], pairs)
 
 
 def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -278,16 +336,15 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             f, jumped = jumped, jumped[jumped]
 
 
-def _z_cycles(surf: TriangulatedSurface, mesh: _HalfEdges) -> Tuple[np.ndarray, np.ndarray]:
+def _z_cycles(n: int, z: Tuple[Edge2, ...], mesh: _HalfEdges) -> Tuple[np.ndarray, np.ndarray]:
     """Check that the marked edges are distinct and form disjoint cycles.
 
-    Returns, for every marked edge, its cycle number (cycles numbered in the
-    order of their smallest edge in ``surf.z_edges``) and its edge number
-    (index into ``mesh.keys``).
+    ``z`` holds them as ``_marked_edges`` returns them.  Returns, for every
+    marked edge, its cycle number (cycles numbered in the order of their
+    smallest edge in z) and its edge number (index into ``mesh.keys``).
     """
     import numpy as np
 
-    z, n = surf.z_edges, surf.vertex_count
     # -1 for a pair that names no edge: out of range, a loop, or not whole numbers
     zkeys = np.array([u * n + v if 0 <= u < v < n and u % 1 == v % 1 == 0 else -1
                       for u, v in z], dtype=np.int64)
@@ -317,8 +374,9 @@ def _z_cycles(surf: TriangulatedSurface, mesh: _HalfEdges) -> Tuple[np.ndarray, 
 
 def surface_euler(surf: TriangulatedSurface) -> int:
     """Euler characteristic V - E + F of a valid closed surface."""
-    mesh = _half_edges(surf)
-    return surf.vertex_count - len(mesh.keys) + len(surf.triangles)
+    n = surf.vertex_count
+    mesh = _half_edges(n, _triangle_array(n, surf.triangles))
+    return n - len(mesh.keys) + len(mesh.tris)
 
 
 def surface_orientable(surf: TriangulatedSurface) -> bool:
@@ -327,7 +385,8 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
     Neighboring triangles are consistently oriented exactly when they
     traverse their shared edge in opposite directions.
     """
-    return _orientable(_half_edges(surf))
+    n = surf.vertex_count
+    return _orientable(_half_edges(n, _triangle_array(n, surf.triangles)))
 
 
 def _orientable(mesh: _HalfEdges) -> bool:
@@ -393,14 +452,24 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
         InvalidZError: the marked edges repeat or do not form disjoint
             embedded cycles.
     """
+    n = surf.vertex_count
+    return _surface_graph(n, _triangle_array(n, surf.triangles), surf.z_edges)
+
+
+def _surface_graph(n: int, t: np.ndarray, z: Tuple[Edge2, ...]) -> BGraph:
+    """``build_graph_from_surface`` on a complex given as its parts.
+
+    ``t`` holds the triangles as ``_triangle_array`` returns them, and ``z``
+    the marked edges as ``_marked_edges`` returns them.
+    """
     import numpy as np
 
-    mesh = _half_edges(surf)
-    cycle, edge = _z_cycles(surf, mesh)
+    mesh = _half_edges(n, t)
+    cycle, edge = _z_cycles(n, z, mesh)
 
     region, count = _region_numbers(mesh, edge)
     labels = [f"R{r}" for r in range(count)]
-    chis = _closure_eulers(mesh, surf.vertex_count, region, count)
+    chis = _closure_eulers(mesh, n, region, count)
     regions = [Region(lab, chi) for lab, chi in zip(labels, chis)]
 
     # the distinct (cycle, region) pairs across every marked edge, by cycle;
@@ -419,7 +488,7 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
         a, b = sorted(near) if len(near) == 2 else near * 2
         edges.append(HypersurfaceComponent(f"Z{k}", a, b))
 
-    if sum(chis) != surf.vertex_count - len(mesh.keys) + len(surf.triangles):
+    if sum(chis) != n - len(mesh.keys) + len(mesh.tris):
         raise NonClosedSurfaceError("closure Euler characteristics do not sum to the "
                                     "surface's: the complex is not a surface at some vertex")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Any, List
 
@@ -24,8 +25,9 @@ from .bgraph import (
     BGraph,
     HypersurfaceComponent,
     Region,
-    TriangulatedSurface,
-    build_graph_from_surface,
+    _marked_edges,
+    _surface_graph,
+    _triangle_array,
 )
 from .errors import InvalidArgumentError, ManifoldFormatError
 
@@ -105,24 +107,36 @@ def _check_int_list(raw: Any, length: int, pointer: str) -> None:
 def _int_lists(raw: list, length: int, pointer: str) -> list:
     """Check that every entry of raw is a list of `length` integers; return raw.
 
-    Entry pointers are built only to locate a bad entry.
+    The check is three passes over sets of types and lengths, which run in
+    C.  Entry pointers are built only to locate a bad entry.
     """
-    if not (all(type(e) is list and len(e) == length for e in raw)
-            and all(type(v) is int for e in raw for v in e)):
+    if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {length}
+            and set(map(type, chain.from_iterable(raw))) <= {int}):
         for i, e in enumerate(raw):
             _check_int_list(e, length, f"{pointer}/{i}")
     return raw
 
 
-def _parse_surface(doc: dict, pointer: str) -> TriangulatedSurface:
+def _parse_surface(doc: dict, pointer: str) -> BGraph:
+    """Build the region graph of a surface document.
+
+    The triangles go to the surface kernel as one F x 3 int64 array, read
+    straight from the JSON lists.
+    """
+    import numpy as np
+
     vertices = _need(doc, "vertices", int, pointer)
     triangles_raw = _need(doc, "triangles", list, pointer)
     z_raw = doc.get("z_edges", [])
     if not isinstance(z_raw, list):
         raise ManifoldFormatError("'z_edges' must be a list", f"{pointer}/z_edges")
-    triangles = _int_lists(triangles_raw, 3, f"{pointer}/triangles")
-    z_edges = _int_lists(z_raw, 2, f"{pointer}/z_edges")
-    return TriangulatedSurface(vertices, triangles, z_edges)
+    rows = _int_lists(triangles_raw, 3, f"{pointer}/triangles")
+    z_edges = _marked_edges(_int_lists(z_raw, 2, f"{pointer}/z_edges"))
+    try:
+        triangles = np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(rows))
+    except OverflowError:  # a vertex past int64: read the rows as given, to quote it
+        triangles = _triangle_array(vertices, rows)
+    return _surface_graph(vertices, triangles.reshape(-1, 3), z_edges)
 
 
 def parse_manifold(doc: Any) -> BGraph:
@@ -140,7 +154,7 @@ def parse_manifold(doc: Any) -> BGraph:
         return _parse_graph(doc["graph"], "/graph")
     if not isinstance(doc["surface"], dict):
         raise ManifoldFormatError("'surface' must be an object", "/surface")
-    return build_graph_from_surface(_parse_surface(doc["surface"], "/surface"))
+    return _parse_surface(doc["surface"], "/surface")
 
 
 def load_manifold(path) -> BGraph:

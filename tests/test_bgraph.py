@@ -266,6 +266,10 @@ def _bad_complexes():
         ("duplicate in another order",
          TriangulatedSurface(6, tris[:1] + ((2, 1, 0),) + tris[1:], ()),
          NonClosedSurfaceError, "duplicate triangle in complex"),
+        # a second sphere made of one triangle and its copy: every edge lies in
+        # two triangles, so only the copy itself shows the defect
+        ("pillow", TriangulatedSurface(9, tris + ((6, 7, 8), (8, 7, 6)), ()),
+         NonClosedSurfaceError, "duplicate triangle in complex"),
         ("isolated vertex", TriangulatedSurface(7, tris, z), NonClosedSurfaceError,
          "isolated vertices: [6]"),
         ("edge in 3 triangles",
@@ -304,6 +308,79 @@ def test_bad_complex_gives_its_exact_error(name, surf, error, message):
             with pytest.raises(error) as exc:
                 reader(surf)
             assert str(exc.value) == message
+    if all(len(t) == 3 and all(type(v) is int for v in t) for t in surf.triangles):
+        # a document reaches the same checks through its own front door
+        with pytest.raises(error) as exc:
+            parse_manifold(_document(surf))
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+def _document(surf: TriangulatedSurface) -> dict:
+    return {"surface": {"vertices": surf.vertex_count,
+                        "triangles": [list(t) for t in surf.triangles],
+                        "z_edges": [list(e) for e in surf.z_edges]}}
+
+
+# (key, row, column): the values at (3, 2), (0, 0) and z (0, 0) are 1, 0 and 1,
+# so a bool read as a number there would give a valid octahedron
+@pytest.mark.parametrize("key, row, col", [("triangles", 3, 1), ("triangles", 3, 2),
+                                           ("triangles", 0, 0), ("z_edges", 0, 1),
+                                           ("z_edges", 0, 0)])
+@pytest.mark.parametrize("value", [True, False])
+def test_json_booleans_are_not_vertices(key, row, col, value):
+    doc = _document(octahedron())
+    doc["surface"][key][row][col] = value
+    with pytest.raises(ManifoldFormatError, match="expected an integer") as exc:
+        parse_manifold(doc)
+    assert exc.value.pointer == f"/surface/{key}/{row}/{col}"
+
+
+@pytest.mark.parametrize("vertex", [2**63, -2**63 - 1, 2**70])
+def test_document_vertex_past_int64_is_named(vertex):
+    doc = _document(octahedron())
+    doc["surface"]["triangles"].insert(3, [0, 2, vertex])
+    with pytest.raises(NonClosedSurfaceError) as exc:
+        parse_manifold(doc)
+    assert str(exc.value) == f"triangle 3 uses vertex {vertex} out of range"
+    # in range of a vertex count past int64, it leaves vertices isolated
+    doc["surface"]["vertices"] = 2**71
+    doc["surface"]["triangles"][3] = [0, 2, abs(vertex)]
+    with pytest.raises(NonClosedSurfaceError) as exc:
+        parse_manifold(doc)
+    assert str(exc.value) == ("isolated vertices: [6, 7, 8, 9, 10, 11, 12, 13, 14, 15] "
+                              f"({2**71 - 7} in all)")
+
+
+@pytest.mark.parametrize("vertex", [2.5, 2.0])
+def test_document_float_vertex_is_a_format_error(vertex):
+    doc = _document(octahedron())
+    doc["surface"]["triangles"].insert(3, [0, 2, vertex])
+    with pytest.raises(ManifoldFormatError, match="expected an integer") as exc:
+        parse_manifold(doc)
+    assert exc.value.pointer == "/surface/triangles/3/2"
+
+
+_CORPUS = (octahedron(), octahedron(False), torus7(), genus2(), projective_plane(),
+           grid_surface(5, 6, True, (1, 3)), subdivide(grid_surface(4, 4, False, (0, 2)), [3]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_document_and_surface_give_the_same_graph(data):
+    surf = data.draw(st.sampled_from(_CORPUS), label="surface")
+    surf = relabel(surf, data.draw(st.permutations(range(surf.vertex_count)), label="relabelling"))
+    order = data.draw(st.permutations(range(len(surf.triangles))), label="triangle order")
+    turns = data.draw(st.lists(st.integers(0, 5), min_size=len(order), max_size=len(order)),
+                      label="row turns")
+    tris = [surf.triangles[i] for i in order]
+    tris = [(t[s % 3:] + t[:s % 3])[::1 if s < 3 else -1] for t, s in zip(tris, turns)]
+    z = data.draw(st.permutations(surf.z_edges), label="marked edge order")
+    flips = data.draw(st.lists(st.booleans(), min_size=len(z), max_size=len(z)), label="flips")
+    z = [e[::-1] if flip else e for e, flip in zip(z, flips)]
+    doc = {"surface": {"vertices": surf.vertex_count, "triangles": [list(t) for t in tris],
+                       "z_edges": [list(e) for e in z]}}
+    expected = build_graph_from_surface(TriangulatedSurface(surf.vertex_count, tris, z))
+    assert parse_manifold(doc) == expected
 
 
 def test_isolated_vertex_rejected():
