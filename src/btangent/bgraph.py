@@ -12,7 +12,10 @@ surface with a marked cycle system.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 from typing import TYPE_CHECKING, List, Mapping, Tuple
 
 from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError
@@ -77,6 +80,16 @@ class BGraph:
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "edges", tuple(self.edges))
+        # the usual check is a few passes over sets, which run in C; the loop
+        # below runs only on failure, to list every violation
+        label, side_a, side_b = map(operator.attrgetter, ("label", "side_a", "side_b"))
+        labels = set(map(label, self.regions))
+        if (self.regions and len(labels) == len(self.regions)
+                and len(set(map(label, self.edges))) == len(self.edges)
+                and labels.issuperset(map(side_a, self.edges))
+                and labels.issuperset(map(side_b, self.edges))
+                and self.ambient_dim >= 1):
+            return
         violations: List[str] = []
         if not self.regions:
             violations.append("graph has no regions")
@@ -99,7 +112,7 @@ class BGraph:
             raise InvalidArgumentError("invalid region graph: " + "; ".join(violations))
 
     def region_labels(self) -> Tuple[str, ...]:
-        return tuple(r.label for r in self.regions)
+        return tuple(map(operator.attrgetter("label"), self.regions))
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,15 +127,26 @@ class BGraph:
 
 @dataclass(frozen=True)
 class Coloring:
-    """An assignment of +1 / -1 to every region label."""
+    """An assignment of +1 / -1 to every region label.
+
+    A sign is a Python or numpy integer, stored as an int; bools are not
+    signs.  The assignment is a read-only mapping, because the analyses of
+    one graph share its coloring (see ``obstructions._canonical_coloring``).
+    """
 
     assignment: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
-        for label, value in self.assignment.items():
-            if isinstance(value, bool) or value not in (1, -1):
-                raise InvalidArgumentError(f"color of {label!r} must be +1 or -1, got {value!r}")
+        signs = dict(self.assignment)
+        # the usual check is two passes over sets, which run in C; the loop
+        # below runs only on failure, to name the bad sign
+        if not (set(map(type, signs.values())) <= {int} and set(signs.values()) <= {1, -1}):
+            signs = {label: _sign(label, value) for label, value in signs.items()}
+        object.__setattr__(self, "assignment", MappingProxyType(signs))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; its dict can
+        return Coloring, (dict(self.assignment),)
 
     def __getitem__(self, label: str) -> int:
         return self.assignment[label]
@@ -146,6 +170,17 @@ class Coloring:
         return dict(sorted(self.assignment.items()))
 
 
+def _sign(label: str, value) -> int:
+    """value as the int +1 or -1, the color of the region label."""
+    try:
+        sign = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        sign = None
+    if sign not in (1, -1):
+        raise InvalidArgumentError(f"color of {label!r} must be +1 or -1, got {value!r}")
+    return sign
+
+
 # ---------------------------------------------------------------------------
 # triangulated surfaces
 # ---------------------------------------------------------------------------
@@ -163,6 +198,13 @@ class TriangulatedSurface:
             and against the edge (a, c).
         z_edges: marked edges, each a pair of vertex indices.  Together they
             must form a disjoint union of embedded cycles.
+
+    A vertex is a Python or numpy integer, as in a surface document; bools
+    and floats, whole ones included, are not vertices.
+
+    Raises:
+        InvalidArgumentError: naming the first triangle or marked edge with
+            a vertex that is not an integer.
     """
 
     vertex_count: int
@@ -171,7 +213,29 @@ class TriangulatedSurface:
 
     def __post_init__(self):
         object.__setattr__(self, "triangles", tuple(map(tuple, self.triangles)))
-        object.__setattr__(self, "z_edges", _marked_edges(self.z_edges))
+        _check_vertices(self.triangles, "triangle")
+        z = tuple(map(tuple, self.z_edges))
+        _check_vertices(z, "marked edge")
+        object.__setattr__(self, "z_edges", _marked_edges(z))
+
+
+def _check_vertices(rows: Tuple[tuple, ...], what: str) -> None:
+    """Raise unless every vertex in rows is a Python or numpy integer.
+
+    The usual check is one pass over the set of vertex types, which runs in
+    C; the rows are walked only to name the first bad one.
+    """
+    from numbers import Integral  # numpy registers its integers here
+
+    def is_vertex_type(t: type) -> bool:
+        return issubclass(t, Integral) and not issubclass(t, bool)
+
+    if all(map(is_vertex_type, set(map(type, chain.from_iterable(rows))))):
+        return
+    for i, row in enumerate(rows):
+        for v in row:
+            if not is_vertex_type(type(v)):
+                raise InvalidArgumentError(f"{what} {i} has a vertex that is not an integer: {v!r}")
 
 
 def _marked_edges(z) -> Tuple[Edge2, ...]:
@@ -197,8 +261,8 @@ def _triangle_array(n: int, tris) -> np.ndarray:
     """The rows of tris as an F x 3 array, int64 unless numpy cannot read them so.
 
     Rows that numpy cannot read as int64 (one without three vertices, a
-    float, a vertex past int64) are checked here, where a message can quote
-    the row as given; ``_half_edges`` checks the rest.
+    vertex past int64) are checked here, where a message can quote the row
+    as given; ``_half_edges`` checks the rest.
     """
     import numpy as np
 
@@ -206,7 +270,7 @@ def _triangle_array(n: int, tris) -> np.ndarray:
     # the checks below run on the triangles before the first one without 3 vertices
     short = f if not tris or set(map(len, tris)) == {3} else next(
         i for i, tri in enumerate(tris) if len(tri) != 3)
-    t = np.array(tris[:short]).reshape(short, 3)  # int64 unless a vertex is a float or past int64
+    t = np.array(tris[:short]).reshape(short, 3)  # int64 unless a vertex is past int64
     if t.dtype != np.int64 or short < f:
         i, j = _first_bad_row(n, t)
         if i < f:
@@ -220,11 +284,7 @@ def _first_bad_row(n: int, t: np.ndarray) -> Tuple[int, int]:
     Returns the row and the column of its first vertex out of range, or -1
     when the row is degenerate; ``(len(t), -1)`` when every row is good.
     """
-    import numpy as np
-
     outside = (t < 0) | (t >= n)
-    if t.dtype != np.int64:  # only whole numbers name vertices
-        outside |= t % 1 != 0
     a, b, c = t.T
     degenerate = (a == b) | (b == c) | (a == c)
     bad = degenerate | outside.any(axis=1)
@@ -345,9 +405,8 @@ def _z_cycles(n: int, z: Tuple[Edge2, ...], mesh: _HalfEdges) -> Tuple[np.ndarra
     """
     import numpy as np
 
-    # -1 for a pair that names no edge: out of range, a loop, or not whole numbers
-    zkeys = np.array([u * n + v if 0 <= u < v < n and u % 1 == v % 1 == 0 else -1
-                      for u, v in z], dtype=np.int64)
+    # -1 for a pair that names no edge: out of range or a loop
+    zkeys = np.array([u * n + v if 0 <= u < v < n else -1 for u, v in z], dtype=np.int64)
     edge = np.searchsorted(mesh.keys, zkeys).clip(max=len(mesh.keys) - 1)
     off = mesh.keys[edge] != zkeys
     repeat = np.zeros(len(z), dtype=bool)  # stored sorted: a repeat is a neighbour

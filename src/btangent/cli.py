@@ -24,7 +24,14 @@ from .bgraph import BGraph
 from .errors import BTangentError, InvalidArgumentError, NotColorableError
 from .euler import euler_report
 from .manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
-from .obstructions import EdgeVerdict, classify_bm, edge_obstruction, equivalence_report, two_color
+from .obstructions import (
+    EdgeVerdict,
+    _canonical_coloring,
+    classify_bm,
+    edge_obstruction,
+    equivalence_report,
+    two_color,
+)
 from .windex import (
     FIELD_NAMES,
     b_frame_index,
@@ -152,15 +159,12 @@ def _run_sphere(args: argparse.Namespace) -> Tuple[int, str]:
 def _run_edge(args: argparse.Namespace) -> Tuple[int, str]:
     g = load_manifold(_resolve_input(args.input))
     verdict = edge_obstruction(g, args.dim_m, args.dim_f)
-    codim = args.dim_m - args.dim_f
-    # in odd codimension the verdict already records the two-coloring it ran
-    colorable = verdict is EdgeVerdict.INCONCLUSIVE if codim % 2 else two_color(g) is not None
     obj = {
         "verdict": verdict.value,
         "dim_m": args.dim_m,
         "dim_f": args.dim_f,
-        "codimension": codim,
-        "two_colorable": colorable,
+        "codimension": args.dim_m - args.dim_f,
+        "two_colorable": _canonical_coloring(g) is not None,
     }
     code = 2 if verdict is EdgeVerdict.OBSTRUCTED else 0
     return code, _emit(args, obj)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bgraph import BGraph, Coloring
 from .errors import ImproperColoringError, NotColorableError, OddDimensionError
-from .obstructions import two_color
+from .obstructions import _canonical_coloring
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def euler_report(g: BGraph) -> EulerReport:
             rescaled bundle has no well-defined relative Euler number.
     """
     classical = classical_euler_number(g)
-    coloring = two_color(g)
+    coloring = _canonical_coloring(g)
     if coloring is None:
         raise NotColorableError("graph is not two-colorable; no global sign choice exists")
     return EulerReport(

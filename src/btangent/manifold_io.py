@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 from importlib import resources
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, List
+from typing import Any, Dict, List, Optional
 
 from .bgraph import (
     BGraph,
@@ -63,32 +64,65 @@ def _need(obj: dict, key: str, kind, pointer: str) -> Any:
     return value
 
 
+def _columns(raw: list, kinds: Dict[str, type]) -> Optional[List[tuple]]:
+    """The value under each key of kinds in every entry of raw, one tuple per key.
+
+    None unless every entry is a dict that holds every key, with a value of
+    exactly that key's type.  The checks are passes over sets of types,
+    which run in C.
+    """
+    if not set(map(type, raw)) <= {dict}:
+        return None
+    try:
+        cols = [tuple(map(itemgetter(key), raw)) for key in kinds]
+    except KeyError:
+        return None
+    if all(set(map(type, col)) <= {kind} for col, kind in zip(cols, kinds.values())):
+        return cols
+    return None
+
+
 def _parse_graph(doc: dict, pointer: str) -> BGraph:
+    """Build a region graph from a graph document.
+
+    Regions and edges are checked and read as columns by ``_columns``.  The
+    per-entry loops run only when a check fails, to find the bad entry, or
+    to accept a value of a subclass of its type.
+    """
     regions_raw = _need(doc, "regions", list, pointer)
     edges_raw = _need(doc, "edges", list, pointer)
     ambient = _need(doc, "ambient_dim", int, pointer)
     orientable = _need(doc, "orientable", bool, pointer)
 
-    regions: List[Region] = []
-    for i, r in enumerate(regions_raw):
-        p = f"{pointer}/regions/{i}"
-        if not isinstance(r, dict):
-            raise ManifoldFormatError("region must be an object", p)
-        regions.append(Region(_need(r, "label", str, p), _need(r, "chi", int, p)))
+    cols = _columns(regions_raw, {"label": str, "chi": int})
+    if cols is not None:
+        regions = list(map(Region, *cols))
+        labels = set(cols[0])
+    else:
+        regions = []
+        for i, r in enumerate(regions_raw):
+            p = f"{pointer}/regions/{i}"
+            if not isinstance(r, dict):
+                raise ManifoldFormatError("region must be an object", p)
+            regions.append(Region(_need(r, "label", str, p), _need(r, "chi", int, p)))
+        labels = {r.label for r in regions}
 
-    labels = {r.label for r in regions}
-    edges: List[HypersurfaceComponent] = []
-    for i, e in enumerate(edges_raw):
-        p = f"{pointer}/edges/{i}"
-        if not isinstance(e, dict):
-            raise ManifoldFormatError("edge must be an object", p)
-        label = _need(e, "label", str, p)
-        a = _need(e, "a", str, p)
-        b = _need(e, "b", str, p)
-        for key, side in (("a", a), ("b", b)):
-            if side not in labels:
-                raise ManifoldFormatError(f"unknown region {side!r}", f"{p}/{key}")
-        edges.append(HypersurfaceComponent(label, a, b))
+    cols = _columns(edges_raw, {"label": str, "a": str, "b": str})
+    if cols is not None and labels.issuperset(cols[1]) and labels.issuperset(cols[2]):
+        edges = list(map(HypersurfaceComponent, *cols))
+    else:
+        edges = []
+        for i, e in enumerate(edges_raw):
+            p = f"{pointer}/edges/{i}"
+            if not isinstance(e, dict):
+                raise ManifoldFormatError("edge must be an object", p)
+            label = _need(e, "label", str, p)
+            a = _need(e, "a", str, p)
+            b = _need(e, "b", str, p)
+            for key, side in (("a", a), ("b", b)):
+                if side not in labels:
+                    raise ManifoldFormatError(f"unknown region {side!r}", f"{p}/{key}")
+            edges.append(HypersurfaceComponent(label, a, b))
 
     try:
         return BGraph(tuple(regions), tuple(edges), ambient_dim=ambient, orientable=orientable)

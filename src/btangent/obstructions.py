@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Dict, Optional
+from operator import attrgetter, eq
+from typing import ClassVar, Dict, List, Optional
 
 from .bgraph import BGraph, Coloring
 from .errors import InconsistentGluingError, InvalidArgumentError, NotOrientableError
@@ -86,13 +87,17 @@ def two_color(g: BGraph) -> Optional[Coloring]:
     Deterministic tie-break: in every connected component the
     lexicographically smallest region label receives +1.  That root's sign
     fixes the component's proper coloring, so neighbour order is free.
+    Every call runs the search; the analyses of one graph share one result
+    through ``_canonical_coloring``.
     """
-    if any(e.is_loop for e in g.edges):
+    a = list(map(attrgetter("side_a"), g.edges))
+    b = list(map(attrgetter("side_b"), g.edges))
+    if any(map(eq, a, b)):  # a loop edge
         return None
-    adj: Dict[str, set] = {r.label: set() for r in g.regions}
-    for e in g.edges:
-        adj[e.side_a].add(e.side_b)
-        adj[e.side_b].add(e.side_a)
+    adj: Dict[str, List[str]] = {r.label: [] for r in g.regions}
+    for u, w in zip(a, b):
+        adj[u].append(w)
+        adj[w].append(u)
     color: Dict[str, int] = {}
     for start in sorted(adj):
         if start in color:
@@ -100,13 +105,29 @@ def two_color(g: BGraph) -> Optional[Coloring]:
         color[start] = 1
         queue = [start]
         for u in queue:
+            other = -color[u]
             for w in adj[u]:
                 if w not in color:
-                    color[w] = -color[u]
+                    color[w] = other
                     queue.append(w)
-                elif color[w] == color[u]:
+                elif color[w] != other:
                     return None
     return Coloring(color)
+
+
+def _canonical_coloring(g: BGraph) -> Optional[Coloring]:
+    """``two_color(g)``, run once per graph and shared by every analysis of it.
+
+    The one memo of the BFS coloring.  It is kept on the graph outside its
+    dataclass fields, so equality, hashing, repr and JSON never see it, and
+    a graph built by ``dataclasses.replace`` starts without it.
+    ``two_color`` itself always runs the search, and ``gauge_solvable``
+    never reads the memo, so the two routes stay independent.
+    """
+    memo = vars(g)
+    if "_two_color" not in memo:
+        memo["_two_color"] = two_color(g)
+    return memo["_two_color"]
 
 
 def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
@@ -186,7 +207,7 @@ def equivalence_report(g: BGraph) -> ClassificationVerdict:
     """
     if not g.orientable:
         raise NotOrientableError("equivalence_report requires an orientable ambient manifold")
-    return ClassificationVerdict(two_color(g))
+    return ClassificationVerdict(_canonical_coloring(g))
 
 
 def circle_criterion(k: int) -> bool:
@@ -210,6 +231,6 @@ def edge_obstruction(g: BGraph, dim_m: int, dim_f: int) -> EdgeVerdict:
     """
     if not 0 <= dim_f < dim_m:
         raise InvalidArgumentError(f"need 0 <= dim_f < dim_m, got dim_f={dim_f}, dim_m={dim_m}")
-    if (dim_m - dim_f) % 2 == 1 and two_color(g) is None:
+    if (dim_m - dim_f) % 2 == 1 and _canonical_coloring(g) is None:
         return EdgeVerdict.OBSTRUCTED
     return EdgeVerdict.INCONCLUSIVE

@@ -233,7 +233,7 @@ def test_pinched_surface_is_structured_error():
 
 
 def _bad_complexes():
-    """Each defect alone, with the exact error it raises."""
+    """Each defect alone, as the parts of a surface, with the exact error it raises."""
     oct_ = octahedron()
     tris, z = oct_.triangles, oct_.z_edges
     with_vertex = tris[:3] + ((0, 2, 6),) + tris[3:]
@@ -244,74 +244,78 @@ def _bad_complexes():
     column = tuple((2 + 6 * j, 2 + 6 * (j + 1) % 36) for j in range(6))
     swap = [19] + list(range(1, 19)) + [0] + list(range(20, 36))
     crossed = relabel(TriangulatedSurface(36, grid_6x6.triangles, grid_6x6.z_edges + column), swap)
+    pinched = pinched_octahedra()
     return [
-        ("open", TriangulatedSurface(6, tris[:-1], ()), NonClosedSurfaceError,
+        ("open", (6, tris[:-1], ()), NonClosedSurfaceError,
          "edge (1, 4) lies in 1 triangle(s); a closed surface needs 2"),
-        ("empty", TriangulatedSurface(0, (), ()), NonClosedSurfaceError,
+        ("empty", (0, (), ()), NonClosedSurfaceError,
          "the complex has no triangles"),
-        ("degenerate", TriangulatedSurface(6, tris + ((1, 1, 2),), ()), NonClosedSurfaceError,
+        ("degenerate", (6, tris + ((1, 1, 2),), ()), NonClosedSurfaceError,
          "triangle 8 is degenerate: (1, 1, 2)"),
-        ("degenerate, repeat not adjacent", TriangulatedSurface(6, tris + ((1, 2, 1),), ()),
+        ("degenerate, repeat not adjacent", (6, tris + ((1, 2, 1),), ()),
          NonClosedSurfaceError, "triangle 8 is degenerate: (1, 2, 1)"),
-        ("four vertices", TriangulatedSurface(6, tris[:2] + ((0, 1, 2, 3),) + tris[2:], ()),
+        ("four vertices", (6, tris[:2] + ((0, 1, 2, 3),) + tris[2:], ()),
          NonClosedSurfaceError, "triangle 2 is degenerate: (0, 1, 2, 3)"),
-        ("out of range", TriangulatedSurface(6, with_vertex, ()), NonClosedSurfaceError,
+        ("out of range", (6, with_vertex, ()), NonClosedSurfaceError,
          "triangle 3 uses vertex 6 out of range"),
-        ("beyond int64", TriangulatedSurface(6, tris[:3] + ((0, 2, 2**63),) + tris[3:], ()),
+        ("beyond int64", (6, tris[:3] + ((0, 2, 2**63),) + tris[3:], ()),
          NonClosedSurfaceError, f"triangle 3 uses vertex {2**63} out of range"),
-        ("float vertex", TriangulatedSurface(6, tris[:3] + ((0, 2, 2.5),) + tris[3:], ()),
-         NonClosedSurfaceError, "triangle 3 uses vertex 2.5 out of range"),
-        ("duplicate", TriangulatedSurface(6, tris + (tris[2],), ()), NonClosedSurfaceError,
+        ("float vertex", (6, tris[:3] + ((0, 2, 2.5),) + tris[3:], ()),
+         InvalidArgumentError, "triangle 3 has a vertex that is not an integer: 2.5"),
+        ("duplicate", (6, tris + (tris[2],), ()), NonClosedSurfaceError,
          "duplicate triangle in complex"),
         ("duplicate in another order",
-         TriangulatedSurface(6, tris[:1] + ((2, 1, 0),) + tris[1:], ()),
+         (6, tris[:1] + ((2, 1, 0),) + tris[1:], ()),
          NonClosedSurfaceError, "duplicate triangle in complex"),
         # a second sphere made of one triangle and its copy: every edge lies in
         # two triangles, so only the copy itself shows the defect
-        ("pillow", TriangulatedSurface(9, tris + ((6, 7, 8), (8, 7, 6)), ()),
+        ("pillow", (9, tris + ((6, 7, 8), (8, 7, 6)), ()),
          NonClosedSurfaceError, "duplicate triangle in complex"),
-        ("isolated vertex", TriangulatedSurface(7, tris, z), NonClosedSurfaceError,
+        ("isolated vertex", (7, tris, z), NonClosedSurfaceError,
          "isolated vertices: [6]"),
         ("edge in 3 triangles",
-         TriangulatedSurface(7, tris + ((0, 1, 6), (1, 2, 6), (0, 2, 6)), ()),
+         (7, tris + ((0, 1, 6), (1, 2, 6), (0, 2, 6)), ()),
          NonClosedSurfaceError, "edge (0, 1) lies in 3 triangle(s); a closed surface needs 2"),
         # three edges in 3 triangles each: the one met first in triangle order is named
         ("first of several edges in 3 triangles",
-         TriangulatedSurface(103, grid.triangles + tuple(
+         (103, grid.triangles + tuple(
              (t[0], t[1], 100 + j) for j, t in enumerate(grid.triangles[i] for i in (98, 194, 107))
          ), ()),
          NonClosedSurfaceError, "edge (40, 49) lies in 3 triangle(s); a closed surface needs 2"),
-        ("marked edge off the complex", TriangulatedSurface(6, tris, ((1, 3), (3, 4), (4, 1))),
+        ("marked edge off the complex", (6, tris, ((1, 3), (3, 4), (4, 1))),
          InvalidZError, "marked edge (1, 3) is not an edge of the complex"),
         ("degree-4 marked vertex",
-         TriangulatedSurface(6, tris, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4))),
+         (6, tris, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4))),
          InvalidZError, "vertex 0 has degree 4 in the marked edge set; cycles need 2"),
-        ("smallest of two degree-4 marked vertices", crossed, InvalidZError,
+        ("smallest of two degree-4 marked vertices",
+         (crossed.vertex_count, crossed.triangles, crossed.z_edges), InvalidZError,
          "vertex 8 has degree 4 in the marked edge set; cycles need 2"),
-        ("repeated marked edge", TriangulatedSurface(6, tris, ((1, 2), (2, 1))),
+        ("repeated marked edge", (6, tris, ((1, 2), (2, 1))),
          InvalidZError, "marked edge (1, 2) is listed twice"),
-        ("pinched octahedra", pinched_octahedra(), NonClosedSurfaceError,
-         "closure Euler characteristics do not sum to the surface's: "
+        ("pinched octahedra", (pinched.vertex_count, pinched.triangles, pinched.z_edges),
+         NonClosedSurfaceError, "closure Euler characteristics do not sum to the surface's: "
          "the complex is not a surface at some vertex"),
     ]
 
 
-@pytest.mark.parametrize("name, surf, error, message", _bad_complexes(),
+@pytest.mark.parametrize("name, parts, error, message", _bad_complexes(),
                          ids=[case[0] for case in _bad_complexes()])
-def test_bad_complex_gives_its_exact_error(name, surf, error, message):
+def test_bad_complex_gives_its_exact_error(name, parts, error, message):
     with pytest.raises(error) as exc:
-        build_graph_from_surface(surf)
+        build_graph_from_surface(TriangulatedSurface(*parts))
     assert type(exc.value) is error and str(exc.value) == message
     if error is NonClosedSurfaceError and name != "pinched octahedra":
         # the checks on the complex come first and are shared by every reader
         for reader in (surface_euler, surface_orientable):
             with pytest.raises(error) as exc:
-                reader(surf)
+                reader(TriangulatedSurface(*parts))
             assert str(exc.value) == message
-    if all(len(t) == 3 and all(type(v) is int for v in t) for t in surf.triangles):
+    n, tris, z = parts
+    if all(len(t) == 3 and all(type(v) is int for v in t) for t in tris):
         # a document reaches the same checks through its own front door
         with pytest.raises(error) as exc:
-            parse_manifold(_document(surf))
+            parse_manifold({"surface": {"vertices": n, "triangles": [list(t) for t in tris],
+                                        "z_edges": [list(e) for e in z]}})
         assert type(exc.value) is error and str(exc.value) == message
 
 
@@ -422,12 +426,35 @@ def test_invalid_graph_raises_at_construction():
 
 
 def test_coloring_signs_are_integers_not_bools():
-    # True == 1, so a membership test alone would take it for +1
-    for value in (True, False, 0, 2, -2):
+    # True == 1 and 1.0 == 1, so a membership test alone would take either for +1
+    for value in (True, False, 0, 2, -2, 1.0, -1.0, np.float64(1.0), "1"):
         with pytest.raises(InvalidArgumentError, match="'B\\+' must be \\+1 or -1"):
             Coloring({"B+": value, "B-": -1})
     c = Coloring({"B+": np.int64(1), "B-": np.int8(-1)})
     assert c.is_proper(sphere_equator_graph())
+    assert c == Coloring({"B+": 1, "B-": -1}) and {type(v) for v in c.assignment.values()} == {int}
+
+
+# a bool or a float, whole or not, planted at (row, column) of each field
+@pytest.mark.parametrize("field, row, col", [("triangles", 3, 2), ("triangles", 0, 0),
+                                             ("z_edges", 2, 1), ("z_edges", 0, 0)])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, False])
+def test_surface_vertices_are_integers(field, row, col, value):
+    parts = {"triangles": list(octahedron().triangles), "z_edges": list(octahedron().z_edges)}
+    entry = list(parts[field][row])
+    entry[col] = value
+    parts[field][row] = tuple(entry)
+    what = "triangle" if field == "triangles" else "marked edge"
+    with pytest.raises(InvalidArgumentError) as exc:
+        TriangulatedSurface(6, parts["triangles"], parts["z_edges"])
+    assert str(exc.value) == f"{what} {row} has a vertex that is not an integer: {value!r}"
+
+
+def test_surface_takes_numpy_integer_vertices():
+    oct_ = octahedron()
+    surf = TriangulatedSurface(6, np.array(oct_.triangles, dtype=np.int32),
+                               np.array(oct_.z_edges, dtype=np.uint8))
+    assert build_graph_from_surface(surf) == build_graph_from_surface(oct_)
 
 
 @st.composite
@@ -482,6 +509,62 @@ def test_graph_constructor_checks_every_defect(parts, defect):
     assert exc.value.pointer == pointer
     if pointer == "/graph":
         assert defect in str(exc.value)
+
+
+@st.composite
+def _planted_defect(draw):
+    """A valid graph document with exactly one defect planted, and the pointer
+    and message of the error that the per-entry loop raises for it."""
+    regions, edges, dim, orientable = draw(_graph_parts())
+    if not edges:
+        edges = [HypersurfaceComponent("Z0", regions[0].label, regions[0].label)]
+    doc = _graph_document(regions, edges, dim, orientable)
+    graph = doc["graph"]
+    kind = draw(st.sampled_from(("non-object", "missing key", "chi type", "label type",
+                                 "unknown side", "duplicate label")))
+    where = draw(st.sampled_from(("regions", "edges")))
+    i = draw(st.integers(0, len(graph[where]) - 1))
+    entry = graph[where][i]
+    p = f"/graph/{where}/{i}"
+    if kind == "non-object":
+        graph[where][i] = draw(st.sampled_from((None, 1, "R", [], [entry])))
+        return doc, p, f"{where[:-1]} must be an object"
+    if kind == "missing key":
+        key = draw(st.sampled_from(sorted(entry)))
+        del entry[key]
+        return doc, p, f"missing required key {key!r}"
+    if kind == "chi type":
+        entry = graph["regions"][i % len(graph["regions"])]
+        p = f"/graph/regions/{i % len(graph['regions'])}"
+        value = draw(st.sampled_from((True, False, 1.0, -2.5, "1")))
+        entry["chi"] = value
+        return doc, f"{p}/chi", ("'chi' must be an integer" if isinstance(value, bool)
+                                 else "'chi' must be int")
+    if kind == "label type":
+        key = "label" if where == "regions" else draw(st.sampled_from(("label", "a", "b")))
+        entry[key] = draw(st.sampled_from((None, 3, True, ["R"], {"label": "R"})))
+        return doc, f"{p}/{key}", f"{key!r} must be str"
+    if kind == "unknown side":
+        entry = graph["edges"][i % len(graph["edges"])]
+        p = f"/graph/edges/{i % len(graph['edges'])}"
+        key = draw(st.sampled_from(("a", "b")))
+        entry[key] = "Q"  # region labels are drawn from ABCD
+        return doc, f"{p}/{key}", "unknown region 'Q'"
+    # a repeated label, appended so that no edge loses its region
+    copy = dict(entry)
+    graph[where].append(copy)
+    return doc, "/graph", (f"invalid region graph: duplicate {where[:-1]} label "
+                           f"{copy['label']!r}")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_planted_defect())
+def test_malformed_graph_document_reports_its_defect(planted):
+    doc, pointer, message = planted
+    with pytest.raises(ManifoldFormatError) as exc:
+        parse_manifold(doc)
+    assert exc.value.pointer == pointer
+    assert str(exc.value) == f"{message} (at {pointer})"
 
 
 def test_circle_graph_shapes():

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -17,7 +19,9 @@ from btangent import (
     classify_bm,
     edge_obstruction,
     equivalence_report,
+    euler_report,
     gauge_solvable,
+    obstructions,
     parse_manifold,
     sphere_equator_graph,
     two_color,
@@ -188,3 +192,45 @@ def test_edge_obstruction_verdicts():
         edge_obstruction(loop, 2, 2)
     with pytest.raises(ValueError):
         edge_obstruction(loop, 2, -1)
+
+
+def test_analyses_of_one_graph_run_one_bfs(monkeypatch):
+    real = obstructions.two_color
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(obstructions, "two_color", counted)
+    g = genus2_separating_graph()
+    verdict = equivalence_report(g)
+    assert edge_obstruction(g, 3, 2) is EdgeVerdict.INCONCLUSIVE
+    report = euler_report(g)
+    assert calls == [g]
+    assert report.coloring_used is verdict.coloring
+    # a graph built anew, equal or not, runs its own search
+    equivalence_report(dataclasses.replace(g))
+    assert len(calls) == 2
+    # two_color itself is never cached: each call runs a search of its own
+    first, second = obstructions.two_color(g), obstructions.two_color(g)
+    assert first == second == verdict.coloring and first is not second
+    assert len(calls) == 4
+
+
+def test_shared_coloring_is_read_only():
+    g = genus2_separating_graph()
+    coloring = equivalence_report(g).coloring
+    label = next(iter(coloring.assignment))
+    with pytest.raises(TypeError):
+        coloring.assignment[label] = -coloring[label]
+    assert euler_report(g).coloring_used[label] == coloring[label]
+
+
+def test_memo_leaves_equality_repr_json_and_pickling_alone():
+    g, fresh = genus2_separating_graph(), genus2_separating_graph()
+    coloring = equivalence_report(g).coloring
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert g.to_json_dict() == fresh.to_json_dict()
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert pickle.loads(pickle.dumps(coloring)) == coloring

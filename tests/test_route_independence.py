@@ -21,6 +21,7 @@ def test_dual_routes_name_no_shared_helper():
     assert "degree_integral" not in _names(spheremap.degree_preimage)
     assert "gauge_solvable" not in _names(obstructions.two_color)
     assert "two_color" not in _names(obstructions.gauge_solvable)
+    assert "_canonical_coloring" not in _names(obstructions.gauge_solvable)
 
 
 def test_surface_oracles_stay_apart_from_the_kernel():
