@@ -35,7 +35,6 @@ from .errors import (
     NotColorableError,
     NotOrientableError,
     OddDimensionError,
-    OutOfRangeError,
     UnsupportedDimensionError,
     ZeroOnContourError,
     ZeroOnCriticalSetError,
@@ -78,19 +77,13 @@ _SPHEREMAP_NAMES = (
     "CheckItem",
     "CheckReport",
     "SphereMapReport",
-    "cylinder_lift",
-    "cylinder_projection",
     "degree_integral",
     "degree_preimage",
-    "edge_homotopy_matrix",
-    "edge_homotopy_witness",
     "homotopy_endpoints",
-    "local_trivialization_residual",
     "north_pole",
     "pole_map",
     "pole_map_differential",
     "reflection",
-    "rotation_from_pole",
     "sphere_map_report",
     "tangent_frame",
 )
@@ -136,7 +129,6 @@ __all__ = [
     "NotColorableError",
     "NotOrientableError",
     "OddDimensionError",
-    "OutOfRangeError",
     "PlaneField",
     "Region",
     "SignGluing",
@@ -155,19 +147,14 @@ __all__ = [
     "circle_graph",
     "classical_euler_number",
     "classify_bm",
-    "cylinder_lift",
-    "cylinder_projection",
     "degree_integral",
     "degree_preimage",
-    "edge_homotopy_matrix",
-    "edge_homotopy_witness",
     "edge_obstruction",
     "equivalence_report",
     "euler_report",
     "gauge_solvable",
     "homotopy_endpoints",
     "load_manifold",
-    "local_trivialization_residual",
     "default_center",
     "default_radius",
     "named_b_field",
@@ -177,7 +164,6 @@ __all__ = [
     "pole_map",
     "pole_map_differential",
     "reflection",
-    "rotation_from_pole",
     "sphere_equator_graph",
     "sphere_height_example",
     "sphere_map_report",

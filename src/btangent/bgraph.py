@@ -18,7 +18,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, List, Mapping, Tuple
 
-from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError
+from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError, _as_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -580,6 +580,7 @@ def circle_graph(k: int) -> BGraph:
     k = 0 is the unmarked circle (one region, no edges) and k = 1 a single
     arc whose endpoints meet at the one marked point (a loop edge).
     """
+    k = _as_int(k, "k")
     if k < 0:
         raise InvalidArgumentError("k must be >= 0")
     if k == 0:

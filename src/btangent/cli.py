@@ -75,8 +75,15 @@ def _render_markdown(title: str, obj: dict) -> str:
         value = obj[key]
         if isinstance(value, (dict, list)):
             value = json.dumps(value, sort_keys=True)
-        lines.append(f"| {key} | {value} |")
+        # labels come from the input document; a bare | would split the cell
+        cell = str(value).replace("|", "\\|")
+        lines.append(f"| {key} | {cell} |")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escape(label: str) -> str:
+    """label for a DOT quoted string: backslash and double quote escaped."""
+    return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _render_dot(g: BGraph, coloring, note: str = "") -> str:
@@ -87,9 +94,11 @@ def _render_dot(g: BGraph, coloring, note: str = "") -> str:
         fill = "white"
         if coloring is not None:
             fill = "white" if coloring[r.label] == 1 else "gray"
-        lines.append(f'  "{r.label}" [fillcolor={fill} label="{r.label}\\nchi={r.euler_char}"];')
+        label = _dot_escape(r.label)
+        lines.append(f'  "{label}" [fillcolor={fill} label="{label}\\nchi={r.euler_char}"];')
     for e in g.edges:
-        lines.append(f'  "{e.side_a}" -- "{e.side_b}" [label="{e.label}"];')
+        a, b, label = map(_dot_escape, (e.side_a, e.side_b, e.label))
+        lines.append(f'  "{a}" -- "{b}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,4 +1,6 @@
-"""Exception types raised by the btangent package."""
+"""Exception types raised by the btangent package, and its integer-argument rule."""
+
+import operator
 
 
 class BTangentError(Exception):
@@ -61,10 +63,6 @@ class EvenDimensionError(BTangentError):
     """The null-homotopy construction only exists in odd dimensions."""
 
 
-class OutOfRangeError(BTangentError):
-    """A cylinder coordinate is outside [-1, 1]."""
-
-
 class InvalidArgumentError(BTangentError, ValueError):
     """An argument the operation does not accept.
 
@@ -83,3 +81,11 @@ class ManifoldFormatError(BTangentError):
     def __init__(self, message: str, pointer: str = "/"):
         super().__init__(f"{message} (at {pointer})")
         self.pointer = pointer
+
+
+def _as_int(value, name: str) -> int:
+    """value as a Python int; InvalidArgumentError naming `name` if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None

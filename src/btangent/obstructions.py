@@ -14,7 +14,7 @@ from operator import attrgetter, eq
 from typing import ClassVar, Dict, List, Optional
 
 from .bgraph import BGraph, Coloring
-from .errors import InconsistentGluingError, InvalidArgumentError, NotOrientableError
+from .errors import InconsistentGluingError, InvalidArgumentError, NotOrientableError, _as_int
 
 
 class BmClass(Enum):
@@ -193,6 +193,7 @@ def classify_bm(m: int) -> BmClass:
     Rescaling by an even power of a defining function can be gauged away
     entirely; an odd power reduces to the order-one case.
     """
+    m = _as_int(m, "m")
     if m < 1:
         raise InvalidArgumentError(f"tangency order must be >= 1, got {m}")
     return BmClass.TANGENT_EQUIVALENT if m % 2 == 0 else BmClass.B_TANGENT_EQUIVALENT
@@ -212,6 +213,7 @@ def equivalence_report(g: BGraph) -> ClassificationVerdict:
 
 def circle_criterion(k: int) -> bool:
     """Isomorphism criterion for the circle with k marked points: k even."""
+    k = _as_int(k, "k")
     if k < 0:
         raise InvalidArgumentError("k must be >= 0")
     return k % 2 == 0
@@ -227,8 +229,11 @@ def edge_obstruction(g: BGraph, dim_m: int, dim_f: int) -> EdgeVerdict:
     over itself inside the sphere admits an isomorphism despite Z).
 
     Raises:
-        InvalidArgumentError: unless 0 <= dim_f < dim_m.
+        InvalidArgumentError: dim_m or dim_f not an integer, or not
+            0 <= dim_f < dim_m.
     """
+    dim_m = _as_int(dim_m, "dim_m")
+    dim_f = _as_int(dim_f, "dim_f")
     if not 0 <= dim_f < dim_m:
         raise InvalidArgumentError(f"need 0 <= dim_f < dim_m, got dim_f={dim_f}, dim_m={dim_m}")
     if (dim_m - dim_f) % 2 == 1 and _canonical_coloring(g) is None:

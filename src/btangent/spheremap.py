@@ -8,15 +8,16 @@ the north pole defines a self-map of the unit sphere,
 Its degree decides whether the sign obstruction on the sphere can be undone:
 the degree is 2 in even dimensions and 0 in odd ones, where the map is in
 fact null-homotopic by an explicit construction through a cylinder model.
-This module computes the degree two independent ways (a Monte Carlo change
-of variables and preimage counting at a regular value) and evaluates the
-null homotopy on grids.
+This module holds the map, its differential and oriented tangent frames.
+It computes the degree two independent ways (a Monte Carlo change of
+variables and preimage counting at a regular value), side by side in
+sphere_map_report, and checks the odd-dimensional null homotopy on a grid
+(homotopy_endpoints).
 """
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -27,8 +28,8 @@ from .errors import (
     InvalidArgumentError,
     NonTangentInputError,
     NonUnitInputError,
-    OutOfRangeError,
     UnsupportedDimensionError,
+    _as_int,
 )
 
 UNIT_TOLERANCE = 1e-12
@@ -46,22 +47,14 @@ def north_pole(n: int) -> np.ndarray:
     return p
 
 
-def _as_int(value, name: str) -> int:
-    """value as a Python int; InvalidArgumentError naming `name` if it is not one."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _as_unit(q, name: str = "q") -> np.ndarray:
+def _as_unit(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size < 2:
-        raise NonUnitInputError(f"{name} must be a vector of dimension >= 2")
+        raise NonUnitInputError("q must be a vector of dimension >= 2")
     dev = abs(np.linalg.norm(q) - 1.0)
     # written so that a NaN deviation fails the check
     if not dev <= UNIT_TOLERANCE:
-        raise NonUnitInputError(f"{name} is off the unit sphere by {dev:.3e}")
+        raise NonUnitInputError(f"q is off the unit sphere by {dev:.3e}")
     return q
 
 
@@ -265,33 +258,6 @@ def _collapse(direction: np.ndarray, height: np.ndarray) -> np.ndarray:
     )
 
 
-def cylinder_projection(v, x: float) -> np.ndarray:
-    """Collapse map S^{n-2} x [-1, 1] -> S^{n-1}, lids to the poles."""
-    v = _as_unit(v, "v")
-    if not -1.0 <= x <= 1.0:
-        raise OutOfRangeError(f"cylinder coordinate x = {x} outside [-1, 1]")
-    return _collapse(v, np.float64(x))
-
-
-def cylinder_lift(v, x: float) -> Tuple[np.ndarray, float]:
-    """Lift of pole_map through the cylinder collapse.
-
-    Maps (v, x) to (-v, 1 - 2x^2) on the upper half and (v, 1 - 2x^2) on the
-    lower; composing with the collapse on both sides recovers pole_map.  The
-    jump at x = 0 disappears under the collapse because the x-image there is
-    the north lid.
-
-    Raises:
-        NonUnitInputError: v is not a unit vector.
-        OutOfRangeError: x outside [-1, 1].
-    """
-    v = _as_unit(v, "v")
-    if not -1.0 <= x <= 1.0:
-        raise OutOfRangeError(f"cylinder coordinate x = {x} outside [-1, 1]")
-    y = 1.0 - 2.0 * x * x
-    return ((-v, y) if x > 0 else (v.copy(), y))
-
-
 @dataclass(frozen=True)
 class CheckItem:
     name: str
@@ -301,14 +267,6 @@ class CheckItem:
     @property
     def passed(self) -> bool:
         return self.value <= self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -321,24 +279,15 @@ class CheckReport:
     def passed(self) -> bool:
         return all(item.passed for item in self.items)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "items": [i.to_json_dict() for i in self.items],
-            "metrics": dict(sorted(self.metrics.items())),
-        }
-
 
 def _paired_rotation(v: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """Simultaneous rotation by `angle` in the coordinate planes (0,1), (2,3), ...
 
-    Needs even vector dimension; rotating every plane by pi gives -identity,
-    which is why this connects the antipodal map to the identity.
+    The vector dimension must be even (homotopy_endpoints passes n - 1 for
+    odd n); rotating every plane by pi gives -identity, which is why this
+    connects the antipodal map to the identity.
     """
     d = v.shape[-1]
-    if d % 2 != 0:
-        raise InvalidArgumentError("paired rotation needs even dimension")
     c = np.cos(angle)
     s = np.sin(angle)
     out = np.empty(np.broadcast_shapes(v.shape, c.shape + (d,)))
@@ -411,88 +360,6 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
         items=items,
         metrics={"max_adjacent_step": max(step_t, step_x), "grid": float(grid)},
     )
-
-
-def edge_homotopy_matrix(t: float) -> np.ndarray:
-    """Point on the rotation path joining -identity to identity in SO(2)."""
-    c = math.cos(math.pi * t)
-    s = math.sin(math.pi * t)
-    return np.array([[-c, s], [-s, -c]])
-
-
-def edge_homotopy_witness(steps: int = 1000) -> CheckReport:
-    """Sampled witness that -identity and identity are connected in SO(2).
-
-    This is the escape hatch for even-codimension edge structures: the sign
-    flip of the gluing sits in the identity component, so no coloring
-    obstruction can arise.  Checks endpoints and det == 1 along the path.
-    """
-    steps = _as_int(steps, "steps")
-    if steps < 2:
-        raise InvalidArgumentError("steps must be >= 2")
-    ts = np.linspace(0.0, 1.0, steps)
-    mats = np.stack([edge_homotopy_matrix(float(t)) for t in ts])
-    dev0 = float(np.max(np.abs(mats[0] + np.eye(2))))
-    dev1 = float(np.max(np.abs(mats[-1] - np.eye(2))))
-    det_dev = float(np.max(np.abs(np.linalg.det(mats) - 1.0)))
-    items = (
-        CheckItem("starts_at_minus_identity", dev0, 1e-12),
-        CheckItem("ends_at_identity", dev1, 1e-12),
-        CheckItem("stays_in_rotation_group", det_dev, 1e-12),
-    )
-    return CheckReport(
-        name="edge_rotation_path",
-        items=items,
-        metrics={"steps": float(steps)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# local trivialization consistency
-# ---------------------------------------------------------------------------
-
-
-def rotation_from_pole(y) -> np.ndarray:
-    """Rotation in the plane spanned by the north pole and y sending pole to y.
-
-    Acts as the identity on the orthogonal complement of that plane.  Not
-    defined for y = -pole (the rotation plane is ambiguous there).
-    """
-    y = _as_unit(y, "y")
-    n = y.size
-    u = north_pole(n)
-    c = float(y[-1])
-    w = y - c * u
-    s = float(np.linalg.norm(w))
-    if s < 1e-13:
-        if c > 0:
-            return np.eye(n)
-        raise InvalidArgumentError("rotation to the antipode of the pole is not unique")
-    w = w / s
-    return (
-        np.eye(n)
-        + (c - 1.0) * (np.outer(u, u) + np.outer(w, w))
-        + s * (np.outer(w, u) - np.outer(u, w))
-    )
-
-
-def local_trivialization_residual(q) -> float:
-    """Consistency defect of the section-based trivialization on the upper band.
-
-    For q with height strictly between 0 and 1/sqrt(2), the reflection at q
-    factors as the pole-to-image rotation composed with the reflection at
-    the normalized equatorial part of q.  Returns the max-abs deviation of
-    that factorization; it should vanish to roundoff.
-    """
-    q = _as_unit(q)
-    height = float(q[-1])
-    if not 0.0 < height < 1.0 / math.sqrt(2.0):
-        raise InvalidArgumentError(f"q must lie strictly inside the upper band, height = {height}")
-    qe = q.copy()
-    qe[-1] = 0.0
-    qe /= np.linalg.norm(qe)
-    recon = rotation_from_pole(pole_map(q)) @ reflection(qe)
-    return float(np.max(np.abs(reflection(q) - recon)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from btangent import (
     default_center,
     degree_integral,
     degree_preimage,
-    edge_homotopy_witness,
     edge_obstruction,
     euler_report,
     homotopy_endpoints,
@@ -189,10 +188,7 @@ def test_09_index_sum_cross_validation():
 def test_10_edge_structures():
     ok = edge_obstruction(torus_loop_graph(), 2, 1) is EdgeVerdict.OBSTRUCTED
     ok = ok and edge_obstruction(sphere_equator_graph(), 2, 0) is EdgeVerdict.INCONCLUSIVE
-    witness = edge_homotopy_witness(1000)
-    det_item = next(i for i in witness.items if i.name == "stays_in_rotation_group")
-    ok = ok and witness.passed and det_item.value <= 1e-12
-    _verdict(10, "edge case: odd codimension obstructed, point fibre inconclusive, det path 1", ok)
+    _verdict(10, "edge case: odd codimension obstructed, point fibre inconclusive", ok)
 
 
 def test_11_invariant_suites():

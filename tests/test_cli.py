@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import btangent
-from btangent import ManifoldFormatError, cli, obstructions, parse_manifold
+from btangent import (BGraph, HypersurfaceComponent, ManifoldFormatError, Region, cli,
+                      obstructions, parse_manifold)
 from btangent.cli import build_parser, main, run
 from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 
@@ -118,15 +120,39 @@ def test_ph_verify_passes_on_sphere(capsys):
     assert doc["unsigned_sum"] == doc["classical_euler"] == 2
 
 
-def test_markdown_format(capsys):
+def test_markdown_format(capsys, tmp_path):
     code = main(["euler", "sphere_equator", "--format", "markdown"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("# euler\n")
     assert "| b_euler | 0 |" in out
 
+    # a | in a label is escaped, so every field stays one row of two cells
+    code = main(["color", str(_hostile_labels(tmp_path)), "--format", "markdown"])
+    rows = capsys.readouterr().out.splitlines()[4:]
+    assert code == 0
+    cells = [re.split(r"(?<!\\)\|", row)[1:-1] for row in rows]
+    assert [len(c) for c in cells] == [2, 2, 2]
+    value = dict((key.strip(), text.strip().replace("\\|", "|")) for key, text in cells)
+    assert sorted(json.loads(value["coloring"])) == sorted(_HOSTILE_REGIONS)
 
-def test_dot_format(capsys):
+
+_HOSTILE_REGIONS = ('A"; x [label=pwn', "B\\", "C|D")
+_HOSTILE_EDGES = ('Z"0', "Z1\\")
+
+
+def _hostile_labels(tmp_path: Path) -> Path:
+    """A path of three regions whose labels break unescaped DOT and markdown."""
+    a, b, c = _HOSTILE_REGIONS
+    g = BGraph((Region(a, 1), Region(b, 0), Region(c, 1)),
+               (HypersurfaceComponent(_HOSTILE_EDGES[0], a, b),
+                HypersurfaceComponent(_HOSTILE_EDGES[1], b, c)))
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"graph": g.to_json_dict()}), encoding="utf-8")
+    return path
+
+
+def test_dot_format(capsys, tmp_path):
     main(["analyze", "sphere_equator", "--format", "dot"])
     out = capsys.readouterr().out
     assert out.startswith("graph regions {")
@@ -138,6 +164,28 @@ def test_dot_format(capsys):
     assert code == 2
     assert "// NOT TWO-COLORABLE" in out
     assert '"T" -- "T"' in out
+
+    # labels are escaped: one statement per region and per edge, and undoing
+    # the escapes gives back every label
+    code = main(["analyze", str(_hostile_labels(tmp_path)), "--format", "dot"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and lines[:2] == ["graph regions {", "  node [style=filled];"]
+    assert lines[-1] == "}"
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    node = re.compile(rf"  {quoted} \[fillcolor=(?:white|gray) label={quoted[:-1]}\\nchi=-?\d+\"\];")
+    edge = re.compile(rf"  {quoted} -- {quoted} \[label={quoted}\];")
+    nodes = [node.fullmatch(line) for line in lines[2:5]]
+    edges = [edge.fullmatch(line) for line in lines[5:-1]]
+    assert all(nodes) and all(edges) and len(edges) == 2
+
+    def unescape(text):
+        return re.sub(r"\\(.)", r"\1", text)
+
+    assert [unescape(m[1]) for m in nodes] == [unescape(m[2]) for m in nodes] == list(
+        _HOSTILE_REGIONS)
+    assert [tuple(map(unescape, m.groups())) for m in edges] == [
+        (_HOSTILE_REGIONS[0], _HOSTILE_REGIONS[1], _HOSTILE_EDGES[0]),
+        (_HOSTILE_REGIONS[1], _HOSTILE_REGIONS[2], _HOSTILE_EDGES[1])]
 
 
 def test_dot_rejected_where_meaningless(capsys):

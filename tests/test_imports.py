@@ -38,5 +38,7 @@ def test_every_public_name_is_reachable():
     exec("from btangent import *", star)
     assert set(btangent.__all__) <= set(star)
     assert set(btangent.__all__) <= set(dir(btangent))
-    assert btangent.degree_integral is spheremap.degree_integral
-    assert btangent.SphereMapReport is spheremap.SphereMapReport
+    # every lazily exported name is public and is the spheremap object itself
+    assert set(btangent._SPHEREMAP_NAMES) <= set(btangent.__all__)
+    for name in btangent._SPHEREMAP_NAMES:
+        assert getattr(btangent, name) is getattr(spheremap, name), name

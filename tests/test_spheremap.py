@@ -10,21 +10,18 @@ from btangent import (
     InvalidArgumentError,
     NonTangentInputError,
     NonUnitInputError,
-    OutOfRangeError,
     UnsupportedDimensionError,
-    cylinder_lift,
-    cylinder_projection,
+    circle_criterion,
+    circle_graph,
+    classify_bm,
     degree_integral,
     degree_preimage,
-    edge_homotopy_matrix,
-    edge_homotopy_witness,
+    edge_obstruction,
     homotopy_endpoints,
-    local_trivialization_residual,
     north_pole,
     pole_map,
     pole_map_differential,
     reflection,
-    rotation_from_pole,
     sphere_map_report,
     tangent_frame,
 )
@@ -96,11 +93,9 @@ def test_nan_fails_the_unit_and_tangency_checks():
     with pytest.raises(NonUnitInputError):
         pole_map(np.array([math.nan, 0.0]))
     with pytest.raises(NonUnitInputError):
-        local_trivialization_residual(np.array([math.nan, math.nan]))
+        reflection(np.array([math.nan, math.nan]))
     with pytest.raises(NonTangentInputError):
         pole_map_differential(np.array([1.0, 0.0]), np.array([math.nan, 0.0]))
-    with pytest.raises(NonUnitInputError):
-        cylinder_projection(np.array([math.nan, 1.0]), 0.5)
 
 
 def test_differential_matches_finite_differences():
@@ -256,7 +251,11 @@ def test_degree_integral_input_gates():
     (degree_preimage, (4.0,), "n"),
     (homotopy_endpoints, (3, 10.5), "grid"),
     (homotopy_endpoints, (3.0,), "n"),
-    (edge_homotopy_witness, (100.5,), "steps"),
+    (classify_bm, (2.5,), "m"),
+    (edge_obstruction, (circle_graph(3), 3.5, 2), "dim_m"),
+    (edge_obstruction, (circle_graph(3), 3, 2.0), "dim_f"),
+    (circle_criterion, (2.5,), "k"),
+    (circle_graph, (2.5,), "k"),
 ])
 def test_sizes_must_be_integers(func, args, name):
     with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
@@ -269,38 +268,27 @@ def test_sphere_map_report_agreement():
     assert report.degree_preimage == 2
 
 
-def test_cylinder_lift_values():
-    v = np.array([1.0, 0.0])
-    w, y = cylinder_lift(v, 1.0)
-    assert np.allclose(w, -v) and y == -1.0
-    w, y = cylinder_lift(v, 0.0)
-    assert np.allclose(w, v) and y == 1.0
-    w, y = cylinder_lift(v, -1.0 / math.sqrt(2.0))
-    assert np.allclose(w, v) and abs(y) < 1e-15
+def _collapse(v, y):
+    # the cylinder collapse S^{n-2} x [-1, 1] -> S^{n-1}, lids to the poles
+    return np.append(math.sqrt(max(0.0, 1.0 - y * y)) * v, y)
 
 
 def test_cylinder_lift_commutes_with_projection():
+    # pole_map lifts through the collapse to (v, x) -> (-v, 1 - 2x^2) on the
+    # upper half and (v, 1 - 2x^2) on the lower; the jump at x = 0 is lost in
+    # the north lid
     rng = np.random.default_rng(8)
     for n in (3, 4, 5):
         for x in np.linspace(-1.0, 1.0, 21):
             v = _unit(rng, n - 1)
-            w, y = cylinder_lift(v, float(x))
-            lhs = cylinder_projection(w, y)
-            rhs = pole_map(cylinder_projection(v, float(x)))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-def test_cylinder_lift_input_gates():
-    with pytest.raises(OutOfRangeError):
-        cylinder_lift(np.array([1.0, 0.0]), 1.5)
-    with pytest.raises(NonUnitInputError):
-        cylinder_lift(np.array([1.0, 1.0]), 0.5)
+            lift = (-v if x > 0 else v), 1.0 - 2.0 * x * x
+            assert np.max(np.abs(_collapse(*lift) - pole_map(_collapse(v, x)))) <= 1e-12
 
 
 def test_homotopy_endpoints_odd_dimensions():
     for n, grid in ((3, 50), (5, 30), (7, 12)):
         report = homotopy_endpoints(n, grid=grid)
-        assert report.passed, report.to_json_dict()
+        assert report.passed, report
         assert report.metrics["max_adjacent_step"] < math.pi / 2
 
 
@@ -317,33 +305,10 @@ def test_homotopy_refuses_even_dimension():
         homotopy_endpoints(9)
 
 
-def test_edge_homotopy_witness():
-    report = edge_homotopy_witness(1000)
-    assert report.passed
-    assert np.allclose(edge_homotopy_matrix(0.0), -np.eye(2), atol=1e-15)
-    assert np.allclose(edge_homotopy_matrix(1.0), np.eye(2), atol=1e-15)
-    assert np.allclose(
-        edge_homotopy_matrix(0.5), np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-15
-    )
-
-
-def test_rotation_from_pole():
-    rng = np.random.default_rng(10)
-    for n in (2, 3, 5):
-        for _ in range(30):
-            y = _unit(rng, n)
-            if y[-1] < -0.999:
-                continue
-            r = rotation_from_pole(y)
-            assert np.allclose(r @ north_pole(n), y, atol=1e-12)
-            assert np.allclose(r @ r.T, np.eye(n), atol=1e-12)
-            assert abs(np.linalg.det(r) - 1.0) < 1e-10
-    assert np.allclose(rotation_from_pole(north_pole(4)), np.eye(4), atol=1e-15)
-    with pytest.raises(ValueError):
-        rotation_from_pole(-north_pole(4))
-
-
 def test_local_trivialization_consistency():
+    # on the upper band 0 < q_n < 1/sqrt(2), the reflection at q factors as the
+    # rotation sending the pole to pole_map(q), after the reflection at the
+    # normalized equatorial part of q
     rng = np.random.default_rng(12)
     band = 0.0
     count = 0
@@ -355,8 +320,19 @@ def test_local_trivialization_consistency():
             continue
         q[-1] = height
         q /= np.linalg.norm(q)
-        band = max(band, local_trivialization_residual(q))
+        image = pole_map(q)
+        pole = north_pole(n)
+        w = image - image[-1] * pole
+        s = float(np.linalg.norm(w))
+        w /= s
+        rotation = (np.eye(n) + (image[-1] - 1.0) * (np.outer(pole, pole) + np.outer(w, w))
+                    + s * (np.outer(w, pole) - np.outer(pole, w)))
+        assert np.allclose(rotation @ pole, image, atol=1e-12)
+        assert np.allclose(rotation @ rotation.T, np.eye(n), atol=1e-12)
+        assert abs(np.linalg.det(rotation) - 1.0) < 1e-10
+        qe = q.copy()
+        qe[-1] = 0.0
+        qe /= np.linalg.norm(qe)
+        band = max(band, float(np.max(np.abs(reflection(q) - rotation @ reflection(qe)))))
         count += 1
     assert band <= 1e-10
-    with pytest.raises(ValueError):
-        local_trivialization_residual(north_pole(3))
