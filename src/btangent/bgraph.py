@@ -13,12 +13,13 @@ surface with a marked cycle system.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
-from typing import TYPE_CHECKING, List, Mapping, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
-from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError, _as_int
+from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError, _as_int, _is_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,12 +65,14 @@ class BGraph:
     The orientability flag describes M itself and is trusted as given for
     hand-written graphs; graphs built from a triangulation get it computed.
 
-    A graph checks its own referential integrity when it is built, so every
-    BGraph in existence is well formed: it has a region, its region and edge
-    labels are unique, every edge side names a region, and ambient_dim >= 1.
+    A graph checks itself when it is built, so every BGraph in existence is
+    well formed: ambient_dim is an integer >= 1, orientable is a bool, every
+    Euler characteristic is an integer, it has a region, its region and
+    edge labels are unique, and every edge side names a region.
 
     Raises:
-        InvalidArgumentError: listing every violation found.
+        InvalidArgumentError: naming the first value of the wrong type, or
+            listing every other violation found.
     """
 
     regions: Tuple[Region, ...]
@@ -80,9 +83,16 @@ class BGraph:
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "edges", tuple(self.edges))
-        # the usual check is a few passes over sets, which run in C; the loop
-        # below runs only on failure, to list every violation
-        label, side_a, side_b = map(operator.attrgetter, ("label", "side_a", "side_b"))
+        object.__setattr__(self, "ambient_dim", _as_int(self.ambient_dim, "ambient_dim"))
+        if not isinstance(self.orientable, bool):
+            raise InvalidArgumentError(f"orientable must be a bool, got {self.orientable!r}")
+        # the usual check is a few passes over sets, which run in C; the loops
+        # below run only on failure, to name the bad region or list every violation
+        label, side_a, side_b, chi = map(operator.attrgetter,
+                                         ("label", "side_a", "side_b", "euler_char"))
+        if not all(map(_is_int, set(map(type, map(chi, self.regions))))):
+            for r in self.regions:
+                _as_int(r.euler_char, f"euler_char of region {r.label!r}")
         labels = set(map(label, self.regions))
         if (self.regions and len(labels) == len(self.regions)
                 and len(set(map(label, self.edges))) == len(self.edges)
@@ -139,7 +149,7 @@ class Coloring:
     def __post_init__(self):
         signs = dict(self.assignment)
         # the usual check is two passes over sets, which run in C; the loop
-        # below runs only on failure, to name the bad sign
+        # below runs only to name a bad sign or to store numpy signs as int
         if not (set(map(type, signs.values())) <= {int} and set(signs.values()) <= {1, -1}):
             signs = {label: _sign(label, value) for label, value in signs.items()}
         object.__setattr__(self, "assignment", MappingProxyType(signs))
@@ -172,13 +182,9 @@ class Coloring:
 
 def _sign(label: str, value) -> int:
     """value as the int +1 or -1, the color of the region label."""
-    try:
-        sign = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        sign = None
-    if sign not in (1, -1):
+    if not (_is_int(type(value)) and value in (1, -1)):
         raise InvalidArgumentError(f"color of {label!r} must be +1 or -1, got {value!r}")
-    return sign
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +205,13 @@ class TriangulatedSurface:
         z_edges: marked edges, each a pair of vertex indices.  Together they
             must form a disjoint union of embedded cycles.
 
-    A vertex is a Python or numpy integer, as in a surface document; bools
-    and floats, whole ones included, are not vertices.
+    The vertex count and every vertex are Python or numpy integers, as in a
+    surface document; bools and floats, whole ones included, are not.
 
     Raises:
-        InvalidArgumentError: naming the first triangle or marked edge with
-            a vertex that is not an integer.
+        InvalidArgumentError: a vertex count that is not an integer, or
+            naming the first triangle or marked edge that is not a row of
+            3 or 2 integers.
     """
 
     vertex_count: int
@@ -212,30 +219,48 @@ class TriangulatedSurface:
     z_edges: Tuple[Edge2, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "triangles", tuple(map(tuple, self.triangles)))
-        _check_vertices(self.triangles, "triangle")
-        z = tuple(map(tuple, self.z_edges))
-        _check_vertices(z, "marked edge")
+        object.__setattr__(self, "vertex_count", _as_int(self.vertex_count, "vertex_count"))
+        object.__setattr__(self, "triangles", _vertex_rows(self.triangles, 3, "triangle"))
+        z = _vertex_rows(self.z_edges, 2, "marked edge")
         object.__setattr__(self, "z_edges", _marked_edges(z))
 
 
-def _check_vertices(rows: Tuple[tuple, ...], what: str) -> None:
-    """Raise unless every vertex in rows is a Python or numpy integer.
+def _vertex_rows(rows, k: int, what: str) -> Tuple[tuple, ...]:
+    """rows as a tuple of tuples of k integers, or InvalidArgumentError naming a bad row."""
+    if not isinstance(rows, Iterable):
+        raise InvalidArgumentError(f"{what}s must be rows of {k} vertices, got {rows!r}")
+    rows = tuple(rows)  # an iterator is read once, so the fallback below sees every row
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:  # a row that is not iterable stays as given, for _bad_vertex to name
+        rows = tuple(tuple(r) if isinstance(r, Iterable) else r for r in rows)
+    bad = _bad_vertex(rows, k)
+    if bad is None:
+        return rows
+    i, j = bad
+    if j < 0:
+        raise InvalidArgumentError(f"{what} {i} does not have {k} vertices: {rows[i]!r}")
+    raise InvalidArgumentError(f"{what} {i} has a vertex that is not an integer: {rows[i][j]!r}")
 
-    The usual check is one pass over the set of vertex types, which runs in
-    C; the rows are walked only to name the first bad one.
+
+def _bad_vertex(rows, k: int) -> Optional[Tuple[int, int]]:
+    """Where rows first fail to be lists or tuples of k integers, or None.
+
+    Returns ``(i, -1)`` for row i of the wrong type or length, or ``(i, j)``
+    for entry j of row i that is not an integer.  The usual check is three
+    passes over sets of types and lengths, which run in C; the rows are
+    walked only to locate a defect.
     """
-    from numbers import Integral  # numpy registers its integers here
-
-    def is_vertex_type(t: type) -> bool:
-        return issubclass(t, Integral) and not issubclass(t, bool)
-
-    if all(map(is_vertex_type, set(map(type, chain.from_iterable(rows))))):
-        return
+    if (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {k}
+            and all(map(_is_int, set(map(type, chain.from_iterable(rows)))))):
+        return None
     for i, row in enumerate(rows):
-        for v in row:
-            if not is_vertex_type(type(v)):
-                raise InvalidArgumentError(f"{what} {i} has a vertex that is not an integer: {v!r}")
+        if not isinstance(row, (list, tuple)) or len(row) != k:
+            return i, -1
+        for j, v in enumerate(row):
+            if not _is_int(type(v)):
+                return i, j
+    return None
 
 
 def _marked_edges(z) -> Tuple[Edge2, ...]:
@@ -257,47 +282,33 @@ class _HalfEdges:
     pairs: np.ndarray  # E x 2: the two half-edges of each edge, in key order
 
 
-def _triangle_array(n: int, tris) -> np.ndarray:
-    """The rows of tris as an F x 3 array, int64 unless numpy cannot read them so.
+def _triangle_array(tris) -> np.ndarray:
+    """The rows of tris, three integers each, as an F x 3 int64 array.
 
-    Rows that numpy cannot read as int64 (one without three vertices, a
-    vertex past int64) are checked here, where a message can quote the row
-    as given; ``_half_edges`` checks the rest.
+    A vertex past int64 makes it an array of the vertices as given, so
+    that the messages of ``_half_edges`` quote them exactly.
     """
     import numpy as np
 
-    f = len(tris)
-    # the checks below run on the triangles before the first one without 3 vertices
-    short = f if not tris or set(map(len, tris)) == {3} else next(
-        i for i, tri in enumerate(tris) if len(tri) != 3)
-    t = np.array(tris[:short]).reshape(short, 3)  # int64 unless a vertex is past int64
-    if t.dtype != np.int64 or short < f:
-        i, j = _first_bad_row(n, t)
-        if i < f:
-            raise _bad_row(i, j, tris[i])
-    return t
+    try:
+        return np.fromiter(chain.from_iterable(tris), np.int64, 3 * len(tris)).reshape(-1, 3)
+    except OverflowError:
+        return np.array(tris, dtype=object)
 
 
-def _first_bad_row(n: int, t: np.ndarray) -> Tuple[int, int]:
-    """The first row of t that is degenerate or has a vertex outside 0 .. n-1.
-
-    Returns the row and the column of its first vertex out of range, or -1
-    when the row is degenerate; ``(len(t), -1)`` when every row is good.
-    """
+def _check_rows(n: int, t: np.ndarray) -> None:
+    """Raise at the first row of t that is degenerate or has a vertex outside 0 .. n-1."""
     outside = (t < 0) | (t >= n)
     a, b, c = t.T
     degenerate = (a == b) | (b == c) | (a == c)
     bad = degenerate | outside.any(axis=1)
-    if not bad.any():
-        return len(t), -1
-    i = int(bad.argmax())
-    return i, -1 if degenerate[i] else int(outside[i].argmax())
-
-
-def _bad_row(i: int, j: int, row) -> NonClosedSurfaceError:
-    if j < 0:
-        return NonClosedSurfaceError(f"triangle {i} is degenerate: {tuple(row)}")
-    return NonClosedSurfaceError(f"triangle {i} uses vertex {row[j]} out of range")
+    if bad.any():
+        i = int(bad.argmax())
+        row = t[i].tolist()
+        if degenerate[i]:
+            raise NonClosedSurfaceError(f"triangle {i} is degenerate: {tuple(row)}")
+        j = int(outside[i].argmax())
+        raise NonClosedSurfaceError(f"triangle {i} uses vertex {row[j]} out of range")
 
 
 def _check_distinct(t: np.ndarray) -> None:
@@ -324,9 +335,7 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
     f = len(t)
     if not f:
         raise NonClosedSurfaceError("the complex has no triangles")
-    i, j = _first_bad_row(n, t)
-    if i < f:
-        raise _bad_row(i, j, t[i].tolist())
+    _check_rows(n, t)
     t = np.sort(t, axis=1)
     # every vertex in use bounds V by 3F, so the vertices and the keys below fit in int64
     if n <= 3 * f:
@@ -434,7 +443,7 @@ def _z_cycles(n: int, z: Tuple[Edge2, ...], mesh: _HalfEdges) -> Tuple[np.ndarra
 def surface_euler(surf: TriangulatedSurface) -> int:
     """Euler characteristic V - E + F of a valid closed surface."""
     n = surf.vertex_count
-    mesh = _half_edges(n, _triangle_array(n, surf.triangles))
+    mesh = _half_edges(n, _triangle_array(surf.triangles))
     return n - len(mesh.keys) + len(mesh.tris)
 
 
@@ -445,7 +454,7 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
     traverse their shared edge in opposite directions.
     """
     n = surf.vertex_count
-    return _orientable(_half_edges(n, _triangle_array(n, surf.triangles)))
+    return _orientable(_half_edges(n, _triangle_array(surf.triangles)))
 
 
 def _orientable(mesh: _HalfEdges) -> bool:
@@ -512,7 +521,7 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
             embedded cycles.
     """
     n = surf.vertex_count
-    return _surface_graph(n, _triangle_array(n, surf.triangles), surf.z_edges)
+    return _surface_graph(n, _triangle_array(surf.triangles), surf.z_edges)
 
 
 def _surface_graph(n: int, t: np.ndarray, z: Tuple[Edge2, ...]) -> BGraph:

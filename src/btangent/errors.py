@@ -1,6 +1,4 @@
-"""Exception types raised by the btangent package, and its integer-argument rule."""
-
-import operator
+"""Exception types raised by the btangent package, and its integer rule."""
 
 
 class BTangentError(Exception):
@@ -83,9 +81,15 @@ class ManifoldFormatError(BTangentError):
         self.pointer = pointer
 
 
+def _is_int(t: type) -> bool:
+    """The package's one integer rule: t is a Python or numpy integer type, and not bool."""
+    from numbers import Integral  # numpy registers its integers here; lazy, off the import path
+
+    return issubclass(t, Integral) and not issubclass(t, bool)
+
+
 def _as_int(value, name: str) -> int:
     """value as a Python int; InvalidArgumentError naming `name` if it is not one."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if not _is_int(type(value)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -17,20 +17,20 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .bgraph import (
     BGraph,
     HypersurfaceComponent,
     Region,
+    _bad_vertex,
     _marked_edges,
     _surface_graph,
     _triangle_array,
 )
-from .errors import InvalidArgumentError, ManifoldFormatError
+from .errors import InvalidArgumentError, ManifoldFormatError, _is_int
 
 BUNDLED_NAMES = (
     "sphere_equator",
@@ -51,104 +51,79 @@ def bundled_path(name: str) -> Path:
         return Path(p)
 
 
-def _need(obj: dict, key: str, kind, pointer: str) -> Any:
+def _is_kind(t: type, kind: type) -> bool:
+    return _is_int(t) if kind is int else issubclass(t, kind)
+
+
+def _need(obj: dict, key: str, kind: type, pointer: str) -> Any:
     if key not in obj:
         raise ManifoldFormatError(f"missing required key {key!r}", pointer)
     value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise ManifoldFormatError(f"{key!r} must be an integer", f"{pointer}/{key}")
-    if not isinstance(value, kind):
-        raise ManifoldFormatError(
-            f"{key!r} must be {getattr(kind, '__name__', kind)}", f"{pointer}/{key}"
-        )
-    return value
+    if _is_kind(type(value), kind):
+        return int(value) if kind is int else value
+    # a bool is named apart, as the one kind of JSON value that Python reads as an int
+    name = "an integer" if kind is int and isinstance(value, bool) else kind.__name__
+    raise ManifoldFormatError(f"{key!r} must be {name}", f"{pointer}/{key}")
 
 
-def _columns(raw: list, kinds: Dict[str, type]) -> Optional[List[tuple]]:
+def _columns(raw: list, kinds: Dict[str, type], pointer: str, what: str) -> List[tuple]:
     """The value under each key of kinds in every entry of raw, one tuple per key.
 
-    None unless every entry is a dict that holds every key, with a value of
-    exactly that key's type.  The checks are passes over sets of types,
-    which run in C.
+    Every entry must be an object that holds every key, with a value of
+    that key's kind.  The usual check is passes over sets of types, which
+    run in C; the entries are walked with ``_need`` only to raise at the
+    first defect.
     """
-    if not set(map(type, raw)) <= {dict}:
-        return None
     try:
         cols = [tuple(map(itemgetter(key), raw)) for key in kinds]
-    except KeyError:
-        return None
-    if all(set(map(type, col)) <= {kind} for col, kind in zip(cols, kinds.values())):
-        return cols
-    return None
+    except (KeyError, TypeError):  # an entry without a key, or not an object
+        cols = None
+    if (cols is None or not set(map(type, raw)) <= {dict}
+            or not all(_is_kind(t, kind) for col, kind in zip(cols, kinds.values())
+                       for t in set(map(type, col)))):
+        for i, entry in enumerate(raw):
+            p = f"{pointer}/{i}"
+            if not isinstance(entry, dict):
+                raise ManifoldFormatError(f"{what} must be an object", p)
+            for key, kind in kinds.items():
+                _need(entry, key, kind, p)
+    return cols
 
 
 def _parse_graph(doc: dict, pointer: str) -> BGraph:
-    """Build a region graph from a graph document.
-
-    Regions and edges are checked and read as columns by ``_columns``.  The
-    per-entry loops run only when a check fails, to find the bad entry, or
-    to accept a value of a subclass of its type.
-    """
+    """Build a region graph from a graph document."""
     regions_raw = _need(doc, "regions", list, pointer)
     edges_raw = _need(doc, "edges", list, pointer)
     ambient = _need(doc, "ambient_dim", int, pointer)
     orientable = _need(doc, "orientable", bool, pointer)
 
-    cols = _columns(regions_raw, {"label": str, "chi": int})
-    if cols is not None:
-        regions = list(map(Region, *cols))
-        labels = set(cols[0])
-    else:
-        regions = []
-        for i, r in enumerate(regions_raw):
-            p = f"{pointer}/regions/{i}"
-            if not isinstance(r, dict):
-                raise ManifoldFormatError("region must be an object", p)
-            regions.append(Region(_need(r, "label", str, p), _need(r, "chi", int, p)))
-        labels = {r.label for r in regions}
-
-    cols = _columns(edges_raw, {"label": str, "a": str, "b": str})
-    if cols is not None and labels.issuperset(cols[1]) and labels.issuperset(cols[2]):
-        edges = list(map(HypersurfaceComponent, *cols))
-    else:
-        edges = []
-        for i, e in enumerate(edges_raw):
-            p = f"{pointer}/edges/{i}"
-            if not isinstance(e, dict):
-                raise ManifoldFormatError("edge must be an object", p)
-            label = _need(e, "label", str, p)
-            a = _need(e, "a", str, p)
-            b = _need(e, "b", str, p)
-            for key, side in (("a", a), ("b", b)):
+    cols = _columns(regions_raw, {"label": str, "chi": int}, f"{pointer}/regions", "region")
+    labels = set(cols[0])
+    regions = tuple(map(Region, *cols))
+    cols = _columns(edges_raw, {"label": str, "a": str, "b": str}, f"{pointer}/edges", "edge")
+    if not (labels.issuperset(cols[1]) and labels.issuperset(cols[2])):
+        for i, sides in enumerate(zip(cols[1], cols[2])):
+            for key, side in zip("ab", sides):
                 if side not in labels:
-                    raise ManifoldFormatError(f"unknown region {side!r}", f"{p}/{key}")
-            edges.append(HypersurfaceComponent(label, a, b))
+                    raise ManifoldFormatError(f"unknown region {side!r}",
+                                              f"{pointer}/edges/{i}/{key}")
+    edges = tuple(map(HypersurfaceComponent, *cols))
 
     try:
-        return BGraph(tuple(regions), tuple(edges), ambient_dim=ambient, orientable=orientable)
+        return BGraph(regions, edges, ambient_dim=ambient, orientable=orientable)
     except InvalidArgumentError as exc:
         raise ManifoldFormatError(str(exc), pointer) from exc
 
 
-def _check_int_list(raw: Any, length: int, pointer: str) -> None:
-    if not isinstance(raw, list) or len(raw) != length:
-        raise ManifoldFormatError(f"expected a list of {length} integers", pointer)
-    for j, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ManifoldFormatError("expected an integer", f"{pointer}/{j}")
-
-
 def _int_lists(raw: list, length: int, pointer: str) -> list:
-    """Check that every entry of raw is a list of `length` integers; return raw.
-
-    The check is three passes over sets of types and lengths, which run in
-    C.  Entry pointers are built only to locate a bad entry.
-    """
-    if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {length}
-            and set(map(type, chain.from_iterable(raw))) <= {int}):
-        for i, e in enumerate(raw):
-            _check_int_list(e, length, f"{pointer}/{i}")
-    return raw
+    """raw, once every entry is checked to be a list of `length` integers."""
+    bad = _bad_vertex(raw, length)
+    if bad is None:
+        return raw
+    i, j = bad
+    if j < 0:
+        raise ManifoldFormatError(f"expected a list of {length} integers", f"{pointer}/{i}")
+    raise ManifoldFormatError("expected an integer", f"{pointer}/{i}/{j}")
 
 
 def _parse_surface(doc: dict, pointer: str) -> BGraph:
@@ -157,8 +132,6 @@ def _parse_surface(doc: dict, pointer: str) -> BGraph:
     The triangles go to the surface kernel as one F x 3 int64 array, read
     straight from the JSON lists.
     """
-    import numpy as np
-
     vertices = _need(doc, "vertices", int, pointer)
     triangles_raw = _need(doc, "triangles", list, pointer)
     z_raw = doc.get("z_edges", [])
@@ -166,11 +139,7 @@ def _parse_surface(doc: dict, pointer: str) -> BGraph:
         raise ManifoldFormatError("'z_edges' must be a list", f"{pointer}/z_edges")
     rows = _int_lists(triangles_raw, 3, f"{pointer}/triangles")
     z_edges = _marked_edges(_int_lists(z_raw, 2, f"{pointer}/z_edges"))
-    try:
-        triangles = np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(rows))
-    except OverflowError:  # a vertex past int64: read the rows as given, to quote it
-        triangles = _triangle_array(vertices, rows)
-    return _surface_graph(vertices, triangles.reshape(-1, 3), z_edges)
+    return _surface_graph(vertices, _triangle_array(rows), z_edges)
 
 
 def parse_manifold(doc: Any) -> BGraph:

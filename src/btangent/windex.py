@@ -10,6 +10,7 @@ number.
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -75,14 +76,16 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
     Raises:
         ZeroOnContourError: |field| <= 1e-12 at some sample point.
         NonConvergentError: the cap is reached with steps still >= pi/2.
-        InvalidArgumentError: radius not finite and positive, center not
-            finite, or a non-finite field value at a sample point.
+        InvalidArgumentError: radius not a finite positive real, center not
+            two finite reals, or a non-finite field value at a sample point.
     """
-    if not (math.isfinite(radius) and radius > 0):
-        raise InvalidArgumentError(f"radius must be finite and positive, got {radius}")
-    if not all(map(math.isfinite, center)):
-        raise InvalidArgumentError(f"center must be finite, got {center}")
-    cx, cy = center
+    from numbers import Real  # numpy registers its numbers here; lazy, off the import path
+
+    if not (isinstance(radius, Real) and math.isfinite(radius) and radius > 0):
+        raise InvalidArgumentError(f"radius must be finite and positive, got {radius!r}")
+    cx, cy = center if isinstance(center, Sized) and len(center) == 2 else (None, None)
+    if not all(isinstance(c, Real) and math.isfinite(c) for c in (cx, cy)):
+        raise InvalidArgumentError(f"center must be two finite reals, got {center!r}")
     n = MIN_SAMPLES
     while True:
         angles = [2.0 * math.pi * k / n for k in range(n)]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from btangent import (
     BGraph,
+    BTangentError,
     Coloring,
     HypersurfaceComponent,
     InvalidArgumentError,
@@ -15,10 +16,12 @@ from btangent import (
     TriangulatedSurface,
     build_graph_from_surface,
     circle_graph,
+    named_field,
     parse_manifold,
     sphere_equator_graph,
     surface_euler,
     surface_orientable,
+    winding_index,
 )
 from btangent.bgraph import _components
 from corpus import (
@@ -255,7 +258,7 @@ def _bad_complexes():
         ("degenerate, repeat not adjacent", (6, tris + ((1, 2, 1),), ()),
          NonClosedSurfaceError, "triangle 8 is degenerate: (1, 2, 1)"),
         ("four vertices", (6, tris[:2] + ((0, 1, 2, 3),) + tris[2:], ()),
-         NonClosedSurfaceError, "triangle 2 is degenerate: (0, 1, 2, 3)"),
+         InvalidArgumentError, "triangle 2 does not have 3 vertices: (0, 1, 2, 3)"),
         ("out of range", (6, with_vertex, ()), NonClosedSurfaceError,
          "triangle 3 uses vertex 6 out of range"),
         ("beyond int64", (6, tris[:3] + ((0, 2, 2**63),) + tris[3:], ()),
@@ -457,6 +460,115 @@ def test_surface_takes_numpy_integer_vertices():
     assert build_graph_from_surface(surf) == build_graph_from_surface(oct_)
 
 
+def _python_door_defects():
+    """Malformed arguments to the Python constructors, with the exact error each raises."""
+    tris, z = octahedron().triangles, octahedron().z_edges
+    equator = (Region("B+", 1), Region("B-", 1)), (HypersurfaceComponent("Z0", "B+", "B-"),)
+    radial = named_field("radial")
+    cases = [
+        ("marked edge of 3", lambda: TriangulatedSurface(3, [(0, 1, 2)], [(0, 1, 2)]),
+         "marked edge 0 does not have 2 vertices: (0, 1, 2)"),
+        ("marked edge of 1", lambda: TriangulatedSurface(6, tris, [(0,)]),
+         "marked edge 0 does not have 2 vertices: (0,)"),
+        ("non-iterable triangle", lambda: TriangulatedSurface(6, tris[:2] + (5,) + tris[2:], z),
+         "triangle 2 does not have 3 vertices: 5"),
+        ("non-iterable marked edge", lambda: TriangulatedSurface(6, tris, [5]),
+         "marked edge 0 does not have 2 vertices: 5"),
+        ("no triangles", lambda: TriangulatedSurface(6, None, z),
+         "triangles must be rows of 3 vertices, got None"),
+        ("no marked edges", lambda: TriangulatedSurface(6, tris, 3),
+         "marked edges must be rows of 2 vertices, got 3"),
+        ("Euler characteristic 1.5", lambda: BGraph((Region("a", 1.5),), ()),
+         "euler_char of region 'a' must be an integer, got 1.5"),
+        ("Euler characteristic True", lambda: BGraph((Region("a", 2), Region("b", True)), ()),
+         "euler_char of region 'b' must be an integer, got True"),
+        ("orientable 'no'", lambda: BGraph(*equator, orientable="no"),
+         "orientable must be a bool, got 'no'"),
+        ("orientable 1", lambda: BGraph(*equator, orientable=1),
+         "orientable must be a bool, got 1"),
+        ("radius '0.1'", lambda: winding_index(radial, (0.0, 0.0), "0.1"),
+         "radius must be finite and positive, got '0.1'"),
+        ("radius None", lambda: winding_index(radial, (0.0, 0.0), None),
+         "radius must be finite and positive, got None"),
+    ]
+    for count in (2.5, True, "6"):
+        cases.append((f"vertex_count {count!r}", lambda c=count: TriangulatedSurface(c, tris, z),
+                      f"vertex_count must be an integer, got {count!r}"))
+    for dim in ("x", None, 2.5, True):
+        cases.append((f"ambient_dim {dim!r}", lambda d=dim: BGraph(*equator, ambient_dim=d),
+                      f"ambient_dim must be an integer, got {dim!r}"))
+    for center in ((0.0, 0.0, 0.0), (0.0,), ("a", "b"), 0.0):
+        cases.append((f"center {center!r}", lambda c=center: winding_index(radial, c, 0.1),
+                      f"center must be two finite reals, got {center!r}"))
+    return cases
+
+
+@pytest.mark.parametrize("name, call, message", _python_door_defects(),
+                         ids=[case[0] for case in _python_door_defects()])
+def test_python_door_defect_gives_its_exact_error(name, call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert type(exc.value) is InvalidArgumentError and str(exc.value) == message
+
+
+# values a caller might pass by mistake: bools, floats, strings, None and nesting
+_JUNK = st.one_of(st.integers(-2, 9), st.booleans(), st.floats(), st.text(max_size=2),
+                  st.none(), st.lists(st.integers(0, 6), max_size=4),
+                  st.tuples(st.integers(0, 6)), st.lists(st.lists(st.integers(0, 6))))
+
+
+@st.composite
+def _malformed_surface(draw):
+    """The parts of an octahedron with a few values replaced by junk."""
+    parts = {"triangles": [list(t) for t in octahedron().triangles],
+             "z_edges": [list(e) for e in octahedron().z_edges]}
+    n = draw(st.one_of(st.just(6), _JUNK))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(parts)))
+        rows = parts[key]
+        how = draw(st.sampled_from(("field", "row", "length", "vertex")))
+        if how == "field" or not isinstance(rows, list) or not rows:
+            parts[key] = draw(_JUNK)
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        if how == "row":
+            rows[i] = draw(_JUNK)
+        elif how == "length":
+            rows[i] = draw(st.lists(st.integers(0, 6), max_size=5))
+        elif isinstance(rows[i], list) and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_JUNK)
+    return n, parts["triangles"], parts["z_edges"]
+
+
+@st.composite
+def _malformed_graph(draw):
+    """The parts of a valid graph with one Euler characteristic, the ambient
+    dimension or the orientability replaced by junk."""
+    regions, edges, dim, orientable = draw(_graph_parts())
+    key = draw(st.sampled_from(("euler_char", "ambient_dim", "orientable")))
+    if key == "euler_char":
+        i = draw(st.integers(0, len(regions) - 1))
+        regions[i] = Region(regions[i].label, draw(_JUNK))
+    elif key == "ambient_dim":
+        dim = draw(_JUNK)
+    else:
+        orientable = draw(_JUNK)
+    return regions, edges, dim, orientable
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_malformed_surface(), _malformed_graph())
+def test_malformed_python_input_raises_only_structured_errors(surface, graph):
+    try:
+        build_graph_from_surface(TriangulatedSurface(*surface))
+    except BTangentError:
+        pass
+    try:
+        BGraph(*graph)
+    except BTangentError:
+        pass
+
+
 @st.composite
 def _graph_parts(draw):
     """Regions, edges, ambient dimension and orientability of a valid graph."""
@@ -565,6 +677,17 @@ def test_malformed_graph_document_reports_its_defect(planted):
         parse_manifold(doc)
     assert exc.value.pointer == pointer
     assert str(exc.value) == f"{message} (at {pointer})"
+
+
+def test_edge_shape_is_checked_before_any_edge_side():
+    # every edge's keys and types are checked before any side is looked up,
+    # so the missing key of edge 1 is reported, not the unknown side of edge 0
+    doc = _graph_document([Region("A", 1)], [HypersurfaceComponent("Z0", "A", "Q"),
+                                             HypersurfaceComponent("Z1", "A", "A")], 2, True)
+    del doc["graph"]["edges"][1]["b"]
+    with pytest.raises(ManifoldFormatError) as exc:
+        parse_manifold(doc)
+    assert str(exc.value) == "missing required key 'b' (at /graph/edges/1)"
 
 
 def test_circle_graph_shapes():

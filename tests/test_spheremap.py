@@ -256,6 +256,12 @@ def test_degree_integral_input_gates():
     (edge_obstruction, (circle_graph(3), 3, 2.0), "dim_f"),
     (circle_criterion, (2.5,), "k"),
     (circle_graph, (2.5,), "k"),
+    # a bool is not an integer, although operator.index(True) is 1
+    (classify_bm, (True,), "m"),
+    (circle_graph, (True,), "k"),
+    (circle_criterion, (False,), "k"),
+    (edge_obstruction, (circle_graph(3), True, 0), "dim_m"),
+    (degree_integral, (True,), "n"),
 ])
 def test_sizes_must_be_integers(func, args, name):
     with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
