@@ -202,8 +202,8 @@ class TriangulatedSurface:
             oriented by its sorted order: a triangle with vertices a < b < c
             runs a -> b -> c -> a, along its two edges at the middle vertex b
             and against the edge (a, c).
-        z_edges: marked edges, each a pair of vertex indices.  Together they
-            must form a disjoint union of embedded cycles.
+        z_edges: marked edges as vertex pairs, stored as given.  Together
+            they must form a disjoint union of embedded cycles.
 
     The vertex count and every vertex are Python or numpy integers, as in a
     surface document; bools and floats, whole ones included, are not.
@@ -221,8 +221,7 @@ class TriangulatedSurface:
     def __post_init__(self):
         object.__setattr__(self, "vertex_count", _as_int(self.vertex_count, "vertex_count"))
         object.__setattr__(self, "triangles", _vertex_rows(self.triangles, 3, "triangle"))
-        z = _vertex_rows(self.z_edges, 2, "marked edge")
-        object.__setattr__(self, "z_edges", _marked_edges(z))
+        object.__setattr__(self, "z_edges", _vertex_rows(self.z_edges, 2, "marked edge"))
 
 
 def _vertex_rows(rows, k: int, what: str) -> Tuple[tuple, ...]:
@@ -263,11 +262,6 @@ def _bad_vertex(rows, k: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _marked_edges(z) -> Tuple[Edge2, ...]:
-    """Marked edges as stored: each pair (min, max), the pairs sorted."""
-    return tuple(sorted((min(u, v), max(u, v)) for u, v in z))
-
-
 @dataclass(frozen=True)
 class _HalfEdges:
     """A checked closed surface as flat arrays.
@@ -282,18 +276,18 @@ class _HalfEdges:
     pairs: np.ndarray  # E x 2: the two half-edges of each edge, in key order
 
 
-def _triangle_array(tris) -> np.ndarray:
-    """The rows of tris, three integers each, as an F x 3 int64 array.
+def _vertex_array(rows, k: int) -> np.ndarray:
+    """The rows, k integers each, as an N x k int64 array.
 
-    A vertex past int64 makes it an array of the vertices as given, so
-    that the messages of ``_half_edges`` quote them exactly.
+    A vertex past int64 makes it an array of the vertices as Python ints,
+    so that error messages quote them exactly.
     """
     import numpy as np
 
     try:
-        return np.fromiter(chain.from_iterable(tris), np.int64, 3 * len(tris)).reshape(-1, 3)
+        return np.fromiter(chain.from_iterable(rows), np.int64, k * len(rows)).reshape(-1, k)
     except OverflowError:
-        return np.array(tris, dtype=object)
+        return np.array(list(map(int, chain.from_iterable(rows))), dtype=object).reshape(-1, k)
 
 
 def _check_rows(n: int, t: np.ndarray) -> None:
@@ -324,7 +318,7 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
     """Check that the complex is a closed surface and pair up its half-edges.
 
     ``t`` holds the triangles of a complex on the vertices 0 .. n-1, as
-    ``_triangle_array`` returns them.  The 3F half-edges are keyed u * V + w
+    ``_vertex_array`` returns them.  The 3F half-edges are keyed u * V + w
     and sorted once; the complex is closed exactly when every run of equal
     keys has length two.  The defects are reported in a fixed order:
     degenerate or out-of-range triangles, duplicates, isolated vertices,
@@ -405,26 +399,32 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             f, jumped = jumped, jumped[jumped]
 
 
-def _z_cycles(n: int, z: Tuple[Edge2, ...], mesh: _HalfEdges) -> Tuple[np.ndarray, np.ndarray]:
+def _z_cycles(n: int, z: np.ndarray, mesh: _HalfEdges) -> Tuple[np.ndarray, np.ndarray]:
     """Check that the marked edges are distinct and form disjoint cycles.
 
-    ``z`` holds them as ``_marked_edges`` returns them.  Returns, for every
-    marked edge, its cycle number (cycles numbered in the order of their
-    smallest edge in z) and its edge number (index into ``mesh.keys``).
+    ``z`` holds them as ``_vertex_array`` returns them, in any order and
+    orientation; here each becomes (min, max), and the pairs are sorted.
+    Returns, for every marked edge in that order, its cycle number (cycles
+    numbered in the order of their smallest edge) and its edge number
+    (index into ``mesh.keys``).
     """
     import numpy as np
 
+    z = np.sort(z, axis=1)
+    z = z[np.lexsort(z.T[::-1])]
+    u, v = z.T
     # -1 for a pair that names no edge: out of range or a loop
-    zkeys = np.array([u * n + v if 0 <= u < v < n else -1 for u, v in z], dtype=np.int64)
+    zkeys = np.where((0 <= u) & (u < v) & (v < n), u * n + v, -1).astype(np.int64)
     edge = np.searchsorted(mesh.keys, zkeys).clip(max=len(mesh.keys) - 1)
     off = mesh.keys[edge] != zkeys
-    repeat = np.zeros(len(z), dtype=bool)  # stored sorted: a repeat is a neighbour
+    repeat = np.zeros(len(z), dtype=bool)  # sorted above: a repeat is a neighbour
     repeat[1:] = zkeys[1:] == zkeys[:-1]
     if (off | repeat).any():
         k = int((off | repeat).argmax())
+        pair = tuple(z[k].tolist())
         if off[k]:
-            raise InvalidZError(f"marked edge {z[k]} is not an edge of the complex")
-        raise InvalidZError(f"marked edge {z[k]} is listed twice")
+            raise InvalidZError(f"marked edge {pair} is not an edge of the complex")
+        raise InvalidZError(f"marked edge {pair} is listed twice")
 
     ends = np.stack((zkeys // n, zkeys % n), axis=1).ravel()  # end s of marked edge k at 2k + s
     degree = np.bincount(ends)
@@ -443,7 +443,7 @@ def _z_cycles(n: int, z: Tuple[Edge2, ...], mesh: _HalfEdges) -> Tuple[np.ndarra
 def surface_euler(surf: TriangulatedSurface) -> int:
     """Euler characteristic V - E + F of a valid closed surface."""
     n = surf.vertex_count
-    mesh = _half_edges(n, _triangle_array(surf.triangles))
+    mesh = _half_edges(n, _vertex_array(surf.triangles, 3))
     return n - len(mesh.keys) + len(mesh.tris)
 
 
@@ -454,7 +454,7 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
     traverse their shared edge in opposite directions.
     """
     n = surf.vertex_count
-    return _orientable(_half_edges(n, _triangle_array(surf.triangles)))
+    return _orientable(_half_edges(n, _vertex_array(surf.triangles, 3)))
 
 
 def _orientable(mesh: _HalfEdges) -> bool:
@@ -521,14 +521,14 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
             embedded cycles.
     """
     n = surf.vertex_count
-    return _surface_graph(n, _triangle_array(surf.triangles), surf.z_edges)
+    return _surface_graph(n, _vertex_array(surf.triangles, 3), _vertex_array(surf.z_edges, 2))
 
 
-def _surface_graph(n: int, t: np.ndarray, z: Tuple[Edge2, ...]) -> BGraph:
+def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     """``build_graph_from_surface`` on a complex given as its parts.
 
-    ``t`` holds the triangles as ``_triangle_array`` returns them, and ``z``
-    the marked edges as ``_marked_edges`` returns them.
+    ``t`` holds the triangles and ``z`` the marked edges, as
+    ``_vertex_array`` returns them.
     """
     import numpy as np
 

@@ -26,9 +26,8 @@ from .bgraph import (
     HypersurfaceComponent,
     Region,
     _bad_vertex,
-    _marked_edges,
     _surface_graph,
-    _triangle_array,
+    _vertex_array,
 )
 from .errors import InvalidArgumentError, ManifoldFormatError, _is_int
 
@@ -129,8 +128,8 @@ def _int_lists(raw: list, length: int, pointer: str) -> list:
 def _parse_surface(doc: dict, pointer: str) -> BGraph:
     """Build the region graph of a surface document.
 
-    The triangles go to the surface kernel as one F x 3 int64 array, read
-    straight from the JSON lists.
+    The triangles and the marked edges go to the surface kernel as one
+    F x 3 and one L x 2 int64 array, read straight from the JSON lists.
     """
     vertices = _need(doc, "vertices", int, pointer)
     triangles_raw = _need(doc, "triangles", list, pointer)
@@ -138,8 +137,8 @@ def _parse_surface(doc: dict, pointer: str) -> BGraph:
     if not isinstance(z_raw, list):
         raise ManifoldFormatError("'z_edges' must be a list", f"{pointer}/z_edges")
     rows = _int_lists(triangles_raw, 3, f"{pointer}/triangles")
-    z_edges = _marked_edges(_int_lists(z_raw, 2, f"{pointer}/z_edges"))
-    return _surface_graph(vertices, _triangle_array(rows), z_edges)
+    z_rows = _int_lists(z_raw, 2, f"{pointer}/z_edges")
+    return _surface_graph(vertices, _vertex_array(rows, 3), _vertex_array(z_rows, 2))
 
 
 def parse_manifold(doc: Any) -> BGraph:

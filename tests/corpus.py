@@ -215,7 +215,7 @@ def region_count_oracle(surf: TriangulatedSurface) -> int:
         for e in ((a, b), (b, c), (a, c)):
             inc[tuple(sorted(e))].append(i)
     uf = UnionFind(len(surf.triangles))
-    zset = set(surf.z_edges)
+    zset = {tuple(sorted(e)) for e in surf.z_edges}
     for e, ts in inc.items():
         if e in zset or len(ts) != 2:
             continue

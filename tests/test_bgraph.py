@@ -99,10 +99,11 @@ def _expected_graph(surf: TriangulatedSurface):
     """Regions as (label, closure chi) and Z components as (label, a, b).
 
     Regions are numbered in the order of their smallest triangle and Z
-    components in the order of their smallest marked edge, both found with
-    a union-find.
+    components in the order of their smallest marked edge, each edge taken
+    as (min, max), both found with a union-find.
     """
-    zset = set(surf.z_edges)
+    z = sorted(tuple(sorted(e)) for e in surf.z_edges)
+    zset = set(z)
     by_edge = {}
     for i, t in enumerate(surf.triangles):
         for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
@@ -119,17 +120,17 @@ def _expected_graph(surf: TriangulatedSurface):
         edges = {tuple(sorted(e)) for t in tris for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
         regions.append((f"R{r}", len({v for t in tris for v in t}) - len(edges) + len(tris)))
 
-    marked = UnionFind(len(surf.z_edges))
+    marked = UnionFind(len(z))
     first_at = {}
-    for k, e in enumerate(surf.z_edges):
+    for k, e in enumerate(z):
         for v in e:
             marked.union(first_at.setdefault(v, k), k)
     cycles = {}
-    for k in range(len(surf.z_edges)):
+    for k in range(len(z)):
         cycles.setdefault(marked.find(k), []).append(k)
     edges = []
     for c, ks in enumerate(cycles.values()):
-        near = sorted({f"R{region[i]}" for k in ks for i in by_edge[surf.z_edges[k]]})
+        near = sorted({f"R{region[i]}" for k in ks for i in by_edge[z[k]]})
         edges.append((f"Z{c}", near[0], near[-1]))
     return regions, edges
 
@@ -287,6 +288,14 @@ def _bad_complexes():
          NonClosedSurfaceError, "edge (40, 49) lies in 3 triangle(s); a closed surface needs 2"),
         ("marked edge off the complex", (6, tris, ((1, 3), (3, 4), (4, 1))),
          InvalidZError, "marked edge (1, 3) is not an edge of the complex"),
+        ("numpy marked edge off the complex", (6, tris, np.array(((1, 3), (3, 4), (4, 1)))),
+         InvalidZError, "marked edge (1, 3) is not an edge of the complex"),
+        ("marked edge beyond int64", (6, tris, ((1, 2**70),)), InvalidZError,
+         f"marked edge (1, {2**70}) is not an edge of the complex"),
+        ("reversed marked edge beyond int64", (6, tris, ((2**70, 1),)), InvalidZError,
+         f"marked edge (1, {2**70}) is not an edge of the complex"),
+        ("marked edge below int64", (6, tris, ((3, -2**64),)), InvalidZError,
+         f"marked edge ({-2**64}, 3) is not an edge of the complex"),
         ("degree-4 marked vertex",
          (6, tris, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4))),
          InvalidZError, "vertex 0 has degree 4 in the marked edge set; cycles need 2"),
@@ -458,6 +467,19 @@ def test_surface_takes_numpy_integer_vertices():
     surf = TriangulatedSurface(6, np.array(oct_.triangles, dtype=np.int32),
                                np.array(oct_.z_edges, dtype=np.uint8))
     assert build_graph_from_surface(surf) == build_graph_from_surface(oct_)
+    # keys u * V + w past 2**16: a 16-bit vertex type must not wrap them
+    grid = grid_surface(20, 20, loop_rows=(3, 11))
+    expected = build_graph_from_surface(grid)
+    for dtype in (np.int16, np.uint16, np.int64):
+        surf = TriangulatedSurface(400, grid.triangles, np.array(grid.z_edges, dtype=dtype))
+        assert build_graph_from_surface(surf) == expected
+
+
+def test_surface_stores_its_rows_as_given():
+    tris, z = octahedron().triangles, ((2, 1), (4, 3), (3, 2), (1, 4))
+    surf = TriangulatedSurface(6, [list(t) for t in tris], [list(e) for e in z])
+    assert surf.triangles == tris and surf.z_edges == z
+    assert surf != TriangulatedSurface(6, tris, sorted(z))
 
 
 def _python_door_defects():

@@ -42,3 +42,25 @@ def test_every_public_name_is_reachable():
     assert set(btangent._SPHEREMAP_NAMES) <= set(btangent.__all__)
     for name in btangent._SPHEREMAP_NAMES:
         assert getattr(btangent, name) is getattr(spheremap, name), name
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_failing_property_test_gets_a_report(tmp_path):
+    # to report a failing example hypothesis imports libcst, whose deprecation
+    # warning must not become an error inside pytest's report hook (exit 3)
+    (tmp_path / "test_fails.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-c", str(config), "--rootdir",
+                           str(tmp_path), "-p", "no:cacheprovider", "test_fails.py"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout and "1 failed" in proc.stdout
