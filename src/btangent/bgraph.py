@@ -12,12 +12,12 @@ surface with a marked cycle system.
 """
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError, _as_int, _is_int
 
@@ -66,13 +66,14 @@ class BGraph:
     hand-written graphs; graphs built from a triangulation get it computed.
 
     A graph checks itself when it is built, so every BGraph in existence is
-    well formed: ambient_dim is an integer >= 1, orientable is a bool, every
-    Euler characteristic is an integer, it has a region, its region and
-    edge labels are unique, and every edge side names a region.
+    well formed.  In the order checked: its regions and edges are Region and
+    HypersurfaceComponent records, ambient_dim is an integer >= 1,
+    orientable is a bool, it has a region, region labels are str and Euler
+    characteristics integers, region labels are unique, edge labels and
+    sides are str, edge labels are unique, and every edge side names a region.
 
     Raises:
-        InvalidArgumentError: naming the first value of the wrong type, or
-            listing every other violation found.
+        InvalidArgumentError: naming the first defect.
     """
 
     regions: Tuple[Region, ...]
@@ -81,48 +82,18 @@ class BGraph:
     orientable: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "ambient_dim", _as_int(self.ambient_dim, "ambient_dim"))
-        if not isinstance(self.orientable, bool):
-            raise InvalidArgumentError(f"orientable must be a bool, got {self.orientable!r}")
-        # the usual check is a few passes over sets, which run in C; the loops
-        # below run only on failure, to name the bad region or list every violation
-        label, side_a, side_b, chi = map(operator.attrgetter,
-                                         ("label", "side_a", "side_b", "euler_char"))
-        if not all(map(_is_int, set(map(type, map(chi, self.regions))))):
-            for r in self.regions:
-                _as_int(r.euler_char, f"euler_char of region {r.label!r}")
-        labels = set(map(label, self.regions))
-        if (self.regions and len(labels) == len(self.regions)
-                and len(set(map(label, self.edges))) == len(self.edges)
-                and labels.issuperset(map(side_a, self.edges))
-                and labels.issuperset(map(side_b, self.edges))
-                and self.ambient_dim >= 1):
-            return
-        violations: List[str] = []
-        if not self.regions:
-            violations.append("graph has no regions")
-        seen = set()
-        for r in self.regions:
-            if r.label in seen:
-                violations.append(f"duplicate region label {r.label!r}")
-            seen.add(r.label)
-        edge_labels = set()
-        for e in self.edges:
-            if e.label in edge_labels:
-                violations.append(f"duplicate edge label {e.label!r}")
-            edge_labels.add(e.label)
-            for side in (e.side_a, e.side_b):
-                if side not in seen:
-                    violations.append(f"edge {e.label!r} references missing region {side!r}")
-        if self.ambient_dim < 1:
-            violations.append(f"ambient_dim must be >= 1, got {self.ambient_dim}")
-        if violations:
-            raise InvalidArgumentError("invalid region graph: " + "; ".join(violations))
+        # an iterable becomes a tuple; anything else stays, for _graph_defect to name
+        regions, edges = (tuple(x) if isinstance(x, Iterable) else x
+                          for x in (self.regions, self.edges))
+        defect = _graph_defect(regions, edges, self.ambient_dim, self.orientable)
+        if defect:
+            raise InvalidArgumentError(defect[1])
+        object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "ambient_dim", int(self.ambient_dim))
 
     def region_labels(self) -> Tuple[str, ...]:
-        return tuple(map(operator.attrgetter("label"), self.regions))
+        return tuple(map(attrgetter("label"), self.regions))
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,18 +106,81 @@ class BGraph:
         }
 
 
+def _graph_defect(regions, edges, ambient_dim, orientable) -> Optional[Tuple[str, str]]:
+    """The first defect of a region graph as ``(path, message)``, or None.
+
+    The checks run in the order of the BGraph docstring, and the path is in
+    ``to_json_dict`` form, such as ``/regions/3/chi``.  The usual check is
+    passes over sets, in C; the parts are walked only to locate a defect."""
+    label, a, b, chi = map(attrgetter, ("label", "side_a", "side_b", "euler_char"))
+    if (isinstance(regions, tuple) and isinstance(edges, tuple) and regions
+            and set(map(type, regions)) <= {Region}
+            and set(map(type, edges)) <= {HypersurfaceComponent}
+            and _is_int(type(ambient_dim)) and ambient_dim >= 1 and isinstance(orientable, bool)
+            and set(map(type, chain(map(label, regions), map(label, edges),
+                                    map(a, edges), map(b, edges)))) <= {str}
+            and all(map(_is_int, set(map(type, map(chi, regions)))))):
+        names = set(map(label, regions))
+        if (len(names) == len(regions) and len(set(map(label, edges))) == len(edges)
+                and names.issuperset(map(a, edges)) and names.issuperset(map(b, edges))):
+            return None
+
+    parts = (("regions", regions, Region, {"label": "label"}),
+             ("edges", edges, HypersurfaceComponent,
+              {"label": "label", "a": "side_a", "b": "side_b"}))
+    for key, rows, kind, _ in parts:
+        if not isinstance(rows, tuple):
+            return f"/{key}", f"{key} must be {kind.__name__} records, got {rows!r}"
+        for i, row in enumerate(rows):
+            if not isinstance(row, kind):
+                return f"/{key}/{i}", f"{key[:-1]} {i} is not a {kind.__name__}: {row!r}"
+    if not _is_int(type(ambient_dim)):
+        return "/ambient_dim", f"ambient_dim must be an integer, got {ambient_dim!r}"
+    if ambient_dim < 1:
+        return "/ambient_dim", f"invalid region graph: ambient_dim must be >= 1, got {ambient_dim}"
+    if not isinstance(orientable, bool):
+        return "/orientable", f"orientable must be a bool, got {orientable!r}"
+    if not regions:
+        return "/regions", "invalid region graph: graph has no regions"
+    for key, rows, kind, fields in parts:
+        for i, row in enumerate(rows):
+            for field, attr in fields.items():
+                if not isinstance(getattr(row, attr), str):
+                    return (f"/{key}/{i}/{field}",
+                            f"{attr} of {key[:-1]} {i} must be a str, got {getattr(row, attr)!r}")
+            if kind is Region and not _is_int(type(row.euler_char)):
+                return (f"/regions/{i}/chi", f"euler_char of region {row.label!r} "
+                                             f"must be an integer, got {row.euler_char!r}")
+        seen = set()
+        for i, row in enumerate(rows):
+            if row.label in seen:
+                return (f"/{key}/{i}/label",
+                        f"invalid region graph: duplicate {key[:-1]} label {row.label!r}")
+            seen.add(row.label)
+    names = set(map(label, regions))
+    for i, e in enumerate(edges):
+        for field, side in (("a", e.side_a), ("b", e.side_b)):
+            if side not in names:
+                return (f"/edges/{i}/{field}", f"invalid region graph: edge {e.label!r} "
+                                                f"references missing region {side!r}")
+    return None
+
+
 @dataclass(frozen=True)
 class Coloring:
     """An assignment of +1 / -1 to every region label.
 
-    A sign is a Python or numpy integer, stored as an int; bools are not
-    signs.  The assignment is a read-only mapping, because the analyses of
-    one graph share its coloring (see ``obstructions._canonical_coloring``).
+    It is given as a mapping from label to sign.  A sign is a Python or
+    numpy integer, stored as an int; bools are not signs.  The assignment
+    is kept as a read-only mapping, because the analyses of one graph share
+    its coloring (see ``obstructions._canonical_coloring``).
     """
 
     assignment: Mapping[str, int]
 
     def __post_init__(self):
+        if not isinstance(self.assignment, Mapping):
+            raise InvalidArgumentError(f"coloring must be a mapping, got {self.assignment!r}")
         signs = dict(self.assignment)
         # the usual check is two passes over sets, which run in C; the loop
         # below runs only to name a bad sign or to store numpy signs as int
@@ -560,12 +594,7 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
         raise NonClosedSurfaceError("closure Euler characteristics do not sum to the "
                                     "surface's: the complex is not a surface at some vertex")
 
-    return BGraph(
-        regions=tuple(regions),
-        edges=tuple(edges),
-        ambient_dim=2,
-        orientable=_orientable(mesh),
-    )
+    return BGraph(regions, edges, ambient_dim=2, orientable=_orientable(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +604,8 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
 
 def sphere_equator_graph() -> BGraph:
     """Two disk regions joined along one circle: the round sphere cut by its equator."""
-    return BGraph(
-        regions=(Region("B+", 1), Region("B-", 1)),
-        edges=(HypersurfaceComponent("Z0", "B+", "B-"),),
-        ambient_dim=2,
-        orientable=True,
-    )
+    return BGraph((Region("B+", 1), Region("B-", 1)), (HypersurfaceComponent("Z0", "B+", "B-"),),
+                  ambient_dim=2, orientable=True)
 
 
 def circle_graph(k: int) -> BGraph:
@@ -592,9 +617,7 @@ def circle_graph(k: int) -> BGraph:
     k = _as_int(k, "k")
     if k < 0:
         raise InvalidArgumentError("k must be >= 0")
-    if k == 0:
-        return BGraph((Region("A0", 1),), (), ambient_dim=1, orientable=True)
-    regions = tuple(Region(f"A{i}", 1) for i in range(k))
+    regions = tuple(Region(f"A{i}", 1) for i in range(max(k, 1)))
     edges = tuple(
         HypersurfaceComponent(f"P{i}", f"A{i}", f"A{(i + 1) % k}") for i in range(k)
     )

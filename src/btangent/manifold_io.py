@@ -11,21 +11,24 @@ A manifold document carries exactly one of two top-level keys:
                  "z_edges":   [[i, j], ...]}}
 
 Schema violations are reported with the JSON-pointer path of the offending
-element.
+element.  Of a graph document only the JSON shape is checked here; ``BGraph``
+checks the rest, and its message is reported at the defect's pointer.
 """
 from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import starmap
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Tuple
 
 from .bgraph import (
     BGraph,
     HypersurfaceComponent,
     Region,
     _bad_vertex,
+    _graph_defect,
     _surface_graph,
     _vertex_array,
 )
@@ -50,68 +53,46 @@ def bundled_path(name: str) -> Path:
         return Path(p)
 
 
-def _is_kind(t: type, kind: type) -> bool:
-    return _is_int(t) if kind is int else issubclass(t, kind)
-
-
 def _need(obj: dict, key: str, kind: type, pointer: str) -> Any:
+    """obj[key], present and of kind; int means the package's integer rule."""
     if key not in obj:
         raise ManifoldFormatError(f"missing required key {key!r}", pointer)
     value = obj[key]
-    if _is_kind(type(value), kind):
+    if _is_int(type(value)) if kind is int else isinstance(value, kind):
         return int(value) if kind is int else value
-    # a bool is named apart, as the one kind of JSON value that Python reads as an int
-    name = "an integer" if kind is int and isinstance(value, bool) else kind.__name__
+    name = "an integer" if kind is int else f"a {kind.__name__}"
     raise ManifoldFormatError(f"{key!r} must be {name}", f"{pointer}/{key}")
 
 
-def _columns(raw: list, kinds: Dict[str, type], pointer: str, what: str) -> List[tuple]:
-    """The value under each key of kinds in every entry of raw, one tuple per key.
-
-    Every entry must be an object that holds every key, with a value of
-    that key's kind.  The usual check is passes over sets of types, which
-    run in C; the entries are walked with ``_need`` only to raise at the
-    first defect.
-    """
+def _records(raw: list, record: type, keys: Tuple[str, ...], pointer: str, what: str) -> tuple:
+    """One record per entry of raw, from the values under keys: one itemgetter
+    pass, in C.  The entries are walked only to name an entry that is not an
+    object or lacks a key."""
     try:
-        cols = [tuple(map(itemgetter(key), raw)) for key in kinds]
+        return tuple(starmap(record, map(itemgetter(*keys), raw)))
     except (KeyError, TypeError):  # an entry without a key, or not an object
-        cols = None
-    if (cols is None or not set(map(type, raw)) <= {dict}
-            or not all(_is_kind(t, kind) for col, kind in zip(cols, kinds.values())
-                       for t in set(map(type, col)))):
         for i, entry in enumerate(raw):
-            p = f"{pointer}/{i}"
             if not isinstance(entry, dict):
-                raise ManifoldFormatError(f"{what} must be an object", p)
-            for key, kind in kinds.items():
-                _need(entry, key, kind, p)
-    return cols
+                raise ManifoldFormatError(f"{what} must be an object", f"{pointer}/{i}")
+            for key in keys:
+                _need(entry, key, object, f"{pointer}/{i}")
+        raise
 
 
 def _parse_graph(doc: dict, pointer: str) -> BGraph:
-    """Build a region graph from a graph document."""
+    """Build a region graph from a graph document; only its JSON shape is checked here."""
     regions_raw = _need(doc, "regions", list, pointer)
     edges_raw = _need(doc, "edges", list, pointer)
-    ambient = _need(doc, "ambient_dim", int, pointer)
-    orientable = _need(doc, "orientable", bool, pointer)
-
-    cols = _columns(regions_raw, {"label": str, "chi": int}, f"{pointer}/regions", "region")
-    labels = set(cols[0])
-    regions = tuple(map(Region, *cols))
-    cols = _columns(edges_raw, {"label": str, "a": str, "b": str}, f"{pointer}/edges", "edge")
-    if not (labels.issuperset(cols[1]) and labels.issuperset(cols[2])):
-        for i, sides in enumerate(zip(cols[1], cols[2])):
-            for key, side in zip("ab", sides):
-                if side not in labels:
-                    raise ManifoldFormatError(f"unknown region {side!r}",
-                                              f"{pointer}/edges/{i}/{key}")
-    edges = tuple(map(HypersurfaceComponent, *cols))
-
+    ambient = _need(doc, "ambient_dim", object, pointer)
+    orientable = _need(doc, "orientable", object, pointer)
+    regions = _records(regions_raw, Region, ("label", "chi"), f"{pointer}/regions", "region")
+    edges = _records(edges_raw, HypersurfaceComponent, ("label", "a", "b"),
+                     f"{pointer}/edges", "edge")
     try:
-        return BGraph(regions, edges, ambient_dim=ambient, orientable=orientable)
-    except InvalidArgumentError as exc:
-        raise ManifoldFormatError(str(exc), pointer) from exc
+        return BGraph(regions, edges, ambient, orientable)
+    except InvalidArgumentError as exc:  # locate the defect BGraph found, for the pointer
+        path, message = _graph_defect(regions, edges, ambient, orientable)
+        raise ManifoldFormatError(message, pointer + path) from exc
 
 
 def _int_lists(raw: list, length: int, pointer: str) -> list:
@@ -133,9 +114,7 @@ def _parse_surface(doc: dict, pointer: str) -> BGraph:
     """
     vertices = _need(doc, "vertices", int, pointer)
     triangles_raw = _need(doc, "triangles", list, pointer)
-    z_raw = doc.get("z_edges", [])
-    if not isinstance(z_raw, list):
-        raise ManifoldFormatError("'z_edges' must be a list", f"{pointer}/z_edges")
+    z_raw = _need(doc, "z_edges", list, pointer) if "z_edges" in doc else []
     rows = _int_lists(triangles_raw, 3, f"{pointer}/triangles")
     z_rows = _int_lists(z_raw, 2, f"{pointer}/z_edges")
     return _surface_graph(vertices, _vertex_array(rows, 3), _vertex_array(z_rows, 2))
@@ -150,13 +129,10 @@ def parse_manifold(doc: Any) -> BGraph:
         raise ManifoldFormatError(
             "document must contain exactly one of 'graph' or 'surface'", "/"
         )
-    if "graph" in keys:
-        if not isinstance(doc["graph"], dict):
-            raise ManifoldFormatError("'graph' must be an object", "/graph")
-        return _parse_graph(doc["graph"], "/graph")
-    if not isinstance(doc["surface"], dict):
-        raise ManifoldFormatError("'surface' must be an object", "/surface")
-    return _parse_surface(doc["surface"], "/surface")
+    key = keys.pop()
+    if not isinstance(doc[key], dict):
+        raise ManifoldFormatError(f"{key!r} must be an object", f"/{key}")
+    return (_parse_graph if key == "graph" else _parse_surface)(doc[key], f"/{key}")
 
 
 def load_manifold(path) -> BGraph:

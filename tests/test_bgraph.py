@@ -23,7 +23,7 @@ from btangent import (
     surface_orientable,
     winding_index,
 )
-from btangent.bgraph import _components
+from btangent.bgraph import _components, _graph_defect
 from corpus import (
     UnionFind,
     genus2,
@@ -508,6 +508,24 @@ def _python_door_defects():
          "orientable must be a bool, got 'no'"),
         ("orientable 1", lambda: BGraph(*equator, orientable=1),
          "orientable must be a bool, got 1"),
+        ("regions None", lambda: BGraph(None, ()), "regions must be Region records, got None"),
+        ("edges 5", lambda: BGraph(equator[0], 5),
+         "edges must be HypersurfaceComponent records, got 5"),
+        ("region tuple", lambda: BGraph((("a", 1),), ()), "region 0 is not a Region: ('a', 1)"),
+        ("edge tuple", lambda: BGraph(equator[0], equator[1] + (("Z1", "B+", "B-"),)),
+         "edge 1 is not a HypersurfaceComponent: ('Z1', 'B+', 'B-')"),
+        ("region label 3", lambda: BGraph((Region(3, 1),), ()),
+         "label of region 0 must be a str, got 3"),
+        ("unhashable region label", lambda: BGraph((Region("a", 1), Region(["a"], 1)), ()),
+         "label of region 1 must be a str, got ['a']"),
+        ("edge label None", lambda: BGraph(equator[0], (HypersurfaceComponent(None, "B+", "B-"),)),
+         "label of edge 0 must be a str, got None"),
+        ("edge side 1", lambda: BGraph(equator[0], (HypersurfaceComponent("Z0", "B+", 1),)),
+         "side_b of edge 0 must be a str, got 1"),
+        ("coloring None", lambda: Coloring(None), "coloring must be a mapping, got None"),
+        ("coloring 5", lambda: Coloring(5), "coloring must be a mapping, got 5"),
+        ("coloring of pairs", lambda: Coloring([("B+", 1)]),
+         "coloring must be a mapping, got [('B+', 1)]"),
         ("radius '0.1'", lambda: winding_index(radial, (0.0, 0.0), "0.1"),
          "radius must be finite and positive, got '0.1'"),
         ("radius None", lambda: winding_index(radial, (0.0, 0.0), None),
@@ -564,13 +582,31 @@ def _malformed_surface(draw):
 
 @st.composite
 def _malformed_graph(draw):
-    """The parts of a valid graph with one Euler characteristic, the ambient
-    dimension or the orientability replaced by junk."""
+    """The parts of a valid graph with one part replaced by junk: the regions
+    or the edges, one entry, label, side or Euler characteristic, the ambient
+    dimension or the orientability."""
     regions, edges, dim, orientable = draw(_graph_parts())
-    key = draw(st.sampled_from(("euler_char", "ambient_dim", "orientable")))
-    if key == "euler_char":
-        i = draw(st.integers(0, len(regions) - 1))
-        regions[i] = Region(regions[i].label, draw(_JUNK))
+    if not edges:
+        edges = [HypersurfaceComponent("Z0", regions[0].label, regions[0].label)]
+    key = draw(st.sampled_from(("regions", "edges", "region", "edge", "label", "side",
+                                "euler_char", "ambient_dim", "orientable")))
+    i = draw(st.integers(0, len(regions) - 1))
+    k = draw(st.integers(0, len(edges) - 1))
+    r, e = regions[i], edges[k]
+    if key == "regions":
+        regions = draw(_JUNK)
+    elif key == "edges":
+        edges = draw(_JUNK)
+    elif key == "region":
+        regions[i] = draw(_JUNK)
+    elif key == "edge":
+        edges[k] = draw(_JUNK)
+    elif key == "label":
+        regions[i] = Region(draw(_JUNK), r.euler_char)
+    elif key == "side":
+        edges[k] = HypersurfaceComponent(e.label, e.side_a, draw(_JUNK))
+    elif key == "euler_char":
+        regions[i] = Region(r.label, draw(_JUNK))
     elif key == "ambient_dim":
         dim = draw(_JUNK)
     else:
@@ -612,43 +648,101 @@ def _graph_document(regions, edges, dim, orientable) -> dict:
     }}
 
 
-_DEFECTS = ("no regions", "duplicate region label", "duplicate edge label",
-            "references missing region", "ambient_dim must be >= 1")
+# every defect a graph document can hold that BGraph finds, in its order
+_DEFECTS = ("ambient_dim not an integer", "ambient_dim must be >= 1", "orientable not a bool",
+            "no regions", "region label not a str", "euler_char not an integer",
+            "duplicate region label", "edge label not a str", "edge side not a str",
+            "duplicate edge label", "references missing region")
+_NOT_INT = (None, 1.5, 2.0, "1", True, False, [1], {"x": 1})
+_NOT_STR = (None, 1.5, 3, True, ["R"], {"label": "R"})
+
+
+@st.composite
+def _one_defect(draw):
+    """The parts of a valid graph with one defect of _DEFECTS planted, with
+    the path and the message of the error the constructor raises for it."""
+    regions, edges, dim, orientable = draw(_graph_parts())
+    if not edges:
+        edges = [HypersurfaceComponent("Z0", regions[0].label, regions[0].label)]
+    defect = draw(st.sampled_from(_DEFECTS))
+    i = draw(st.integers(0, len(regions) - 1))
+    k = draw(st.integers(0, len(edges) - 1))
+    r, e = regions[i], edges[k]
+    if defect == "ambient_dim not an integer":
+        dim = draw(st.sampled_from(_NOT_INT))
+        return (regions, edges, dim, orientable), "/ambient_dim", (
+            f"ambient_dim must be an integer, got {dim!r}")
+    if defect == "ambient_dim must be >= 1":
+        dim = draw(st.integers(-3, 0))
+        return (regions, edges, dim, orientable), "/ambient_dim", (
+            f"invalid region graph: ambient_dim must be >= 1, got {dim}")
+    if defect == "orientable not a bool":
+        orientable = draw(st.sampled_from((0, 1, "yes", None)))
+        return (regions, edges, dim, orientable), "/orientable", (
+            f"orientable must be a bool, got {orientable!r}")
+    if defect == "no regions":
+        return ([], [], dim, orientable), "/regions", "invalid region graph: graph has no regions"
+    if defect == "region label not a str":
+        regions[i] = Region(draw(st.sampled_from(_NOT_STR)), r.euler_char)
+        return (regions, edges, dim, orientable), f"/regions/{i}/label", (
+            f"label of region {i} must be a str, got {regions[i].label!r}")
+    if defect == "euler_char not an integer":
+        regions[i] = Region(r.label, draw(st.sampled_from(_NOT_INT)))
+        return (regions, edges, dim, orientable), f"/regions/{i}/chi", (
+            f"euler_char of region {r.label!r} must be an integer, got {regions[i].euler_char!r}")
+    if defect == "duplicate region label":
+        regions.append(Region(r.label, 0))
+        return (regions, edges, dim, orientable), f"/regions/{len(regions) - 1}/label", (
+            f"invalid region graph: duplicate region label {r.label!r}")
+    if defect == "edge label not a str":
+        edges[k] = HypersurfaceComponent(draw(st.sampled_from(_NOT_STR)), e.side_a, e.side_b)
+        return (regions, edges, dim, orientable), f"/edges/{k}/label", (
+            f"label of edge {k} must be a str, got {edges[k].label!r}")
+    key = draw(st.sampled_from(("a", "b")))
+    if defect == "edge side not a str":
+        side = draw(st.sampled_from(_NOT_STR))
+        edges[k] = HypersurfaceComponent(e.label, *((side, e.side_b) if key == "a"
+                                                     else (e.side_a, side)))
+        return (regions, edges, dim, orientable), f"/edges/{k}/{key}", (
+            f"side_{key} of edge {k} must be a str, got {side!r}")
+    if defect == "duplicate edge label":
+        edges.append(e)
+        return (regions, edges, dim, orientable), f"/edges/{len(edges) - 1}/label", (
+            f"invalid region graph: duplicate edge label {e.label!r}")
+    # region labels are drawn from ABCD
+    edges[k] = HypersurfaceComponent(e.label, *(("Q", e.side_b) if key == "a" else (e.side_a, "Q")))
+    return (regions, edges, dim, orientable), f"/edges/{k}/{key}", (
+        f"invalid region graph: edge {e.label!r} references missing region 'Q'")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_one_defect())
+def test_graph_constructor_checks_every_defect(planted):
+    # one defect, one message: the document door reports the constructor's
+    # message at the pointer of the defect
+    parts, path, message = planted
+    with pytest.raises(InvalidArgumentError) as exc:
+        BGraph(*parts)
+    assert str(exc.value) == message
+    assert _graph_defect(tuple(parts[0]), tuple(parts[1]), *parts[2:]) == (path, message)
+    with pytest.raises(ManifoldFormatError) as exc:
+        parse_manifold(_graph_document(*parts))
+    assert exc.value.pointer == f"/graph{path}"
+    assert str(exc.value) == f"{message} (at /graph{path})"
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(_graph_parts(), st.sampled_from(_DEFECTS))
-def test_graph_constructor_checks_every_defect(parts, defect):
-    regions, edges, dim, orientable = parts
-    g = BGraph(regions, edges, dim, orientable)
+@given(_graph_parts())
+def test_valid_graph_round_trips_through_its_document(parts):
+    g = BGraph(*parts)
+    assert _graph_defect(g.regions, g.edges, g.ambient_dim, g.orientable) is None
     assert parse_manifold({"graph": g.to_json_dict()}) == g
-
-    first = regions[0].label
-    pointer = "/graph"
-    if defect == "no regions":
-        regions, edges = [], []
-    elif defect == "duplicate region label":
-        regions = regions + [Region(first, 0)]
-    elif defect == "duplicate edge label":
-        edges = edges + [HypersurfaceComponent("Z0", first, first)] * 2
-    elif defect == "references missing region":
-        pointer = f"/graph/edges/{len(edges)}/a"
-        edges = edges + [HypersurfaceComponent("Zx", "Q", first)]
-    else:
-        dim = 0
-    with pytest.raises(InvalidArgumentError, match=defect):
-        BGraph(regions, edges, dim, orientable)
-    with pytest.raises(ManifoldFormatError) as exc:
-        parse_manifold(_graph_document(regions, edges, dim, orientable))
-    assert exc.value.pointer == pointer
-    if pointer == "/graph":
-        assert defect in str(exc.value)
 
 
 @st.composite
 def _planted_defect(draw):
-    """A valid graph document with exactly one defect planted, and the pointer
-    and message of the error that the per-entry loop raises for it."""
+    """A valid graph document with exactly one defect planted in an entry, and
+    the pointer and message of the error it gets."""
     regions, edges, dim, orientable = draw(_graph_parts())
     if not edges:
         edges = [HypersurfaceComponent("Z0", regions[0].label, regions[0].label)]
@@ -668,27 +762,29 @@ def _planted_defect(draw):
         del entry[key]
         return doc, p, f"missing required key {key!r}"
     if kind == "chi type":
-        entry = graph["regions"][i % len(graph["regions"])]
-        p = f"/graph/regions/{i % len(graph['regions'])}"
+        i %= len(graph["regions"])
+        entry = graph["regions"][i]
         value = draw(st.sampled_from((True, False, 1.0, -2.5, "1")))
         entry["chi"] = value
-        return doc, f"{p}/chi", ("'chi' must be an integer" if isinstance(value, bool)
-                                 else "'chi' must be int")
+        return doc, f"/graph/regions/{i}/chi", (f"euler_char of region {entry['label']!r} "
+                                                f"must be an integer, got {value!r}")
     if kind == "label type":
         key = "label" if where == "regions" else draw(st.sampled_from(("label", "a", "b")))
-        entry[key] = draw(st.sampled_from((None, 3, True, ["R"], {"label": "R"})))
-        return doc, f"{p}/{key}", f"{key!r} must be str"
+        entry[key] = value = draw(st.sampled_from((None, 3, True, ["R"], {"label": "R"})))
+        field = {"label": "label", "a": "side_a", "b": "side_b"}[key]
+        return doc, f"{p}/{key}", f"{field} of {where[:-1]} {i} must be a str, got {value!r}"
     if kind == "unknown side":
-        entry = graph["edges"][i % len(graph["edges"])]
-        p = f"/graph/edges/{i % len(graph['edges'])}"
+        i %= len(graph["edges"])
+        entry = graph["edges"][i]
         key = draw(st.sampled_from(("a", "b")))
         entry[key] = "Q"  # region labels are drawn from ABCD
-        return doc, f"{p}/{key}", "unknown region 'Q'"
+        return doc, f"/graph/edges/{i}/{key}", (f"invalid region graph: edge {entry['label']!r} "
+                                                "references missing region 'Q'")
     # a repeated label, appended so that no edge loses its region
     copy = dict(entry)
     graph[where].append(copy)
-    return doc, "/graph", (f"invalid region graph: duplicate {where[:-1]} label "
-                           f"{copy['label']!r}")
+    return doc, f"/graph/{where}/{len(graph[where]) - 1}/label", (
+        f"invalid region graph: duplicate {where[:-1]} label {copy['label']!r}")
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -699,6 +795,15 @@ def test_malformed_graph_document_reports_its_defect(planted):
         parse_manifold(doc)
     assert exc.value.pointer == pointer
     assert str(exc.value) == f"{message} (at {pointer})"
+
+
+@pytest.mark.parametrize("value", ["x", 1.5, 6.0, None, True, [6]])
+def test_document_vertex_count_is_an_integer(value):
+    doc = _document(octahedron())
+    doc["surface"]["vertices"] = value
+    with pytest.raises(ManifoldFormatError) as exc:
+        parse_manifold(doc)
+    assert str(exc.value) == "'vertices' must be an integer (at /surface/vertices)"
 
 
 def test_edge_shape_is_checked_before_any_edge_side():
