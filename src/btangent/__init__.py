@@ -15,7 +15,6 @@ from .bgraph import (
     Region,
     TriangulatedSurface,
     build_graph_from_surface,
-    circle_graph,
     sphere_equator_graph,
     surface_euler,
     surface_orientable,
@@ -46,7 +45,6 @@ from .obstructions import (
     ClassificationVerdict,
     EdgeVerdict,
     SignGluing,
-    circle_criterion,
     classify_bm,
     edge_obstruction,
     equivalence_report,
@@ -143,8 +141,6 @@ __all__ = [
     "b_frame_index",
     "build_graph_from_surface",
     "bundled_path",
-    "circle_criterion",
-    "circle_graph",
     "classical_euler_number",
     "classify_bm",
     "degree_integral",

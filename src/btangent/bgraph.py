@@ -72,6 +72,10 @@ class BGraph:
     characteristics integers, region labels are unique, edge labels and
     sides are str, edge labels are unique, and every edge side names a region.
 
+    The check builds the graph's integer form ``_columns`` (see
+    ``_graph_columns``), kept outside the dataclass fields, so equality,
+    hashing, repr and JSON never see it.
+
     Raises:
         InvalidArgumentError: naming the first defect.
     """
@@ -85,12 +89,14 @@ class BGraph:
         # an iterable becomes a tuple; anything else stays, for _graph_defect to name
         regions, edges = (tuple(x) if isinstance(x, Iterable) else x
                           for x in (self.regions, self.edges))
-        defect = _graph_defect(regions, edges, self.ambient_dim, self.orientable)
-        if defect:
-            raise InvalidArgumentError(defect[1])
+        columns = _graph_columns(regions, edges, self.ambient_dim, self.orientable)
+        if columns is None:
+            raise InvalidArgumentError(
+                _graph_defect(regions, edges, self.ambient_dim, self.orientable)[1])
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ambient_dim", int(self.ambient_dim))
+        object.__setattr__(self, "_columns", columns)
 
     def region_labels(self) -> Tuple[str, ...]:
         return tuple(map(attrgetter("label"), self.regions))
@@ -106,25 +112,41 @@ class BGraph:
         }
 
 
+def _all_of(kind: type, values) -> bool:
+    """Whether every value is an instance of kind: one pass over a set of types, in C."""
+    return all(issubclass(t, kind) for t in set(map(type, values)))
+
+
+def _graph_columns(regions, edges, ambient_dim, orientable) -> Optional[Tuple[tuple, tuple, tuple]]:
+    """The region labels in sorted order and, for every edge, the positions
+    of side_a and side_b among them; None for a graph with a defect, which
+    ``_graph_defect`` then names.  The checks are passes over sets, in C."""
+    label, a, b, chi = map(attrgetter, ("label", "side_a", "side_b", "euler_char"))
+    if not (isinstance(regions, tuple) and isinstance(edges, tuple) and regions
+            and _all_of(Region, regions) and _all_of(HypersurfaceComponent, edges)
+            and _is_int(type(ambient_dim)) and ambient_dim >= 1 and isinstance(orientable, bool)
+            and _all_of(str, chain(map(label, regions), map(label, edges),
+                                   map(a, edges), map(b, edges)))
+            and all(map(_is_int, set(map(type, map(chi, regions)))))):
+        return None
+    labels = tuple(sorted(map(label, regions)))
+    position = dict(zip(labels, range(len(labels))))
+    if len(position) != len(labels) or len(set(map(label, edges))) != len(edges):
+        return None
+    try:
+        return (labels, tuple(map(position.__getitem__, map(a, edges))),
+                tuple(map(position.__getitem__, map(b, edges))))
+    except KeyError:  # a side that names no region
+        return None
+
+
 def _graph_defect(regions, edges, ambient_dim, orientable) -> Optional[Tuple[str, str]]:
     """The first defect of a region graph as ``(path, message)``, or None.
 
     The checks run in the order of the BGraph docstring, and the path is in
-    ``to_json_dict`` form, such as ``/regions/3/chi``.  The usual check is
-    passes over sets, in C; the parts are walked only to locate a defect."""
-    label, a, b, chi = map(attrgetter, ("label", "side_a", "side_b", "euler_char"))
-    if (isinstance(regions, tuple) and isinstance(edges, tuple) and regions
-            and set(map(type, regions)) <= {Region}
-            and set(map(type, edges)) <= {HypersurfaceComponent}
-            and _is_int(type(ambient_dim)) and ambient_dim >= 1 and isinstance(orientable, bool)
-            and set(map(type, chain(map(label, regions), map(label, edges),
-                                    map(a, edges), map(b, edges)))) <= {str}
-            and all(map(_is_int, set(map(type, map(chi, regions)))))):
-        names = set(map(label, regions))
-        if (len(names) == len(regions) and len(set(map(label, edges))) == len(edges)
-                and names.issuperset(map(a, edges)) and names.issuperset(map(b, edges))):
-            return None
-
+    ``to_json_dict`` form, such as ``/regions/3/chi``.  It walks the parts
+    one by one, so it runs only to name the defect of a graph that
+    ``_graph_columns`` rejected."""
     parts = (("regions", regions, Region, {"label": "label"}),
              ("edges", edges, HypersurfaceComponent,
               {"label": "label", "a": "side_a", "b": "side_b"}))
@@ -157,7 +179,7 @@ def _graph_defect(regions, edges, ambient_dim, orientable) -> Optional[Tuple[str
                 return (f"/{key}/{i}/label",
                         f"invalid region graph: duplicate {key[:-1]} label {row.label!r}")
             seen.add(row.label)
-    names = set(map(label, regions))
+    names = {r.label for r in regions}
     for i, e in enumerate(edges):
         for field, side in (("a", e.side_a), ("b", e.side_b)):
             if side not in names:
@@ -170,10 +192,11 @@ def _graph_defect(regions, edges, ambient_dim, orientable) -> Optional[Tuple[str
 class Coloring:
     """An assignment of +1 / -1 to every region label.
 
-    It is given as a mapping from label to sign.  A sign is a Python or
-    numpy integer, stored as an int; bools are not signs.  The assignment
-    is kept as a read-only mapping, because the analyses of one graph share
-    its coloring (see ``obstructions._canonical_coloring``).
+    It is given as a mapping from label to sign.  Labels are str, as in a
+    graph.  A sign is a Python or numpy integer, stored as an int; bools
+    are not signs.  The assignment is kept as a read-only mapping, because
+    the analyses of one graph share its coloring (see
+    ``obstructions._canonical_coloring``).
     """
 
     assignment: Mapping[str, int]
@@ -182,9 +205,10 @@ class Coloring:
         if not isinstance(self.assignment, Mapping):
             raise InvalidArgumentError(f"coloring must be a mapping, got {self.assignment!r}")
         signs = dict(self.assignment)
-        # the usual check is two passes over sets, which run in C; the loop
-        # below runs only to name a bad sign or to store numpy signs as int
-        if not (set(map(type, signs.values())) <= {int} and set(signs.values()) <= {1, -1}):
+        # the usual check is three passes over sets, which run in C; the loop
+        # below runs only to name a bad label or sign, or to store numpy signs as int
+        if not (_all_of(str, signs) and set(map(type, signs.values())) <= {int}
+                and set(signs.values()) <= {1, -1}):
             signs = {label: _sign(label, value) for label, value in signs.items()}
         object.__setattr__(self, "assignment", MappingProxyType(signs))
 
@@ -198,24 +222,21 @@ class Coloring:
     def negate(self) -> "Coloring":
         return Coloring({k: -v for k, v in self.assignment.items()})
 
-    def is_total(self, g: BGraph) -> bool:
-        return set(self.assignment) == set(g.region_labels())
-
     def is_proper(self, g: BGraph) -> bool:
-        """True when every edge (loops included) joins opposite colors."""
-        if not self.is_total(g):
-            return False
-        return all(
-            self.assignment[e.side_a] * self.assignment[e.side_b] == -1
-            for e in g.edges
-        )
+        """True when it colors exactly the regions of g, and every edge
+        (loops included) joins opposite colors."""
+        signs = self.assignment
+        return (set(signs) == set(g.region_labels())
+                and all(signs[e.side_a] * signs[e.side_b] == -1 for e in g.edges))
 
     def to_json_dict(self) -> dict:
         return dict(sorted(self.assignment.items()))
 
 
 def _sign(label: str, value) -> int:
-    """value as the int +1 or -1, the color of the region label."""
+    """value as the int +1 or -1, the color of the region label, which must be a str."""
+    if not isinstance(label, str):
+        raise InvalidArgumentError(f"coloring label must be a str, got {label!r}")
     if not (_is_int(type(value)) and value in (1, -1)):
         raise InvalidArgumentError(f"color of {label!r} must be +1 or -1, got {value!r}")
     return int(value)
@@ -607,18 +628,3 @@ def sphere_equator_graph() -> BGraph:
     return BGraph((Region("B+", 1), Region("B-", 1)), (HypersurfaceComponent("Z0", "B+", "B-"),),
                   ambient_dim=2, orientable=True)
 
-
-def circle_graph(k: int) -> BGraph:
-    """The circle with k marked points: a k-cycle of arc regions.
-
-    k = 0 is the unmarked circle (one region, no edges) and k = 1 a single
-    arc whose endpoints meet at the one marked point (a loop edge).
-    """
-    k = _as_int(k, "k")
-    if k < 0:
-        raise InvalidArgumentError("k must be >= 0")
-    regions = tuple(Region(f"A{i}", 1) for i in range(max(k, 1)))
-    edges = tuple(
-        HypersurfaceComponent(f"P{i}", f"A{i}", f"A{(i + 1) % k}") for i in range(k)
-    )
-    return BGraph(regions, edges, ambient_dim=1, orientable=True)

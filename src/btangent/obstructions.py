@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, eq
-from typing import ClassVar, Dict, List, Optional
+from typing import ClassVar, List, Optional
 
 from .bgraph import BGraph, Coloring
 from .errors import InconsistentGluingError, InvalidArgumentError, NotOrientableError, _as_int
@@ -85,34 +84,34 @@ def two_color(g: BGraph) -> Optional[Coloring]:
     """Proper sign coloring of the region graph, or None if none exists.
 
     Deterministic tie-break: in every connected component the
-    lexicographically smallest region label receives +1.  That root's sign
-    fixes the component's proper coloring, so neighbour order is free.
+    lexicographically smallest region label receives +1.  The search runs
+    on the graph's integer form, and starts from the regions in sorted
+    label order, so each component's first region is its smallest.  That
+    root's sign fixes the component's proper coloring, so neighbour order
+    is free.  A loop edge meets its own region as a colour conflict.
     Every call runs the search; the analyses of one graph share one result
     through ``_canonical_coloring``.
     """
-    a = list(map(attrgetter("side_a"), g.edges))
-    b = list(map(attrgetter("side_b"), g.edges))
-    if any(map(eq, a, b)):  # a loop edge
-        return None
-    adj: Dict[str, List[str]] = {r.label: [] for r in g.regions}
+    labels, a, b = g._columns
+    adj: List[List[int]] = [[] for _ in labels]
     for u, w in zip(a, b):
         adj[u].append(w)
         adj[w].append(u)
-    color: Dict[str, int] = {}
-    for start in sorted(adj):
-        if start in color:
+    color = [0] * len(labels)  # 0 until the search reaches the region
+    for start in range(len(labels)):
+        if color[start]:
             continue
         color[start] = 1
         queue = [start]
         for u in queue:
             other = -color[u]
             for w in adj[u]:
-                if w not in color:
+                if not color[w]:
                     color[w] = other
                     queue.append(w)
                 elif color[w] != other:
                     return None
-    return Coloring(color)
+    return Coloring(dict(zip(labels, color)))
 
 
 def _canonical_coloring(g: BGraph) -> Optional[Coloring]:
@@ -139,33 +138,33 @@ def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
     unknowns, so Gaussian elimination specializes to a union-find in which
     each region stores its bit relative to its class root: an equation
     either merges two classes or is checked against the class they already
-    share.  This takes O(E * alpha(V)) time and O(V) memory.  The returned
-    assignment is normalized so that, in every class, the smallest region
-    label gets +1, matching two_color.
+    share.  This takes O(E * alpha(V)) time and O(V) memory, on the
+    graph's integer form.  The returned assignment is normalized so that,
+    in every class, the smallest region label gets +1, matching two_color.
 
     Raises:
         InconsistentGluingError: the gluing belongs to a different graph.
     """
     if gluing.graph != g:
         raise InconsistentGluingError("the sign gluing belongs to a different region graph")
-    parent = {lab: lab for lab in g.region_labels()}
-    bit = dict.fromkeys(parent, 0)  # x_lab + x_parent[lab] over GF(2)
-    size = dict.fromkeys(parent, 1)
+    labels, a, b = g._columns
+    parent = list(range(len(labels)))
+    bit = [0] * len(labels)  # x_u + x_parent[u] over GF(2)
+    size = [1] * len(labels)
 
-    def root(lab: str) -> str:
+    def root(u: int) -> int:
         path = []
-        while parent[lab] != lab:
-            path.append(lab)
-            lab = parent[lab]
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
         acc = 0
         for node in reversed(path):
             acc ^= bit[node]
             bit[node] = acc
-            parent[node] = lab
-        return lab
+            parent[node] = u
+        return u
 
-    for e in g.edges:
-        ra, rb = e.side_a, e.side_b
+    for ra, rb in zip(a, b):
         ua, ub = root(ra), root(rb)
         # the equation x_ra + x_rb = 1 restated on the two roots: x_ua + x_ub = rhs
         rhs = bit[ra] ^ bit[rb] ^ 1
@@ -179,12 +178,15 @@ def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
         bit[ub] = rhs
         size[ua] += size[ub]
 
-    signs: Dict[str, int] = {}
-    flip: Dict[str, int] = {}
-    for lab in sorted(parent):
-        r = root(lab)
-        signs[lab] = -1 if bit[lab] ^ flip.setdefault(r, bit[lab]) else 1
-    return Coloring(signs)
+    # labels are sorted, so the first region met in a class is its smallest
+    flip = [-1] * len(labels)  # per root: the bit of its class's smallest region
+    signs = []
+    for u in range(len(labels)):
+        r = root(u)
+        if flip[r] < 0:
+            flip[r] = bit[u]
+        signs.append(-1 if bit[u] ^ flip[r] else 1)
+    return Coloring(dict(zip(labels, signs)))
 
 
 def classify_bm(m: int) -> BmClass:
@@ -209,14 +211,6 @@ def equivalence_report(g: BGraph) -> ClassificationVerdict:
     if not g.orientable:
         raise NotOrientableError("equivalence_report requires an orientable ambient manifold")
     return ClassificationVerdict(_canonical_coloring(g))
-
-
-def circle_criterion(k: int) -> bool:
-    """Isomorphism criterion for the circle with k marked points: k even."""
-    k = _as_int(k, "k")
-    if k < 0:
-        raise InvalidArgumentError("k must be >= 0")
-    return k % 2 == 0
 
 
 def edge_obstruction(g: BGraph, dim_m: int, dim_f: int) -> EdgeVerdict:

@@ -151,6 +151,19 @@ def two_annuli_torus_graph() -> BGraph:
     )
 
 
+def circle_graph(k: int) -> BGraph:
+    """The circle with k marked points: a k-cycle of arcs, each of χ 1.
+
+    k = 0 is the unmarked circle, one closed region of χ 0, and k = 1 a
+    single arc whose endpoints meet at the one marked point (a loop edge).
+    """
+    if k == 0:
+        return BGraph((Region("A0", 0),), (), ambient_dim=1)
+    regions = tuple(Region(f"A{i}", 1) for i in range(k))
+    edges = tuple(HypersurfaceComponent(f"P{i}", f"A{i}", f"A{(i + 1) % k}") for i in range(k))
+    return BGraph(regions, edges, ambient_dim=1)
+
+
 def random_bgraph(rng, max_regions: int = 12, loop_prob: float = 0.12) -> BGraph:
     n = int(rng.integers(1, max_regions + 1))
     labels = [f"N{i}" for i in range(n)]
@@ -180,6 +193,11 @@ def brute_force_two_colorable(g: BGraph) -> Optional[Dict[str, int]]:
         if all(colors[e.side_a] * colors[e.side_b] == -1 for e in g.edges):
             return colors
     return None
+
+
+def circle_criterion(k: int) -> bool:
+    """The circle with k marked points has the isomorphism exactly when k is even."""
+    return k % 2 == 0
 
 
 class UnionFind:

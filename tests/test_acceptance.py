@@ -15,8 +15,6 @@ from btangent import (
     EvenDimensionError,
     b_euler_number,
     b_frame_index,
-    circle_criterion,
-    circle_graph,
     classify_bm,
     default_center,
     degree_integral,
@@ -42,6 +40,8 @@ from btangent.manifold_io import bundled_path
 
 from corpus import (
     brute_force_two_colorable,
+    circle_criterion,
+    circle_graph,
     empty_z_sphere_graph,
     genus2_separating_graph,
     random_bgraph,

@@ -15,7 +15,6 @@ from btangent import (
     Region,
     TriangulatedSurface,
     build_graph_from_surface,
-    circle_graph,
     named_field,
     parse_manifold,
     sphere_equator_graph,
@@ -23,9 +22,10 @@ from btangent import (
     surface_orientable,
     winding_index,
 )
-from btangent.bgraph import _components, _graph_defect
+from btangent.bgraph import _components, _graph_columns, _graph_defect
 from corpus import (
     UnionFind,
+    circle_graph,
     genus2,
     grid_surface,
     octahedron,
@@ -526,6 +526,8 @@ def _python_door_defects():
         ("coloring 5", lambda: Coloring(5), "coloring must be a mapping, got 5"),
         ("coloring of pairs", lambda: Coloring([("B+", 1)]),
          "coloring must be a mapping, got [('B+', 1)]"),
+        ("coloring label 1", lambda: Coloring({1: 1, "a": -1}),
+         "coloring label must be a str, got 1"),
         ("radius '0.1'", lambda: winding_index(radial, (0.0, 0.0), "0.1"),
          "radius must be finite and positive, got '0.1'"),
         ("radius None", lambda: winding_index(radial, (0.0, 0.0), None),
@@ -625,6 +627,9 @@ def test_malformed_python_input_raises_only_structured_errors(surface, graph):
         BGraph(*graph)
     except BTangentError:
         pass
+    # the column build fails exactly when the walk names a defect
+    parts = [tuple(x) if isinstance(x, list) else x for x in graph[:2]] + list(graph[2:])
+    assert (_graph_columns(*parts) is None) == (_graph_defect(*parts) is not None)
 
 
 @st.composite
@@ -725,6 +730,7 @@ def test_graph_constructor_checks_every_defect(planted):
         BGraph(*parts)
     assert str(exc.value) == message
     assert _graph_defect(tuple(parts[0]), tuple(parts[1]), *parts[2:]) == (path, message)
+    assert _graph_columns(tuple(parts[0]), tuple(parts[1]), *parts[2:]) is None
     with pytest.raises(ManifoldFormatError) as exc:
         parse_manifold(_graph_document(*parts))
     assert exc.value.pointer == f"/graph{path}"
@@ -736,6 +742,9 @@ def test_graph_constructor_checks_every_defect(planted):
 def test_valid_graph_round_trips_through_its_document(parts):
     g = BGraph(*parts)
     assert _graph_defect(g.regions, g.edges, g.ambient_dim, g.orientable) is None
+    labels, a, b = _graph_columns(g.regions, g.edges, g.ambient_dim, g.orientable)
+    assert labels == tuple(sorted(g.region_labels())) and g._columns == (labels, a, b)
+    assert [(labels[u], labels[w]) for u, w in zip(a, b)] == [(e.side_a, e.side_b) for e in g.edges]
     assert parse_manifold({"graph": g.to_json_dict()}) == g
 
 
@@ -820,6 +829,7 @@ def test_edge_shape_is_checked_before_any_edge_side():
 def test_circle_graph_shapes():
     g0 = circle_graph(0)
     assert len(g0.regions) == 1 and not g0.edges
+    assert g0.regions[0].euler_char == 0  # a closed circle
     g1 = circle_graph(1)
     assert len(g1.edges) == 1 and g1.edges[0].is_loop
     g5 = circle_graph(5)

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btangent import (
     BGraph,
@@ -14,8 +15,6 @@ from btangent import (
     NotOrientableError,
     Region,
     SignGluing,
-    circle_criterion,
-    circle_graph,
     classify_bm,
     edge_obstruction,
     equivalence_report,
@@ -28,6 +27,8 @@ from btangent import (
 )
 from corpus import (
     brute_force_two_colorable,
+    circle_criterion,
+    circle_graph,
     empty_z_sphere_graph,
     genus2_separating_graph,
     random_bgraph,
@@ -234,3 +235,34 @@ def test_memo_leaves_equality_repr_json_and_pickling_alone():
     assert g.to_json_dict() == fresh.to_json_dict()
     assert pickle.loads(pickle.dumps(g)) == g
     assert pickle.loads(pickle.dumps(coloring)) == coloring
+    # the integer form: carried by a pickle, and built anew by replace
+    assert g._columns == (("H1", "H2"), (0,), (1,))
+    assert pickle.loads(pickle.dumps(g))._columns == g._columns
+    swapped = dataclasses.replace(g, edges=(HypersurfaceComponent("Z0", "H2", "H1"),))
+    assert swapped._columns == (("H1", "H2"), (1,), (0,))
+    assert "_two_color" not in vars(swapped)
+
+
+def _shuffled(g: BGraph, rng) -> BGraph:
+    """g with its region and edge records in a random order."""
+    regions, edges = list(g.regions), list(g.edges)
+    rng.shuffle(regions)
+    rng.shuffle(edges)
+    return BGraph(tuple(regions), tuple(edges), g.ambient_dim, g.orientable)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_routes_read_sorted_labels_not_record_order(seed):
+    """Both routes and the report depend on the labels, not on the order of
+    the records: a search that started from the first record, not from the
+    smallest label, would give some component the opposite signs."""
+    rng = np.random.default_rng(seed)
+    g = random_bgraph(rng)
+    h = _shuffled(g, rng)
+    for route in (two_color, lambda x: gauge_solvable(SignGluing(x), x)):
+        a, b = route(g), route(h)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.to_json_dict() == b.to_json_dict()
+    assert equivalence_report(h).to_json_dict() == equivalence_report(g).to_json_dict()

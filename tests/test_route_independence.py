@@ -1,4 +1,6 @@
 """Each pair of dual routes computes its answer without calling its partner."""
+import inspect
+
 import corpus
 from btangent import bgraph, obstructions, spheremap
 
@@ -22,6 +24,17 @@ def test_dual_routes_name_no_shared_helper():
     assert "gauge_solvable" not in _names(obstructions.two_color)
     assert "two_color" not in _names(obstructions.gauge_solvable)
     assert "_canonical_coloring" not in _names(obstructions.gauge_solvable)
+    # both colorability routes read the graph's integer form and nothing else of it
+    for route in (obstructions.two_color, obstructions.gauge_solvable):
+        assert "_columns" in _names(route)
+        assert not _names(route) & {"side_a", "side_b", "edges", "region_labels"}
+
+
+def test_graph_oracles_never_read_the_columns():
+    """The oracles in tests/corpus.py read a graph through its public
+    records, never through the integer form both routes share; the whole
+    source is searched, so nested functions and aliases are covered too."""
+    assert "_columns" not in inspect.getsource(corpus)
 
 
 def test_surface_oracles_stay_apart_from_the_kernel():

@@ -11,8 +11,6 @@ from btangent import (
     NonTangentInputError,
     NonUnitInputError,
     UnsupportedDimensionError,
-    circle_criterion,
-    circle_graph,
     classify_bm,
     degree_integral,
     degree_preimage,
@@ -25,6 +23,7 @@ from btangent import (
     sphere_map_report,
     tangent_frame,
 )
+from corpus import circle_graph
 
 
 def _unit(rng, n):
@@ -254,12 +253,12 @@ def test_degree_integral_input_gates():
     (classify_bm, (2.5,), "m"),
     (edge_obstruction, (circle_graph(3), 3.5, 2), "dim_m"),
     (edge_obstruction, (circle_graph(3), 3, 2.0), "dim_f"),
-    (circle_criterion, (2.5,), "k"),
-    (circle_graph, (2.5,), "k"),
+    (classify_bm, (np.float64(3.0),), "m"),
+    (homotopy_endpoints, (3, 10.0), "grid"),
     # a bool is not an integer, although operator.index(True) is 1
     (classify_bm, (True,), "m"),
-    (circle_graph, (True,), "k"),
-    (circle_criterion, (False,), "k"),
+    (degree_preimage, (False,), "n"),
+    (homotopy_endpoints, (3, True), "grid"),
     (edge_obstruction, (circle_graph(3), True, 0), "dim_m"),
     (degree_integral, (True,), "n"),
 ])
