@@ -56,8 +56,10 @@ def _resolve_input(name: str) -> Path:
     p = Path(name)
     if p.exists():
         return p
+    if p.name != name:
+        raise BTangentError(f"no such file {name!r}")
     try:
-        return bundled_path(p.name)
+        return bundled_path(name)
     except KeyError:
         raise BTangentError(
             f"no such file {name!r} and no bundled manifold of that name "

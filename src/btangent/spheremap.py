@@ -9,14 +9,13 @@ Its degree decides whether the sign obstruction on the sphere can be undone:
 the degree is 2 in even dimensions and 0 in odd ones, where the map is in
 fact null-homotopic by an explicit construction through a cylinder model.
 This module holds the map, its differential and oriented tangent frames.
-It computes the degree two independent ways (a Monte Carlo change of
-variables and preimage counting at a regular value), side by side in
-sphere_map_report, and checks the odd-dimensional null homotopy on a grid
-(homotopy_endpoints).
+It computes the degree two independent ways, side by side in
+sphere_map_report: a Monte Carlo change of variables, and a signed count at
+the poles, the only preimages of -p_n since |f(q) + p_n|^2 = 4(1 - q_n^2).
+homotopy_endpoints checks the odd-dimensional null homotopy on a grid.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
@@ -34,11 +33,6 @@ from .errors import (
 
 UNIT_TOLERANCE = 1e-12
 TANGENT_TOLERANCE = 1e-10
-
-# preimage isolation sweep: polar cap radius (radians), value margin, samples
-ISOLATION_CAP = 0.2
-ISOLATION_MARGIN = 0.05
-ISOLATION_GRID = 20_000
 
 
 def north_pole(n: int) -> np.ndarray:
@@ -179,43 +173,11 @@ def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
     return total / samples
 
 
-@functools.lru_cache(maxsize=None)
-def _confirm_preimage_isolation(n: int) -> None:
-    """Desk-scale exhaustiveness check: no preimages of -p_n away from the poles.
-
-    On a seeded dense sample outside polar caps of angular radius
-    ISOLATION_CAP, the image stays more than ISOLATION_MARGIN away from the
-    south pole in inner-product terms; ascent refinement from the tightest
-    samples must end inside a cap (or at the equatorial minimum, far from
-    the value).  The outcome depends on n alone, so a passing sweep is
-    cached; a failing one raises, which is never cached.
-    """
-    rng = np.random.Generator(np.random.Philox(2023))
-    q = rng.normal(size=(ISOLATION_GRID, n))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    t = q[:, -1]
-    outside = np.abs(t) < math.cos(ISOLATION_CAP)
-    gap = 2.0 * (1.0 - t[outside] ** 2)
-    if gap.size and float(np.min(gap)) <= ISOLATION_MARGIN:
-        raise RuntimeError("unexpected near-preimage of the south pole off the poles")
-    p = q[outside][np.argsort(gap)[:32]]
-    for _ in range(150):
-        tt = p[:, -1:]
-        grad = 4.0 * tt * (north_pole(n) - tt * p)
-        p = p + 0.5 * grad
-        p /= np.linalg.norm(p, axis=1, keepdims=True)
-    tt = p[:, -1]
-    in_cap = np.abs(tt) >= math.cos(ISOLATION_CAP)
-    value_gap = 2.0 * (1.0 - tt * tt)
-    if np.any(~in_cap & (value_gap <= ISOLATION_MARGIN)):
-        raise RuntimeError("refinement found a candidate preimage off the poles")
-
-
 def degree_preimage(n: int) -> int:
     """Degree of pole_map via preimage counting at the regular value -p_n.
 
-    The only preimages are the two poles; a seeded grid sweep plus local
-    refinement confirms no others.  At each pole the orientation sign is the
+    With t = q_n, |f(q) + p_n|^2 = |2 p_n - 2 t q|^2 = 4 (1 - t^2), so the
+    two poles are the only preimages.  At each the orientation sign is the
     sign of det[-p_n | df(v_1) | ... | df(v_{n-1})] for a positively
     oriented frame (v_i); tangent spaces at image and preimage are oriented
     by the same outward-normal-first convention, which is what makes the two
@@ -235,10 +197,6 @@ def degree_preimage(n: int) -> int:
         images = [pole_map_differential(q, v) for v in frame]
         d = float(np.linalg.det(np.column_stack([south] + images)))
         deg += 1 if d > 0 else -1
-    _confirm_preimage_isolation(n)
-    expected = 1 - (-1) ** (n - 1)
-    if deg != expected:
-        raise RuntimeError(f"orientation bookkeeping broke: got {deg}, parity says {expected}")
     return deg
 
 

@@ -205,6 +205,14 @@ def test_unknown_bundled_name(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "no bundled manifold" in err
+    # a missing path is an error even when its last part names a bundled example
+    for argv in (["color", "/nonexistent/dir/torus_loop.json"],
+                 ["analyze", "./typo/sphere_equator.json"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: no such file")
+        assert "bundled" not in err
 
 
 def test_bad_numeric_flag(capsys):

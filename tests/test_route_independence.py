@@ -17,7 +17,7 @@ def test_dual_routes_name_no_shared_helper():
     another function, a nested function or a local alias is not seen.
     """
     preimage_route = {"tangent_frame", "_tangent_frames", "pole_map_differential",
-                      "degree_preimage", "_confirm_preimage_isolation"}
+                      "degree_preimage"}
     assert not _names(spheremap.degree_integral) & preimage_route
     assert not _names(spheremap._pullback_density) & preimage_route
     assert "degree_integral" not in _names(spheremap.degree_preimage)

@@ -141,30 +141,17 @@ def test_pole_map_jacobian_matches_closed_form():
             cols = [pole_map(q)] + [pole_map_differential(q, v) for v in tangent_frame(q)]
             expected = 2.0 * (-2.0 * q[-1]) ** (n - 2)
             assert abs(np.linalg.det(np.column_stack(cols)) - expected) <= 1e-12
+            # |f(q) + p_n|^2 = 4 (1 - q_n^2): only the poles reach the south pole
+            gap = float(np.sum((pole_map(q) + north_pole(n)) ** 2))
+            assert abs(gap - 4.0 * (1.0 - q[-1] ** 2)) <= 1e-12
+        for pole in (north_pole(n), -north_pole(n)):
+            assert np.array_equal(pole_map(pole), -north_pole(n))
 
 
 def test_degree_preimage_parity():
     assert [degree_preimage(n) for n in range(2, 9)] == [2, 0, 2, 0, 2, 0, 2]
     with pytest.raises(UnsupportedDimensionError):
         degree_preimage(9)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_isolation_sweep_fails_when_margin_exceeds_every_gap(monkeypatch, n):
-    # off the poles the gap 2(1 - t^2) is at most 2, so a larger margin must trip the sweep
-    monkeypatch.setattr(spheremap, "ISOLATION_MARGIN", 2.01)
-    with pytest.raises(RuntimeError):
-        spheremap._confirm_preimage_isolation.__wrapped__(n)
-
-
-def test_isolation_sweep_runs_once_per_dimension():
-    sweep = spheremap._confirm_preimage_isolation
-    sweep.cache_clear()
-    for _ in range(3):
-        assert degree_preimage(3) == 0
-        assert degree_preimage(4) == 2
-    info = sweep.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_degree_integral_small():
