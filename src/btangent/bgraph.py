@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError, _as_int, _is_int
 
@@ -86,13 +86,10 @@ class BGraph:
     orientable: bool = True
 
     def __post_init__(self):
-        # an iterable becomes a tuple; anything else stays, for _graph_defect to name
+        # an iterable becomes a tuple; anything else stays, for _graph_columns to name
         regions, edges = (tuple(x) if isinstance(x, Iterable) else x
                           for x in (self.regions, self.edges))
         columns = _graph_columns(regions, edges, self.ambient_dim, self.orientable)
-        if columns is None:
-            raise InvalidArgumentError(
-                _graph_defect(regions, edges, self.ambient_dim, self.orientable)[1])
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ambient_dim", int(self.ambient_dim))
@@ -117,75 +114,77 @@ def _all_of(kind: type, values) -> bool:
     return all(issubclass(t, kind) for t in set(map(type, values)))
 
 
-def _graph_columns(regions, edges, ambient_dim, orientable) -> Optional[Tuple[tuple, tuple, tuple]]:
-    """The region labels in sorted order and, for every edge, the positions
-    of side_a and side_b among them; None for a graph with a defect, which
-    ``_graph_defect`` then names.  The checks are passes over sets, in C."""
+def _defect(path: str, message: str) -> InvalidArgumentError:
+    """The error for a defect of an input, at path: a JSON pointer into the
+    input as a document holds it, such as ``/regions/3/chi``, kept as
+    ``_path`` so that a document reader can add its own pointer."""
+    exc = InvalidArgumentError(message)
+    exc._path = path
+    return exc
+
+
+def _graph_columns(regions, edges, ambient_dim, orientable) -> Tuple[tuple, tuple, tuple]:
+    """Check a region graph; return the region labels in sorted order and,
+    for every edge, the positions of side_a and side_b among them.
+
+    Each condition of the BGraph docstring is one pass over a set, in C, in
+    that order.  Only a pass that fails walks the rows, to raise at the
+    first bad one (see ``_defect``; paths are in ``to_json_dict`` form)."""
     label, a, b, chi = map(attrgetter, ("label", "side_a", "side_b", "euler_char"))
-    if not (isinstance(regions, tuple) and isinstance(edges, tuple) and regions
-            and _all_of(Region, regions) and _all_of(HypersurfaceComponent, edges)
-            and _is_int(type(ambient_dim)) and ambient_dim >= 1 and isinstance(orientable, bool)
-            and _all_of(str, chain(map(label, regions), map(label, edges),
-                                   map(a, edges), map(b, edges)))
+    for key, rows, kind in (("regions", regions, Region), ("edges", edges, HypersurfaceComponent)):
+        if not isinstance(rows, tuple):
+            raise _defect(f"/{key}", f"{key} must be {kind.__name__} records, got {rows!r}")
+        if not _all_of(kind, rows):
+            i = next(i for i, row in enumerate(rows) if not isinstance(row, kind))
+            raise _defect(f"/{key}/{i}", f"{key[:-1]} {i} is not a {kind.__name__}: {rows[i]!r}")
+    if not _is_int(type(ambient_dim)):
+        raise _defect("/ambient_dim", f"ambient_dim must be an integer, got {ambient_dim!r}")
+    if ambient_dim < 1:
+        raise _defect("/ambient_dim",
+                      f"invalid region graph: ambient_dim must be >= 1, got {ambient_dim}")
+    if not isinstance(orientable, bool):
+        raise _defect("/orientable", f"orientable must be a bool, got {orientable!r}")
+    if not regions:
+        raise _defect("/regions", "invalid region graph: graph has no regions")
+    if not (_all_of(str, map(label, regions))
             and all(map(_is_int, set(map(type, map(chi, regions)))))):
-        return None
+        for i, r in enumerate(regions):
+            if not isinstance(r.label, str):
+                raise _defect(f"/regions/{i}/label",
+                              f"label of region {i} must be a str, got {r.label!r}")
+            if not _is_int(type(r.euler_char)):
+                raise _defect(f"/regions/{i}/chi", f"euler_char of region {r.label!r} "
+                                                   f"must be an integer, got {r.euler_char!r}")
     labels = tuple(sorted(map(label, regions)))
     position = dict(zip(labels, range(len(labels))))
-    if len(position) != len(labels) or len(set(map(label, edges))) != len(edges):
-        return None
+    if len(position) != len(labels):
+        _raise_duplicate("regions", regions)
+    if not _all_of(str, chain(map(label, edges), map(a, edges), map(b, edges))):
+        for i, e in enumerate(edges):
+            for field, attr in (("label", "label"), ("a", "side_a"), ("b", "side_b")):
+                if not isinstance(getattr(e, attr), str):
+                    raise _defect(f"/edges/{i}/{field}",
+                                  f"{attr} of edge {i} must be a str, got {getattr(e, attr)!r}")
+    if len(set(map(label, edges))) != len(edges):
+        _raise_duplicate("edges", edges)
     try:
         return (labels, tuple(map(position.__getitem__, map(a, edges))),
                 tuple(map(position.__getitem__, map(b, edges))))
     except KeyError:  # a side that names no region
-        return None
+        i, field, side = next((i, f, s) for i, e in enumerate(edges)
+                              for f, s in (("a", e.side_a), ("b", e.side_b)) if s not in position)
+        raise _defect(f"/edges/{i}/{field}", f"invalid region graph: edge {edges[i].label!r} "
+                      f"references missing region {side!r}") from None
 
 
-def _graph_defect(regions, edges, ambient_dim, orientable) -> Optional[Tuple[str, str]]:
-    """The first defect of a region graph as ``(path, message)``, or None.
-
-    The checks run in the order of the BGraph docstring, and the path is in
-    ``to_json_dict`` form, such as ``/regions/3/chi``.  It walks the parts
-    one by one, so it runs only to name the defect of a graph that
-    ``_graph_columns`` rejected."""
-    parts = (("regions", regions, Region, {"label": "label"}),
-             ("edges", edges, HypersurfaceComponent,
-              {"label": "label", "a": "side_a", "b": "side_b"}))
-    for key, rows, kind, _ in parts:
-        if not isinstance(rows, tuple):
-            return f"/{key}", f"{key} must be {kind.__name__} records, got {rows!r}"
-        for i, row in enumerate(rows):
-            if not isinstance(row, kind):
-                return f"/{key}/{i}", f"{key[:-1]} {i} is not a {kind.__name__}: {row!r}"
-    if not _is_int(type(ambient_dim)):
-        return "/ambient_dim", f"ambient_dim must be an integer, got {ambient_dim!r}"
-    if ambient_dim < 1:
-        return "/ambient_dim", f"invalid region graph: ambient_dim must be >= 1, got {ambient_dim}"
-    if not isinstance(orientable, bool):
-        return "/orientable", f"orientable must be a bool, got {orientable!r}"
-    if not regions:
-        return "/regions", "invalid region graph: graph has no regions"
-    for key, rows, kind, fields in parts:
-        for i, row in enumerate(rows):
-            for field, attr in fields.items():
-                if not isinstance(getattr(row, attr), str):
-                    return (f"/{key}/{i}/{field}",
-                            f"{attr} of {key[:-1]} {i} must be a str, got {getattr(row, attr)!r}")
-            if kind is Region and not _is_int(type(row.euler_char)):
-                return (f"/regions/{i}/chi", f"euler_char of region {row.label!r} "
-                                             f"must be an integer, got {row.euler_char!r}")
-        seen = set()
-        for i, row in enumerate(rows):
-            if row.label in seen:
-                return (f"/{key}/{i}/label",
-                        f"invalid region graph: duplicate {key[:-1]} label {row.label!r}")
-            seen.add(row.label)
-    names = {r.label for r in regions}
-    for i, e in enumerate(edges):
-        for field, side in (("a", e.side_a), ("b", e.side_b)):
-            if side not in names:
-                return (f"/edges/{i}/{field}", f"invalid region graph: edge {e.label!r} "
-                                                f"references missing region {side!r}")
-    return None
+def _raise_duplicate(key: str, rows: tuple) -> None:
+    """Raise at the first row of rows whose label an earlier row has."""
+    seen = set()
+    for i, row in enumerate(rows):
+        if row.label in seen:
+            raise _defect(f"/{key}/{i}/label",
+                          f"invalid region graph: duplicate {key[:-1]} label {row.label!r}")
+        seen.add(row.label)
 
 
 @dataclass(frozen=True)
@@ -280,41 +279,37 @@ class TriangulatedSurface:
 
 
 def _vertex_rows(rows, k: int, what: str) -> Tuple[tuple, ...]:
-    """rows as a tuple of tuples of k integers, or InvalidArgumentError naming a bad row."""
+    """rows as a tuple of tuples, once ``_check_vertex_rows`` has passed them."""
     if not isinstance(rows, Iterable):
         raise InvalidArgumentError(f"{what}s must be rows of {k} vertices, got {rows!r}")
     rows = tuple(rows)  # an iterator is read once, so the fallback below sees every row
     try:
         rows = tuple(map(tuple, rows))
-    except TypeError:  # a row that is not iterable stays as given, for _bad_vertex to name
+    except TypeError:  # a row that is not iterable stays as given, for the check to name
         rows = tuple(tuple(r) if isinstance(r, Iterable) else r for r in rows)
-    bad = _bad_vertex(rows, k)
-    if bad is None:
-        return rows
-    i, j = bad
-    if j < 0:
-        raise InvalidArgumentError(f"{what} {i} does not have {k} vertices: {rows[i]!r}")
-    raise InvalidArgumentError(f"{what} {i} has a vertex that is not an integer: {rows[i][j]!r}")
+    _check_vertex_rows(rows, k, what)
+    return rows
 
 
-def _bad_vertex(rows, k: int) -> Optional[Tuple[int, int]]:
-    """Where rows first fail to be lists or tuples of k integers, or None.
+def _check_vertex_rows(rows, k: int, what: str) -> None:
+    """Check that rows are lists or tuples of k integers.
 
-    Returns ``(i, -1)`` for row i of the wrong type or length, or ``(i, j)``
-    for entry j of row i that is not an integer.  The usual check is three
-    passes over sets of types and lengths, which run in C; the rows are
-    walked only to locate a defect.
+    The usual check is three passes over sets of types and lengths, which
+    run in C.  The rows are walked only to raise at the first defect, at
+    path ``/i`` for row i of the wrong type or length, or ``/i/j`` for its
+    entry j that is not an integer (see ``_defect``).  A row is quoted as a
+    tuple, as ``TriangulatedSurface`` stores it.
     """
     if (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {k}
             and all(map(_is_int, set(map(type, chain.from_iterable(rows)))))):
-        return None
+        return
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or len(row) != k:
-            return i, -1
+            shown = tuple(row) if isinstance(row, list) else row
+            raise _defect(f"/{i}", f"{what} {i} does not have {k} vertices: {shown!r}")
         for j, v in enumerate(row):
             if not _is_int(type(v)):
-                return i, j
-    return None
+                raise _defect(f"/{i}/{j}", f"{what} {i} has a vertex that is not an integer: {v!r}")
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ class UnsupportedDimensionError(BTangentError):
 
 
 class ZeroOnContourError(BTangentError):
-    """The vector field vanishes on the sampling contour."""
+    """The vector field is within the zero tolerance at a contour sample."""
 
 
 class NonConvergentError(BTangentError):

@@ -11,8 +11,9 @@ A manifold document carries exactly one of two top-level keys:
                  "z_edges":   [[i, j], ...]}}
 
 Schema violations are reported with the JSON-pointer path of the offending
-element.  Of a graph document only the JSON shape is checked here; ``BGraph``
-checks the rest, and its message is reported at the defect's pointer.
+element.  Only the JSON shape of a document is checked here.  The graph and
+the surface rows are checked by the constructors' own checks, and their
+message is reported at the defect's pointer.
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ from .bgraph import (
     BGraph,
     HypersurfaceComponent,
     Region,
-    _bad_vertex,
-    _graph_defect,
+    _check_vertex_rows,
     _surface_graph,
     _vertex_array,
 )
@@ -88,22 +88,16 @@ def _parse_graph(doc: dict, pointer: str) -> BGraph:
     regions = _records(regions_raw, Region, ("label", "chi"), f"{pointer}/regions", "region")
     edges = _records(edges_raw, HypersurfaceComponent, ("label", "a", "b"),
                      f"{pointer}/edges", "edge")
+    return _located(pointer, BGraph, regions, edges, ambient, orientable)
+
+
+def _located(pointer: str, check, *args):
+    """check(*args), with the InvalidArgumentError of a constructor's check
+    reported at pointer plus the path of its defect."""
     try:
-        return BGraph(regions, edges, ambient, orientable)
-    except InvalidArgumentError as exc:  # locate the defect BGraph found, for the pointer
-        path, message = _graph_defect(regions, edges, ambient, orientable)
-        raise ManifoldFormatError(message, pointer + path) from exc
-
-
-def _int_lists(raw: list, length: int, pointer: str) -> list:
-    """raw, once every entry is checked to be a list of `length` integers."""
-    bad = _bad_vertex(raw, length)
-    if bad is None:
-        return raw
-    i, j = bad
-    if j < 0:
-        raise ManifoldFormatError(f"expected a list of {length} integers", f"{pointer}/{i}")
-    raise ManifoldFormatError("expected an integer", f"{pointer}/{i}/{j}")
+        return check(*args)
+    except InvalidArgumentError as exc:
+        raise ManifoldFormatError(str(exc), pointer + exc._path) from exc
 
 
 def _parse_surface(doc: dict, pointer: str) -> BGraph:
@@ -115,9 +109,9 @@ def _parse_surface(doc: dict, pointer: str) -> BGraph:
     vertices = _need(doc, "vertices", int, pointer)
     triangles_raw = _need(doc, "triangles", list, pointer)
     z_raw = _need(doc, "z_edges", list, pointer) if "z_edges" in doc else []
-    rows = _int_lists(triangles_raw, 3, f"{pointer}/triangles")
-    z_rows = _int_lists(z_raw, 2, f"{pointer}/z_edges")
-    return _surface_graph(vertices, _vertex_array(rows, 3), _vertex_array(z_rows, 2))
+    _located(f"{pointer}/triangles", _check_vertex_rows, triangles_raw, 3, "triangle")
+    _located(f"{pointer}/z_edges", _check_vertex_rows, z_raw, 2, "marked edge")
+    return _surface_graph(vertices, _vertex_array(triangles_raw, 3), _vertex_array(z_raw, 2))
 
 
 def parse_manifold(doc: Any) -> BGraph:

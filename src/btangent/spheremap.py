@@ -271,7 +271,9 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
         EvenDimensionError: n is even (the degree is 2 there; no null
             homotopy exists).
         UnsupportedDimensionError: n outside 3..7.
-        InvalidArgumentError: n or grid not an integer, or grid < 3.
+        InvalidArgumentError: n or grid not an integer, or grid outside
+            3..100 (one grid^3 x (n - 1) float array takes 48 MB at
+            grid 100 and n = 7).
     """
     n = _as_int(n, "n")
     grid = _as_int(grid, "grid")
@@ -279,8 +281,8 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
         raise EvenDimensionError(f"no null homotopy in even dimension n = {n}")
     if not 3 <= n <= 7:
         raise UnsupportedDimensionError(f"homotopy_endpoints supports odd 3 <= n <= 7, got {n}")
-    if grid < 3:
-        raise InvalidArgumentError("grid must be >= 3")
+    if not 3 <= grid <= 100:
+        raise InvalidArgumentError(f"grid must be in 3..100, got {grid}")
 
     rng = np.random.Generator(np.random.Philox(0))
     vs = rng.normal(size=(grid, n - 1))

@@ -97,10 +97,11 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
                     f"field is not finite at sample {k}/{n} on the contour "
                     f"(center {center}, radius {radius})"
                 )
-            if math.hypot(u, v) <= ZERO_TOLERANCE:
+            size = math.hypot(u, v)
+            if size <= ZERO_TOLERANCE:
                 raise ZeroOnContourError(
-                    f"field vanishes at sample {k}/{n} on the contour "
-                    f"(center {center}, radius {radius})"
+                    f"|field| = {size:.3g} is within the zero tolerance {ZERO_TOLERANCE:g} "
+                    f"at sample {k}/{n} on the contour (center {center}, radius {radius})"
                 )
             values.append(math.atan2(v, u))
         total = 0.0

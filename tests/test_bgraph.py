@@ -22,7 +22,7 @@ from btangent import (
     surface_orientable,
     winding_index,
 )
-from btangent.bgraph import _components, _graph_columns, _graph_defect
+from btangent.bgraph import _components, _graph_columns
 from corpus import (
     UnionFind,
     circle_graph,
@@ -346,9 +346,12 @@ def _document(surf: TriangulatedSurface) -> dict:
 def test_json_booleans_are_not_vertices(key, row, col, value):
     doc = _document(octahedron())
     doc["surface"][key][row][col] = value
-    with pytest.raises(ManifoldFormatError, match="expected an integer") as exc:
+    with pytest.raises(ManifoldFormatError) as exc:
         parse_manifold(doc)
+    what = "triangle" if key == "triangles" else "marked edge"
     assert exc.value.pointer == f"/surface/{key}/{row}/{col}"
+    assert str(exc.value) == (f"{what} {row} has a vertex that is not an integer: {value!r} "
+                              f"(at /surface/{key}/{row}/{col})")
 
 
 @pytest.mark.parametrize("vertex", [2**63, -2**63 - 1, 2**70])
@@ -371,9 +374,45 @@ def test_document_vertex_past_int64_is_named(vertex):
 def test_document_float_vertex_is_a_format_error(vertex):
     doc = _document(octahedron())
     doc["surface"]["triangles"].insert(3, [0, 2, vertex])
-    with pytest.raises(ManifoldFormatError, match="expected an integer") as exc:
+    with pytest.raises(ManifoldFormatError) as exc:
         parse_manifold(doc)
     assert exc.value.pointer == "/surface/triangles/3/2"
+    assert str(exc.value) == (f"triangle 3 has a vertex that is not an integer: {vertex!r} "
+                              "(at /surface/triangles/3/2)")
+
+
+# one row defect per case: the key and index of the row, the row put there,
+# and the path and message of the error it gets; a row is quoted as a tuple
+_ROW_DEFECTS = [
+    ("triangles", 2, [0, 1], "/2", "triangle 2 does not have 3 vertices: (0, 1)"),
+    ("triangles", 0, [0, 1, 2, 3], "/0", "triangle 0 does not have 3 vertices: (0, 1, 2, 3)"),
+    ("triangles", 5, 7, "/5", "triangle 5 does not have 3 vertices: 7"),
+    ("triangles", 4, None, "/4", "triangle 4 does not have 3 vertices: None"),
+    ("triangles", 3, [0, 2, True], "/3/2", "triangle 3 has a vertex that is not an integer: True"),
+    ("triangles", 1, [0.0, 1, 2], "/1/0", "triangle 1 has a vertex that is not an integer: 0.0"),
+    ("triangles", 7, [0, "5", 4], "/7/1", "triangle 7 has a vertex that is not an integer: '5'"),
+    ("z_edges", 1, [3], "/1", "marked edge 1 does not have 2 vertices: (3,)"),
+    ("z_edges", 0, [1, 2, 3], "/0", "marked edge 0 does not have 2 vertices: (1, 2, 3)"),
+    ("z_edges", 3, 4, "/3", "marked edge 3 does not have 2 vertices: 4"),
+    ("z_edges", 2, [False, 4], "/2/0", "marked edge 2 has a vertex that is not an integer: False"),
+    ("z_edges", 0, [1, 2.5], "/0/1", "marked edge 0 has a vertex that is not an integer: 2.5"),
+    ("z_edges", 3, ["1", 4], "/3/0", "marked edge 3 has a vertex that is not an integer: '1'"),
+]
+
+
+@pytest.mark.parametrize("key, i, row, path, message", _ROW_DEFECTS)
+def test_row_defect_has_one_message_on_both_doors(key, i, row, path, message):
+    doc = _document(octahedron())
+    surface = doc["surface"]
+    surface[key][i] = row
+    with pytest.raises(InvalidArgumentError) as exc:
+        TriangulatedSurface(6, surface["triangles"], surface["z_edges"])
+    assert type(exc.value) is InvalidArgumentError
+    assert str(exc.value) == message and exc.value._path == path
+    with pytest.raises(ManifoldFormatError) as exc:
+        parse_manifold(doc)
+    assert exc.value.pointer == f"/surface/{key}{path}"
+    assert str(exc.value) == f"{message} (at /surface/{key}{path})"
 
 
 _CORPUS = (octahedron(), octahedron(False), torus7(), genus2(), projective_plane(),
@@ -627,9 +666,6 @@ def test_malformed_python_input_raises_only_structured_errors(surface, graph):
         BGraph(*graph)
     except BTangentError:
         pass
-    # the column build fails exactly when the walk names a defect
-    parts = [tuple(x) if isinstance(x, list) else x for x in graph[:2]] + list(graph[2:])
-    assert (_graph_columns(*parts) is None) == (_graph_defect(*parts) is not None)
 
 
 @st.composite
@@ -728,9 +764,7 @@ def test_graph_constructor_checks_every_defect(planted):
     parts, path, message = planted
     with pytest.raises(InvalidArgumentError) as exc:
         BGraph(*parts)
-    assert str(exc.value) == message
-    assert _graph_defect(tuple(parts[0]), tuple(parts[1]), *parts[2:]) == (path, message)
-    assert _graph_columns(tuple(parts[0]), tuple(parts[1]), *parts[2:]) is None
+    assert str(exc.value) == message and exc.value._path == path
     with pytest.raises(ManifoldFormatError) as exc:
         parse_manifold(_graph_document(*parts))
     assert exc.value.pointer == f"/graph{path}"
@@ -741,7 +775,6 @@ def test_graph_constructor_checks_every_defect(planted):
 @given(_graph_parts())
 def test_valid_graph_round_trips_through_its_document(parts):
     g = BGraph(*parts)
-    assert _graph_defect(g.regions, g.edges, g.ambient_dim, g.orientable) is None
     labels, a, b = _graph_columns(g.regions, g.edges, g.ambient_dim, g.orientable)
     assert labels == tuple(sorted(g.region_labels())) and g._columns == (labels, a, b)
     assert [(labels[u], labels[w]) for u, w in zip(a, b)] == [(e.side_a, e.side_b) for e in g.edges]

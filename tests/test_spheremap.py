@@ -290,6 +290,13 @@ def test_homotopy_refinement_shrinks_steps():
     assert fine < coarse
 
 
+@pytest.mark.parametrize("grid", [2, 101, 10**6])
+def test_homotopy_grid_is_bounded(grid):
+    # grid 10**6 would ask for grid^3 x (n - 1) floats: it is refused before any is drawn
+    with pytest.raises(InvalidArgumentError, match=f"^grid must be in 3..100, got {grid}$"):
+        homotopy_endpoints(3, grid)
+
+
 def test_homotopy_refuses_even_dimension():
     with pytest.raises(EvenDimensionError):
         homotopy_endpoints(4)

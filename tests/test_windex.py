@@ -108,6 +108,19 @@ def test_zero_on_contour_detected():
         winding_index(lambda x, y: (x - 1.0, y), (0.0, 0.0), 1.0)
 
 
+def test_contour_below_the_zero_tolerance_states_it():
+    # x(x - delta) d/dx + y d/dy is at most delta^2 / 4 at (delta / 2, 0), which every
+    # contour around (delta, 0) that leaves out the origin crosses
+    for delta in (1e-6, 1.9e-6):
+        with pytest.raises(ZeroOnContourError):
+            winding_index(named_field("x_delta", delta), (delta, 0.0), delta / 2)
+    with pytest.raises(ZeroOnContourError) as exc:
+        winding_index(named_field("x_delta", 1e-6), (1e-6, 0.0), 5e-7)
+    assert str(exc.value) == ("|field| = 7.5e-13 is within the zero tolerance 1e-12 at sample "
+                              "0/64 on the contour (center (1e-06, 0.0), radius 5e-07)")
+    assert winding_index(named_field("x_delta", 2.1e-6), (2.1e-6, 0.0), 1.05e-6).index == 1
+
+
 def test_non_convergent_angle_jump():
     # angle jumps by pi across x = 0; no sample count resolves that
     def jumpy(x, y):
