@@ -279,14 +279,19 @@ class TriangulatedSurface:
 
 
 def _vertex_rows(rows, k: int, what: str) -> Tuple[tuple, ...]:
-    """rows as a tuple of tuples, once ``_check_vertex_rows`` has passed them."""
+    """rows as a tuple of tuples, once ``_check_vertex_rows`` has passed them.
+
+    A row that is not iterable, or is a str, bytes or bytearray, stays as
+    given for the check to name at ``/i``, as a document's row is named.
+    """
     if not isinstance(rows, Iterable):
         raise InvalidArgumentError(f"{what}s must be rows of {k} vertices, got {rows!r}")
-    rows = tuple(rows)  # an iterator is read once, so the fallback below sees every row
-    try:
+    rows = tuple(rows)  # rows is read twice below, and an iterator only once
+    if set(map(type, rows)) <= {list, tuple}:
         rows = tuple(map(tuple, rows))
-    except TypeError:  # a row that is not iterable stays as given, for the check to name
-        rows = tuple(tuple(r) if isinstance(r, Iterable) else r for r in rows)
+    else:
+        rows = tuple(r if isinstance(r, (str, bytes, bytearray)) or not isinstance(r, Iterable)
+                     else tuple(r) for r in rows)
     _check_vertex_rows(rows, k, what)
     return rows
 

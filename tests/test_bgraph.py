@@ -397,6 +397,12 @@ _ROW_DEFECTS = [
     ("z_edges", 2, [False, 4], "/2/0", "marked edge 2 has a vertex that is not an integer: False"),
     ("z_edges", 0, [1, 2.5], "/0/1", "marked edge 0 has a vertex that is not an integer: 2.5"),
     ("z_edges", 3, ["1", 4], "/3/0", "marked edge 3 has a vertex that is not an integer: '1'"),
+    # text is one row on both doors, not a row of characters or of byte values
+    ("triangles", 0, "abc", "/0", "triangle 0 does not have 3 vertices: 'abc'"),
+    ("triangles", 6, b"abc", "/6", "triangle 6 does not have 3 vertices: b'abc'"),
+    ("z_edges", 1, bytearray(b"\x01\x02"), "/1",
+     "marked edge 1 does not have 2 vertices: bytearray(b'\\x01\\x02')"),
+    ("z_edges", 2, "12", "/2", "marked edge 2 does not have 2 vertices: '12'"),
 ]
 
 

@@ -326,6 +326,7 @@ def test_every_bundled_manifold_loads():
     ["index", "saddle", "--delta", "nan"],
     ["index", "radial", "--delta", "inf"],
     ["index", "sphere_height_b", "--frame", "b"],
+    ["sphere", "--samples", "99999999999999999999"],
 ])
 def test_out_of_range_arguments_are_structured_errors(argv):
     proc = _cold_cli(*argv)

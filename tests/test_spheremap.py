@@ -212,6 +212,13 @@ def test_degree_integral_memory_stays_per_chunk():
     assert peak < 4_000_000
 
 
+@pytest.mark.parametrize("samples", [10**9 + 1, 99999999999999999999])
+def test_degree_integral_sample_count_is_bounded(samples):
+    # refused before any sample is drawn; 10**20 samples would run for days
+    with pytest.raises(InvalidArgumentError, match=rf"^samples must be at most 10\*\*9, got {samples}$"):
+        degree_integral(3, samples)
+
+
 def test_degree_integral_reproducible():
     a = degree_integral(3, samples=20_000, seed=9)
     b = degree_integral(3, samples=20_000, seed=9)
@@ -290,9 +297,65 @@ def test_homotopy_refinement_shrinks_steps():
     assert fine < coarse
 
 
+def _whole_grid_homotopy(n, grid):
+    # the null homotopy evaluated on the whole (direction, height, time) grid at
+    # once, every image in one grid^3 x n array: (time-0, time-1, unit-norm
+    # deviations, largest adjacent step)
+    def collapse(direction, height):
+        radial = np.sqrt(np.clip(1.0 - height * height, 0.0, None))[..., None] * direction
+        return np.concatenate(
+            [radial, np.broadcast_to(height[..., None], radial.shape[:-1] + (1,))], axis=-1)
+
+    rng = np.random.Generator(np.random.Philox(0))
+    vs = rng.normal(size=(grid, n - 1))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    xs = np.linspace(-1.0, 1.0, grid)
+    ts = np.linspace(0.0, 1.0, grid)
+    v4 = vs[:, None, None, :]
+    x3 = xs[None, :, None]
+    t3 = ts[None, None, :]
+    s1 = np.clip(2.0 * t3, 0.0, 1.0)
+    s2 = np.clip(2.0 * t3 - 1.0, 0.0, 1.0)
+    angle = math.pi * (1.0 - s1) * (x3 > 0)
+    c = np.cos(angle)[..., None]
+    s = np.sin(angle)[..., None]
+    direction = np.empty(np.broadcast_shapes(v4.shape, angle.shape + (n - 1,)))
+    direction[..., 0::2] = c * v4[..., 0::2] - s * v4[..., 1::2]
+    direction[..., 1::2] = s * v4[..., 0::2] + c * v4[..., 1::2]
+    h = collapse(direction, (1.0 - s2) * (1.0 - 2.0 * x3 * x3) - s2)
+    base = collapse(vs[:, None, :], xs[None, :])
+    image = north_pole(n) - 2.0 * base[..., -1:] * base
+    start_dev = float(np.max(np.linalg.norm(h[:, :, 0, :] - image, axis=-1)))
+    end_dev = float(np.max(np.linalg.norm(h[:, :, -1, :] + north_pole(n), axis=-1)))
+    norm_dev = float(np.max(np.abs(np.linalg.norm(h, axis=-1) - 1.0)))
+    step_t = float(np.max(np.linalg.norm(np.diff(h, axis=2), axis=-1)))
+    step_x = float(np.max(np.linalg.norm(np.diff(h, axis=1), axis=-1)))
+    return start_dev, end_dev, norm_dev, max(step_t, step_x)
+
+
+@pytest.mark.parametrize("n, grid", [(3, 20), (5, 12), (7, 7)])
+def test_sliced_homotopy_equals_the_whole_grid(n, grid):
+    report = homotopy_endpoints(n, grid)
+    *values, step = _whole_grid_homotopy(n, grid)
+    assert [item.value for item in report.items] == values
+    assert report.metrics["max_adjacent_step"] == step
+
+
+def test_homotopy_memory_stays_per_slice():
+    # one grid^3 x (n - 1) float array alone takes 48 MB at grid 100 and n = 7
+    tracemalloc.start()
+    try:
+        homotopy_endpoints(7, grid=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+
+
 @pytest.mark.parametrize("grid", [2, 101, 10**6])
 def test_homotopy_grid_is_bounded(grid):
-    # grid 10**6 would ask for grid^3 x (n - 1) floats: it is refused before any is drawn
+    # grid 10**6 would ask for grid^3 x (n - 1) rotated directions: it is refused
+    # before any is drawn
     with pytest.raises(InvalidArgumentError, match=f"^grid must be in 3..100, got {grid}$"):
         homotopy_endpoints(3, grid)
 
