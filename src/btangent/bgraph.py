@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from operator import attrgetter
+from operator import itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError, _as_int, _is_int
 
@@ -28,9 +29,11 @@ Edge2 = Tuple[int, int]
 Triangle = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A connected component of the complement of the hypersurface.
+
+    A record is a named tuple, so it equals the plain tuple of its fields
+    and unpacks as one; its fields cannot be assigned to.
 
     Attributes:
         label: unique name of the region.
@@ -41,12 +44,11 @@ class Region:
     euler_char: int
 
 
-@dataclass(frozen=True)
-class HypersurfaceComponent:
+class HypersurfaceComponent(NamedTuple):
     """A connected component of the critical hypersurface.
 
     ``side_a == side_b`` encodes a component whose two sides meet the same
-    region (a loop edge of the graph).
+    region (a loop edge of the graph).  A named tuple, like ``Region``.
     """
 
     label: str
@@ -67,14 +69,15 @@ class BGraph:
 
     A graph checks itself when it is built, so every BGraph in existence is
     well formed.  In the order checked: its regions and edges are Region and
-    HypersurfaceComponent records, ambient_dim is an integer >= 1,
-    orientable is a bool, it has a region, region labels are str and Euler
-    characteristics integers, region labels are unique, edge labels and
-    sides are str, edge labels are unique, and every edge side names a region.
+    HypersurfaceComponent records (a plain tuple is not one), ambient_dim
+    is an integer >= 1, orientable is a bool, it has a region, region labels
+    are str and Euler characteristics integers, region labels are unique,
+    edge labels and sides are str, edge labels are unique, and every edge
+    side names a region.
 
     The check builds the graph's integer form ``_columns`` (see
-    ``_graph_columns``), kept outside the dataclass fields, so equality,
-    hashing, repr and JSON never see it.
+    ``_graph_columns``), kept outside the graph's dataclass fields, so
+    equality, hashing, repr and JSON never see it.
 
     Raises:
         InvalidArgumentError: naming the first defect.
@@ -96,14 +99,12 @@ class BGraph:
         object.__setattr__(self, "_columns", columns)
 
     def region_labels(self) -> Tuple[str, ...]:
-        return tuple(map(attrgetter("label"), self.regions))
+        return tuple(map(itemgetter(0), self.regions))
 
     def to_json_dict(self) -> dict:
         return {
-            "regions": [{"label": r.label, "chi": r.euler_char} for r in self.regions],
-            "edges": [
-                {"label": e.label, "a": e.side_a, "b": e.side_b} for e in self.edges
-            ],
+            "regions": [{"label": label, "chi": chi} for label, chi in self.regions],
+            "edges": [{"label": label, "a": a, "b": b} for label, a, b in self.edges],
             "ambient_dim": self.ambient_dim,
             "orientable": self.orientable,
         }
@@ -127,16 +128,23 @@ def _graph_columns(regions, edges, ambient_dim, orientable) -> Tuple[tuple, tupl
     """Check a region graph; return the region labels in sorted order and,
     for every edge, the positions of side_a and side_b among them.
 
-    Each condition of the BGraph docstring is one pass over a set, in C, in
-    that order.  Only a pass that fails walks the rows, to raise at the
-    first bad one (see ``_defect``; paths are in ``to_json_dict`` form)."""
-    label, a, b, chi = map(attrgetter, ("label", "side_a", "side_b", "euler_char"))
+    Once the rows are known to be records, each side is split into its
+    field columns, and every later condition of the BGraph docstring is
+    one pass over a column or a set of its types, in C, in that order.
+    Only a pass that fails walks the rows, to raise at the first bad one
+    (see ``_defect``; paths are in ``to_json_dict`` form)."""
+    columns = []
     for key, rows, kind in (("regions", regions, Region), ("edges", edges, HypersurfaceComponent)):
         if not isinstance(rows, tuple):
             raise _defect(f"/{key}", f"{key} must be {kind.__name__} records, got {rows!r}")
         if not _all_of(kind, rows):
             i = next(i for i, row in enumerate(rows) if not isinstance(row, kind))
             raise _defect(f"/{key}/{i}", f"{key[:-1]} {i} is not a {kind.__name__}: {rows[i]!r}")
+        # one itemgetter pass per field, in C; zip(*rows) would make an
+        # iterator per record, and on 10**5 records the garbage collector's
+        # passes over those cost about five times the columns themselves
+        columns.append([tuple(map(itemgetter(k), rows)) for k in range(len(kind._fields))])
+    (label, chi), (edge_label, a, b) = columns
     if not _is_int(type(ambient_dim)):
         raise _defect("/ambient_dim", f"ambient_dim must be an integer, got {ambient_dim!r}")
     if ambient_dim < 1:
@@ -146,8 +154,7 @@ def _graph_columns(regions, edges, ambient_dim, orientable) -> Tuple[tuple, tupl
         raise _defect("/orientable", f"orientable must be a bool, got {orientable!r}")
     if not regions:
         raise _defect("/regions", "invalid region graph: graph has no regions")
-    if not (_all_of(str, map(label, regions))
-            and all(map(_is_int, set(map(type, map(chi, regions)))))):
+    if not (_all_of(str, label) and all(map(_is_int, set(map(type, chi))))):
         for i, r in enumerate(regions):
             if not isinstance(r.label, str):
                 raise _defect(f"/regions/{i}/label",
@@ -155,26 +162,34 @@ def _graph_columns(regions, edges, ambient_dim, orientable) -> Tuple[tuple, tupl
             if not _is_int(type(r.euler_char)):
                 raise _defect(f"/regions/{i}/chi", f"euler_char of region {r.label!r} "
                                                    f"must be an integer, got {r.euler_char!r}")
-    labels = tuple(sorted(map(label, regions)))
+    labels = tuple(sorted(label))
     position = dict(zip(labels, range(len(labels))))
     if len(position) != len(labels):
         _raise_duplicate("regions", regions)
-    if not _all_of(str, chain(map(label, edges), map(a, edges), map(b, edges))):
+    if not _all_of(str, chain(edge_label, a, b)):
         for i, e in enumerate(edges):
             for field, attr in (("label", "label"), ("a", "side_a"), ("b", "side_b")):
                 if not isinstance(getattr(e, attr), str):
                     raise _defect(f"/edges/{i}/{field}",
                                   f"{attr} of edge {i} must be a str, got {getattr(e, attr)!r}")
-    if len(set(map(label, edges))) != len(edges):
+    if len(set(edge_label)) != len(edges):
         _raise_duplicate("edges", edges)
     try:
-        return (labels, tuple(map(position.__getitem__, map(a, edges))),
-                tuple(map(position.__getitem__, map(b, edges))))
+        return (labels, tuple(map(position.__getitem__, a)), tuple(map(position.__getitem__, b)))
     except KeyError:  # a side that names no region
         i, field, side = next((i, f, s) for i, e in enumerate(edges)
                               for f, s in (("a", e.side_a), ("b", e.side_b)) if s not in position)
         raise _defect(f"/edges/{i}/{field}", f"invalid region graph: edge {edges[i].label!r} "
                       f"references missing region {side!r}") from None
+
+
+def _records_of(kind: type, rows):
+    """Each row, a tuple of kind's fields in order, as a kind record.
+
+    ``tuple.__new__`` runs in C, where the records' own constructor is a
+    Python call per record; the caller fixes the rows' width.
+    """
+    return map(partial(tuple.__new__, kind), rows)
 
 
 def _raise_duplicate(key: str, rows: tuple) -> None:
@@ -226,7 +241,7 @@ class Coloring:
         (loops included) joins opposite colors."""
         signs = self.assignment
         return (set(signs) == set(g.region_labels())
-                and all(signs[e.side_a] * signs[e.side_b] == -1 for e in g.edges))
+                and all(signs[a] * signs[b] == -1 for _, a, b in g.edges))
 
     def to_json_dict(self) -> dict:
         return dict(sorted(self.assignment.items()))
@@ -466,17 +481,21 @@ def _z_cycles(n: int, z: np.ndarray, mesh: _HalfEdges) -> Tuple[np.ndarray, np.n
     import numpy as np
 
     z = np.sort(z, axis=1)
-    z = z[np.lexsort(z.T[::-1])]
     u, v = z.T
     # -1 for a pair that names no edge: out of range or a loop
-    zkeys = np.where((0 <= u) & (u < v) & (v < n), u * n + v, -1).astype(np.int64)
+    named = (0 <= u) & (u < v) & (v < n)
+    zkeys = np.where(named, u * n + v, -1).astype(np.int64)
+    # the keys of pairs in range sort as the pairs do; only a pair that names
+    # no edge needs the pairs' own order, so that the first defect is the same
+    order = np.argsort(zkeys) if named.all() else np.lexsort(z.T[::-1])
+    zkeys = zkeys[order]
     edge = np.searchsorted(mesh.keys, zkeys).clip(max=len(mesh.keys) - 1)
     off = mesh.keys[edge] != zkeys
     repeat = np.zeros(len(z), dtype=bool)  # sorted above: a repeat is a neighbour
     repeat[1:] = zkeys[1:] == zkeys[:-1]
     if (off | repeat).any():
         k = int((off | repeat).argmax())
-        pair = tuple(z[k].tolist())
+        pair = tuple(z[order[k]].tolist())
         if off[k]:
             raise InvalidZError(f"marked edge {pair} is not an edge of the complex")
         raise InvalidZError(f"marked edge {pair} is listed twice")
@@ -593,7 +612,7 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     region, count = _region_numbers(mesh, edge)
     labels = [f"R{r}" for r in range(count)]
     chis = _closure_eulers(mesh, n, region, count)
-    regions = [Region(lab, chi) for lab, chi in zip(labels, chis)]
+    regions = tuple(_records_of(Region, zip(labels, chis)))
 
     # the distinct (cycle, region) pairs across every marked edge, by cycle;
     # not np.unique, whose first call without an inverse imports numpy.ma

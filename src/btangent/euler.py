@@ -45,7 +45,7 @@ def b_euler_number(g: BGraph, coloring: Coloring) -> int:
         )
     if not coloring.is_proper(g):
         raise ImproperColoringError("coloring is not a proper sign coloring of the graph")
-    return sum(coloring[r.label] * r.euler_char for r in g.regions)
+    return sum(coloring[label] * chi for label, chi in g.regions)
 
 
 def classical_euler_number(g: BGraph) -> int:
@@ -61,7 +61,7 @@ def classical_euler_number(g: BGraph) -> int:
         raise OddDimensionError(
             f"classical Euler number needs even ambient dimension, got {g.ambient_dim}"
         )
-    return sum(r.euler_char for r in g.regions)
+    return sum(chi for _, chi in g.regions)
 
 
 def euler_report(g: BGraph) -> EulerReport:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from itertools import starmap
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Tuple
@@ -29,6 +28,7 @@ from .bgraph import (
     HypersurfaceComponent,
     Region,
     _check_vertex_rows,
+    _records_of,
     _surface_graph,
     _vertex_array,
 )
@@ -66,10 +66,11 @@ def _need(obj: dict, key: str, kind: type, pointer: str) -> Any:
 
 def _records(raw: list, record: type, keys: Tuple[str, ...], pointer: str, what: str) -> tuple:
     """One record per entry of raw, from the values under keys: one itemgetter
-    pass, in C.  The entries are walked only to name an entry that is not an
-    object or lacks a key."""
+    pass, whose tuples become the records, all in C (see ``_records_of``;
+    keys are the record's fields in order).  The entries are walked only to
+    name an entry that is not an object or lacks a key."""
     try:
-        return tuple(starmap(record, map(itemgetter(*keys), raw)))
+        return tuple(_records_of(record, map(itemgetter(*keys), raw)))
     except (KeyError, TypeError):  # an entry without a key, or not an object
         for i, entry in enumerate(raw):
             if not isinstance(entry, dict):

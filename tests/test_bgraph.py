@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -22,7 +25,7 @@ from btangent import (
     surface_orientable,
     winding_index,
 )
-from btangent.bgraph import _components, _graph_columns
+from btangent.bgraph import _components, _graph_columns, _half_edges, _vertex_array, _z_cycles
 from corpus import (
     UnionFind,
     circle_graph,
@@ -32,6 +35,7 @@ from corpus import (
     orientable_oracle,
     pinched_octahedra,
     projective_plane,
+    random_bgraph,
     region_count_oracle,
     relabel,
     subdivide,
@@ -194,6 +198,36 @@ def test_components_match_union_find(data):
     v = np.array([b for _, b in edges], dtype=np.int64)
     # equal labels exactly on the union-find's classes, each its class's smallest node
     assert _components(n, u, v).tolist() == _smallest_in_component(n, u.tolist(), v.tolist())
+
+
+def _lexsorted_cycles(n, z, keys):
+    """(cycle, edge) of distinct marked edges forming cycles, listed in the
+    lexicographic order of their (min, max) pairs, with a plain union-find:
+    cycles numbered in the order of their smallest pair."""
+    pairs = np.sort(z, axis=1)
+    pairs = pairs[np.lexsort(pairs.T[::-1])].tolist()
+    uf = UnionFind(n)
+    for u, w in pairs:
+        uf.union(u, w)
+    number = {}
+    cycle = [number.setdefault(uf.find(u), len(number)) for u, _ in pairs]
+    return cycle, np.searchsorted(keys, [u * n + w for u, w in pairs]).tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 7), m=st.integers(3, 7), data=st.data())
+def test_marked_edges_keep_the_lexicographic_order(n, m, data):
+    rows = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m),
+                            label="loop rows"))
+    surf = relabel(grid_surface(n, m, loop_rows=rows),
+                   data.draw(st.permutations(range(n * m)), label="relabelling"))
+    order = data.draw(st.permutations(range(len(surf.z_edges))), label="marked edge order")
+    flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)),
+                      label="flips")
+    z = [surf.z_edges[i][::-1] if flip else surf.z_edges[i] for i, flip in zip(order, flips)]
+    mesh = _half_edges(n * m, _vertex_array(surf.triangles, 3))
+    cycle, edge = _z_cycles(n * m, _vertex_array(z, 2), mesh)
+    assert (cycle.tolist(), edge.tolist()) == _lexsorted_cycles(n * m, np.array(z), mesh.keys)
 
 
 def _as_multigraph(g: BGraph) -> nx.MultiGraph:
@@ -875,3 +909,47 @@ def test_circle_graph_shapes():
     assert len(g5.regions) == 5 and len(g5.edges) == 5
     assert all(not e.is_loop for e in g5.edges)
     assert all(r.euler_char == 1 for r in g5.regions)
+
+
+def test_records_are_named_tuples_on_both_doors():
+    doc = {"graph": {"regions": [{"label": "B+", "chi": 1}, {"label": "B-", "chi": 1}],
+                     "edges": [{"label": "Z0", "a": "B+", "b": "B-"}],
+                     "ambient_dim": 2, "orientable": True}}
+    loaded, built = parse_manifold(doc), sphere_equator_graph()
+    assert loaded == built
+    for g in (loaded, built):
+        assert [type(r) for r in g.regions] == [Region, Region]
+        assert [type(e) for e in g.edges] == [HypersurfaceComponent]
+    region, edge = built.regions[0], built.edges[0]
+    assert region == ("B+", 1) and hash(region) == hash(("B+", 1))
+    assert repr(region) == "Region(label='B+', euler_char=1)"
+    assert repr(edge) == "HypersurfaceComponent(label='Z0', side_a='B+', side_b='B-')"
+    label, a, b = edge
+    assert (label, a, b) == ("Z0", "B+", "B-") and not edge.is_loop
+    assert Region._fields == ("label", "euler_char")
+    assert HypersurfaceComponent._fields == ("label", "side_a", "side_b")
+    with pytest.raises(AttributeError):
+        region.label = "B?"
+
+
+def test_records_survive_pickle_deepcopy_and_replace():
+    g = sphere_equator_graph()
+    for record in g.regions + g.edges:
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert twin == record and type(twin) is type(record)
+    assert pickle.loads(pickle.dumps(g)) == g == copy.deepcopy(g)
+    flipped = g.edges[0]._replace(side_a="B-", side_b="B+")
+    assert type(flipped) is HypersurfaceComponent and flipped == ("Z0", "B-", "B+")
+    assert BGraph(g.regions, (flipped,))._columns == (("B+", "B-"), (1,), (0,))
+
+
+def test_record_order_leaves_the_columns_in_step():
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        g = random_bgraph(rng)
+        regions = [g.regions[i] for i in rng.permutation(len(g.regions))]
+        order = rng.permutation(len(g.edges)).tolist()
+        labels, a, b = g._columns
+        assert BGraph(regions, g.edges)._columns == g._columns
+        assert BGraph(regions, [g.edges[k] for k in order])._columns == (
+            labels, tuple(a[k] for k in order), tuple(b[k] for k in order))
