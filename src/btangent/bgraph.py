@@ -89,8 +89,10 @@ class BGraph:
     orientable: bool = True
 
     def __post_init__(self):
-        # an iterable becomes a tuple; anything else stays, for _graph_columns to name
-        regions, edges = (tuple(x) if isinstance(x, Iterable) else x
+        # an iterable becomes a tuple; anything else, a lone record included,
+        # stays as given, for _graph_columns to name
+        regions, edges = (tuple(x) if isinstance(x, Iterable)
+                          and not isinstance(x, (Region, HypersurfaceComponent)) else x
                           for x in (self.regions, self.edges))
         columns = _graph_columns(regions, edges, self.ambient_dim, self.orientable)
         object.__setattr__(self, "regions", regions)
@@ -135,7 +137,7 @@ def _graph_columns(regions, edges, ambient_dim, orientable) -> Tuple[tuple, tupl
     (see ``_defect``; paths are in ``to_json_dict`` form)."""
     columns = []
     for key, rows, kind in (("regions", regions, Region), ("edges", edges, HypersurfaceComponent)):
-        if not isinstance(rows, tuple):
+        if type(rows) is not tuple:  # a lone record is a tuple subclass, not rows
             raise _defect(f"/{key}", f"{key} must be {kind.__name__} records, got {rows!r}")
         if not _all_of(kind, rows):
             i = next(i for i, row in enumerate(rows) if not isinstance(row, kind))

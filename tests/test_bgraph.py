@@ -590,6 +590,11 @@ def _python_door_defects():
         ("regions None", lambda: BGraph(None, ()), "regions must be Region records, got None"),
         ("edges 5", lambda: BGraph(equator[0], 5),
          "edges must be HypersurfaceComponent records, got 5"),
+        ("lone region", lambda: BGraph(Region("a", 1), ()),
+         "regions must be Region records, got Region(label='a', euler_char=1)"),
+        ("lone edge", lambda: BGraph(equator[0], equator[1][0]),
+         "edges must be HypersurfaceComponent records, got "
+         "HypersurfaceComponent(label='Z0', side_a='B+', side_b='B-')"),
         ("region tuple", lambda: BGraph((("a", 1),), ()), "region 0 is not a Region: ('a', 1)"),
         ("edge tuple", lambda: BGraph(equator[0], equator[1] + (("Z1", "B+", "B-"),)),
          "edge 1 is not a HypersurfaceComponent: ('Z1', 'B+', 'B-')"),

@@ -17,12 +17,14 @@ from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 from corpus import octahedron, pinched_octahedra, torus_loop_graph
 
 
-def _cold_cli(*argv: str, timeout: float = 120, **kwargs) -> subprocess.CompletedProcess:
+def _cold_cli(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter, as a user would; a CLI that hangs
-    fails its test with ``subprocess.TimeoutExpired`` after timeout seconds."""
+    fails its test with ``subprocess.TimeoutExpired`` after 120 seconds, or
+    after the ``timeout`` given in kwargs."""
     env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
+    kwargs.setdefault("timeout", 120)
     return subprocess.run([sys.executable, "-m", "btangent.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
 def test_euler_on_bundled_sphere(capsys):
