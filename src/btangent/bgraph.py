@@ -69,7 +69,8 @@ class BGraph:
 
     A graph checks itself when it is built, so every BGraph in existence is
     well formed.  In the order checked: its regions and edges are Region and
-    HypersurfaceComponent records (a plain tuple is not one), ambient_dim
+    HypersurfaceComponent records (a plain tuple is not one), each as wide
+    as its type has fields, ambient_dim
     is an integer >= 1, orientable is a bool, it has a region, region labels
     are str and Euler characteristics integers, region labels are unique,
     edge labels and sides are str, edge labels are unique, and every edge
@@ -142,10 +143,16 @@ def _graph_columns(regions, edges, ambient_dim, orientable) -> Tuple[tuple, tupl
         if not _all_of(kind, rows):
             i = next(i for i, row in enumerate(rows) if not isinstance(row, kind))
             raise _defect(f"/{key}/{i}", f"{key[:-1]} {i} is not a {kind.__name__}: {rows[i]!r}")
+        # a record made with tuple.__new__ may have any width, and its repr then raises
+        width = len(kind._fields)
+        if not set(map(len, rows)) <= {width}:
+            i = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise _defect(f"/{key}/{i}", f"{key[:-1]} {i} is a {kind.__name__} of width "
+                                         f"{len(rows[i])}, not {width}")
         # one itemgetter pass per field, in C; zip(*rows) would make an
         # iterator per record, and on 10**5 records the garbage collector's
         # passes over those cost about five times the columns themselves
-        columns.append([tuple(map(itemgetter(k), rows)) for k in range(len(kind._fields))])
+        columns.append([tuple(map(itemgetter(k), rows)) for k in range(width)])
     (label, chi), (edge_label, a, b) = columns
     if not _is_int(type(ambient_dim)):
         raise _defect("/ambient_dim", f"ambient_dim must be an integer, got {ambient_dim!r}")
@@ -341,11 +348,19 @@ class _HalfEdges:
     Half-edge 3i + s is side s of triangle i with sorted vertices a < b < c:
     (a, b) for s = 0, (b, c) for s = 1 and (a, c) for s = 2.  The first two
     run along their edge and the third against it.
+
+    Half-edges are numbered in int32, which ``_half_edges`` makes room for
+    by refusing more than ``_MAX_TRIANGLES`` triangles; vertices and keys
+    are int64, since u * V + w passes 2**31 from V = 46 341 vertices on.
     """
 
-    tris: np.ndarray  # F x 3 vertex numbers, rows sorted
-    keys: np.ndarray  # one key u * V + w (u < w) per edge, ascending
-    pairs: np.ndarray  # E x 2: the two half-edges of each edge, in key order
+    tris: np.ndarray  # F x 3 int64 vertex numbers, rows sorted
+    keys: np.ndarray  # one int64 key u * V + w (u < w) per edge, ascending
+    pairs: np.ndarray  # E x 2 int32: the two half-edges of each edge, in key order
+
+
+# the most triangles a surface may have: its 3F half-edges are numbered in int32
+_MAX_TRIANGLES = (2**31 - 1) // 3
 
 
 def _vertex_array(rows, k: int) -> np.ndarray:
@@ -390,9 +405,11 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
     """Check that the complex is a closed surface and pair up its half-edges.
 
     ``t`` holds the triangles of a complex on the vertices 0 .. n-1, as
-    ``_vertex_array`` returns them.  The 3F half-edges are keyed u * V + w
+    ``_vertex_array`` returns them; its rows are sorted in place, and it
+    becomes the result's ``tris``.  The 3F half-edges are keyed u * V + w
     and sorted once; the complex is closed exactly when every run of equal
     keys has length two.  The defects are reported in a fixed order:
+    more than ``_MAX_TRIANGLES`` triangles (before any row is read),
     degenerate or out-of-range triangles, duplicates, isolated vertices,
     edges not in two triangles.
     """
@@ -401,8 +418,10 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
     f = len(t)
     if not f:
         raise NonClosedSurfaceError("the complex has no triangles")
+    if f > _MAX_TRIANGLES:
+        raise InvalidArgumentError(f"a surface has at most {_MAX_TRIANGLES} triangles, got {f}")
     _check_rows(n, t)
-    t = np.sort(t, axis=1)
+    t.sort(axis=1)
     # every vertex in use bounds V by 3F, so the vertices and the keys below fit in int64
     if n <= 3 * f:
         t = t.astype(np.int64, copy=False)
@@ -415,15 +434,20 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
                                     + (f" ({total} in all)" if total > len(missing) else ""))
 
     a, b, c = t.T
-    keys = (np.stack((a, b, a), axis=1) * n + np.stack((b, c, c), axis=1)).ravel()
+    keys = np.stack((a, b, a), axis=1)
+    keys *= n
+    keys += np.stack((b, c, c), axis=1)
+    keys = keys.ravel()
     # stable, which the report below relies on; on triangles listed in grid
     # order it is also faster than the default sort, which wins on shuffled ones
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    runs = np.diff(np.append(starts, 3 * f))
-    if (runs != 2).any():
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    keys = keys.take(order)
+    # closed: 3F is even, and every key equals its partner in its pair and
+    # differs from the next pair's
+    if f % 2 or not ((keys[0::2] == keys[1::2]).all() and (keys[1:-1:2] != keys[2::2]).all()):
         _check_distinct(t)
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        runs = np.diff(np.append(starts, 3 * f))
         # a stable sort starts each run at its first half-edge: report the
         # edge met first in triangle order
         bad_runs = np.flatnonzero(runs != 2)
@@ -432,15 +456,16 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
         raise NonClosedSurfaceError(
             f"edge {e} lies in {runs[r]} triangle(s); a closed surface needs 2"
         )
+    keys = keys[::2].copy()  # not a view, which would keep all 3F keys alive
     pairs = order.reshape(-1, 2)
     # every edge lies in exactly two triangles, so a repeated triangle meets
     # its copy across an edge: the two triangles there share their third
     # vertex, which for half-edge 3i + s is vertex (s + 2) % 3 of triangle i
-    third = t.ravel()[pairs - pairs % 3 + (pairs + 2) % 3]
+    third = t.ravel().take(pairs - pairs % 3 + (pairs + 2) % 3)
     if (third[:, 0] == third[:, 1]).any():
         raise NonClosedSurfaceError("duplicate triangle in complex")
 
-    return _HalfEdges(t, keys[::2], pairs)
+    return _HalfEdges(t, keys, pairs)
 
 
 def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -453,12 +478,17 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     component ends as its root.  Hooking an edge inside one tree changes
     nothing; such edges are dropped after the round.  Each round replaces
     u and v by the edges left, so arrays the caller does not keep are freed.
+
+    The labels are int32, so n must be below 2**31; every caller's nodes
+    are triangles, half-edges or cover nodes, which ``_half_edges`` keeps
+    there.  The edge ends u and v may be int32 or int64.  Every gather is an
+    ``np.take``: a fancy index would cast int32 indices to intp each time.
     """
     import numpy as np
 
-    f = np.arange(n)
+    f = np.arange(n, dtype=np.int32)
     while True:
-        fu, fv = f[u], f[v]
+        fu, fv = f.take(u), f.take(v)
         live = fu != fv
         if not live.any():
             return f
@@ -466,23 +496,25 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         np.minimum.at(f, hi, np.minimum(fu, fv, out=fu))
         del fu, fv, hi
         u, v = u[live], v[live]
-        jumped = f[f]
+        del live
+        jumped = f.take(f)
         while (jumped != f).any():
-            f, jumped = jumped, jumped[jumped]
+            f, jumped = jumped, jumped.take(jumped)
 
 
 def _z_cycles(n: int, z: np.ndarray, mesh: _HalfEdges) -> Tuple[np.ndarray, np.ndarray]:
     """Check that the marked edges are distinct and form disjoint cycles.
 
     ``z`` holds them as ``_vertex_array`` returns them, in any order and
-    orientation; here each becomes (min, max), and the pairs are sorted.
+    orientation; here each row is sorted in place to (min, max), and the
+    pairs are sorted.
     Returns, for every marked edge in that order, its cycle number (cycles
     numbered in the order of their smallest edge) and its edge number
     (index into ``mesh.keys``).
     """
     import numpy as np
 
-    z = np.sort(z, axis=1)
+    z.sort(axis=1)
     u, v = z.T
     # -1 for a pair that names no edge: out of range or a loop
     named = (0 <= u) & (u < v) & (v < n)
@@ -511,7 +543,9 @@ def _z_cycles(n: int, z: np.ndarray, mesh: _HalfEdges) -> Tuple[np.ndarray, np.n
             f"vertex {v} has degree {degree[v]} in the marked edge set; cycles need 2"
         )
     # every vertex ends two marked edges: sorted by vertex, the ends pair up
-    at = np.argsort(ends, kind="stable") // 2
+    at = np.argsort(ends, kind="stable").astype(np.int32)
+    at //= 2
+    del ends
     cycle = np.unique(_components(len(z), at[0::2], at[1::2]), return_inverse=True)[1]
     return cycle, edge
 
@@ -544,7 +578,7 @@ def _orientable(mesh: _HalfEdges) -> bool:
     import numpy as np
 
     h, k = mesh.pairs.T
-    sheet = np.arange(2)[:, None]
+    sheet = np.arange(2, dtype=np.int32)[:, None]  # int64 here would widen every node
     same = (h % 3 < 2) == (k % 3 < 2)
     f = _components(2 * len(mesh.tris), (2 * (h // 3) + sheet).ravel(),
                     (2 * (k // 3) + (sheet ^ same)).ravel())
@@ -562,8 +596,9 @@ def _region_numbers(mesh: _HalfEdges, edge: np.ndarray) -> Tuple[np.ndarray, int
 
     unmarked = np.ones(len(mesh.pairs), dtype=bool)
     unmarked[edge] = False
-    h, k = mesh.pairs[unmarked].T
-    roots, region = np.unique(_components(len(mesh.tris), h // 3, k // 3), return_inverse=True)
+    h, k = mesh.pairs.T
+    roots, region = np.unique(_components(len(mesh.tris), h[unmarked] // 3, k[unmarked] // 3),
+                              return_inverse=True)
     return region, len(roots)
 
 
@@ -571,9 +606,13 @@ def _closure_eulers(mesh: _HalfEdges, n: int, region: np.ndarray, count: int) ->
     """Euler characteristic of each region's closure: corners - edges + faces."""
     import numpy as np
 
-    sides = region[mesh.pairs // 3]  # the regions on the two sides of each edge
+    sides = region.take(mesh.pairs // 3)  # the regions on the two sides of each edge
     edges = np.concatenate((sides[:, 0], sides[sides[:, 0] != sides[:, 1], 1]))
-    corners = np.sort(np.repeat(region, 3) * n + mesh.tris.ravel())  # (region, vertex) pairs
+    del sides
+    corners = np.repeat(region, 3)  # int64 keys region * V + vertex, one per corner
+    corners *= n
+    corners += mesh.tris.ravel()
+    corners.sort()
     corners = corners[np.concatenate(([True], corners[1:] != corners[:-1]))]
     chi = (np.bincount(region, minlength=count) - np.bincount(edges, minlength=count)
            + np.bincount(corners // n, minlength=count))
@@ -604,7 +643,7 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     """``build_graph_from_surface`` on a complex given as its parts.
 
     ``t`` holds the triangles and ``z`` the marked edges, as
-    ``_vertex_array`` returns them.
+    ``_vertex_array`` returns them; the rows of both are sorted in place.
     """
     import numpy as np
 
@@ -619,12 +658,17 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     # the distinct (cycle, region) pairs across every marked edge, by cycle;
     # not np.unique, whose first call without an inverse imports numpy.ma
     # (8 ms of a cold start)
-    sides = np.sort(np.repeat(cycle, 2) * count + region[mesh.pairs[edge] // 3].ravel())
+    sides = np.repeat(cycle, 2)  # int64 keys cycle * count + region
+    sides *= count
+    sides += region.take(mesh.pairs[edge] // 3).ravel()
+    del region, edge
+    sides.sort()
     first = np.ones(len(sides), dtype=bool)
     first[1:] = sides[1:] != sides[:-1]
     touching: List[List[str]] = [[] for _ in range(int(cycle.max(initial=-1)) + 1)]
     for k, r in zip(*(x.tolist() for x in np.divmod(sides[first], count))):
         touching[k].append(labels[r])
+    del cycle, sides, first
     edges = []
     for k, near in enumerate(touching):
         if len(near) > 2:

@@ -18,10 +18,11 @@ message is reported at the defect's pointer.
 from __future__ import annotations
 
 import json
+from functools import partial
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Tuple
+from typing import Any, Callable, Tuple
 
 from .bgraph import (
     BGraph,
@@ -80,8 +81,9 @@ def _records(raw: list, record: type, keys: Tuple[str, ...], pointer: str, what:
         raise
 
 
-def _parse_graph(doc: dict, pointer: str) -> BGraph:
-    """Build a region graph from a graph document; only its JSON shape is checked here."""
+def _read_graph(doc: dict, pointer: str) -> Tuple[Callable[..., BGraph], tuple]:
+    """The builder of a graph document's region graph, and its records;
+    only the document's JSON shape is checked here."""
     regions_raw = _need(doc, "regions", list, pointer)
     edges_raw = _need(doc, "edges", list, pointer)
     ambient = _need(doc, "ambient_dim", object, pointer)
@@ -89,7 +91,7 @@ def _parse_graph(doc: dict, pointer: str) -> BGraph:
     regions = _records(regions_raw, Region, ("label", "chi"), f"{pointer}/regions", "region")
     edges = _records(edges_raw, HypersurfaceComponent, ("label", "a", "b"),
                      f"{pointer}/edges", "edge")
-    return _located(pointer, BGraph, regions, edges, ambient, orientable)
+    return partial(_located, pointer, BGraph), (regions, edges, ambient, orientable)
 
 
 def _located(pointer: str, check, *args):
@@ -101,22 +103,23 @@ def _located(pointer: str, check, *args):
         raise ManifoldFormatError(str(exc), pointer + exc._path) from exc
 
 
-def _parse_surface(doc: dict, pointer: str) -> BGraph:
-    """Build the region graph of a surface document.
-
-    The triangles and the marked edges go to the surface kernel as one
-    F x 3 and one L x 2 int64 array, read straight from the JSON lists.
-    """
+def _read_surface(doc: dict, pointer: str) -> Tuple[Callable[..., BGraph], tuple]:
+    """The surface kernel, and a surface document's vertex count, triangles
+    and marked edges: one F x 3 and one L x 2 int64 array, read straight
+    from the JSON lists."""
     vertices = _need(doc, "vertices", int, pointer)
     triangles_raw = _need(doc, "triangles", list, pointer)
     z_raw = _need(doc, "z_edges", list, pointer) if "z_edges" in doc else []
     _located(f"{pointer}/triangles", _check_vertex_rows, triangles_raw, 3, "triangle")
     _located(f"{pointer}/z_edges", _check_vertex_rows, z_raw, 2, "marked edge")
-    return _surface_graph(vertices, _vertex_array(triangles_raw, 3), _vertex_array(z_raw, 2))
+    return _surface_graph, (vertices, _vertex_array(triangles_raw, 3), _vertex_array(z_raw, 2))
 
 
-def parse_manifold(doc: Any) -> BGraph:
-    """Build a region graph from a parsed manifold document."""
+def _read(doc: Any) -> Tuple[Callable[..., BGraph], tuple]:
+    """Check a parsed manifold document; return the builder of its region
+    graph and the builder's arguments, which hold no part of the document
+    that the builder does not keep, so that a caller can let the document
+    go before the graph is built.  The document is not changed."""
     if not isinstance(doc, dict):
         raise ManifoldFormatError("document must be a JSON object", "/")
     keys = set(doc) & {"graph", "surface"}
@@ -127,11 +130,20 @@ def parse_manifold(doc: Any) -> BGraph:
     key = keys.pop()
     if not isinstance(doc[key], dict):
         raise ManifoldFormatError(f"{key!r} must be an object", f"/{key}")
-    return (_parse_graph if key == "graph" else _parse_surface)(doc[key], f"/{key}")
+    return (_read_graph if key == "graph" else _read_surface)(doc[key], f"/{key}")
+
+
+def parse_manifold(doc: Any) -> BGraph:
+    """Build a region graph from a parsed manifold document, which is left as it is."""
+    build, args = _read(doc)
+    return build(*args)
 
 
 def load_manifold(path) -> BGraph:
     """Load a manifold JSON file into a region graph.
+
+    The parsed document is let go before the graph is built, so a surface's
+    JSON lists and the surface kernel's arrays are never held at once.
 
     Raises:
         ManifoldFormatError: text that is not UTF-8, malformed or too deeply
@@ -146,4 +158,6 @@ def load_manifold(path) -> BGraph:
         raise ManifoldFormatError(f"not UTF-8 text: {exc}", "/") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ManifoldFormatError(f"not valid JSON: {exc}", "/") from exc
-    return parse_manifold(doc)
+    build, args = _read(doc)
+    del doc  # the graph is built without the document
+    return build(*args)

@@ -1,5 +1,10 @@
 import copy
+import json
 import pickle
+import resource
+import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import networkx as nx
@@ -25,6 +30,7 @@ from btangent import (
     surface_orientable,
     winding_index,
 )
+from btangent import bgraph, manifold_io
 from btangent.bgraph import _components, _graph_columns, _half_edges, _vertex_array, _z_cycles
 from corpus import (
     UnionFind,
@@ -505,6 +511,115 @@ def test_repeated_z_edge_rejected():
         build_graph_from_surface(TriangulatedSurface(6, surf.triangles, ((1, 2), (2, 1))))
 
 
+@contextmanager
+def _address_space_grows_at_most(extra: int):
+    """Cap this process's address space at its present size plus extra
+    bytes, so that a regression fails with MemoryError instead of taking
+    the machine's memory (Linux)."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    size = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_triangle_count_is_bounded_before_any_row_is_read():
+    # 3F half-edges are numbered in int32; a broadcast view holds no rows:
+    # reading them would allocate gigabytes, which the cap turns into a
+    # MemoryError, and sorting the read-only view would raise
+    assert bgraph._MAX_TRIANGLES == 715_827_882
+    assert 3 * bgraph._MAX_TRIANGLES < 2**31 <= 3 * (bgraph._MAX_TRIANGLES + 1)
+    rows = np.broadcast_to(np.array([0, 1, 2], dtype=np.int64), (715_827_883, 3))
+    with pytest.raises(InvalidArgumentError) as exc, _address_space_grows_at_most(256 << 20):
+        _half_edges(3, rows)
+    assert type(exc.value) is InvalidArgumentError
+    assert str(exc.value) == "a surface has at most 715827882 triangles, got 715827883"
+
+
+def _torus_of_disks(n: int) -> TriangulatedSurface:
+    """An n x n grid torus (n even) with row 0 marked, and the boundary of
+    one triangle marked in every other square of every other row from row 2
+    on: each such triangle is a disk region, and the rest is one region."""
+    surf = grid_surface(n, n, loop_rows=(0,))
+    disks = [(i + n * j, i + 1 + n * j, i + 1 + n * (j + 1))
+             for j in range(2, n - 1, 2) for i in range(0, n, 2)]
+    z = surf.z_edges + tuple(e for a, b, d in disks for e in ((a, b), (b, d), (a, d)))
+    return TriangulatedSurface(surf.vertex_count, surf.triangles, z)
+
+
+def test_keys_past_int32_give_the_constructed_graph():
+    # V = 102 400: the edge keys u * V + w pass 2**31 from u = 20 972 on, and
+    # the corner keys region * V + vertex from region 20 972 on, of 25 441;
+    # int32 times a Python int stays int32 under numpy 1.24 and 2 alike, so
+    # either key computed in int32 would wrap here
+    n = 320
+    disks = (n // 2 - 1) * (n // 2)
+    assert disks * n * n > 2**31
+    g = build_graph_from_surface(_torus_of_disks(n))
+    assert g.orientable and len(g.regions) == 1 + disks
+    assert g.regions[0] == ("R0", -disks)  # the torus less the disks
+    assert {r.euler_char for r in g.regions[1:]} == {1}
+    assert [e for e in g.edges if e.is_loop] == [("Z0", "R0", "R0")]  # row 0
+    assert sorted(e.side_b for e in g.edges[1:]) == sorted(r.label for r in g.regions[1:])
+    assert {e.side_a for e in g.edges[1:]} == {"R0"}
+
+
+def test_parse_manifold_leaves_the_document_as_it_was():
+    surface = _document(grid_surface(6, 6, loop_rows=(0, 3)))
+    graph = {"graph": sphere_equator_graph().to_json_dict()}
+    for doc in (surface, graph):
+        before = copy.deepcopy(doc)
+        first = parse_manifold(doc)
+        assert doc == before
+        assert parse_manifold(doc) == first  # read again, the same graph
+
+
+def test_load_manifold_lets_the_document_go_before_the_kernel(tmp_path, monkeypatch):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(_document(grid_surface(100, 100, loop_rows=(0, 50)))))
+    held = []
+
+    def kernel(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return surface_graph(*args)
+
+    surface_graph = manifold_io._surface_graph
+    monkeypatch.setattr(manifold_io, "_surface_graph", kernel)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        doc = json.loads(path.read_text())
+        document = tracemalloc.get_traced_memory()[0] - base
+        del doc
+        base = tracemalloc.get_traced_memory()[0]
+        g = manifold_io.load_manifold(path)
+    finally:
+        tracemalloc.stop()
+    assert len(g.regions) == 2
+    # the kernel's own arguments, 20 000 x 3 and 200 x 2 int64, are 0.48 MB of
+    # the 3.6 MB document's JSON lists
+    assert held[0] - base < document / 4
+
+
+def test_surface_kernel_traced_peak_is_bounded():
+    # int32 half-edges and cover nodes, keys computed in place and each array
+    # dropped once read: 2.3 MB here, where int64 arrays kept to the end took 4.7
+    surf = grid_surface(100, 100, loop_rows=(0, 50))
+    n, t, z = surf.vertex_count, _vertex_array(surf.triangles, 3), _vertex_array(surf.z_edges, 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = bgraph._surface_graph(n, t, z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(g.regions) == 2
+    assert peak < 3_500_000
+
+
 def test_invalid_graph_raises_at_construction():
     sphere_equator_graph()
     with pytest.raises(InvalidArgumentError, match="missing") as exc:
@@ -596,6 +711,12 @@ def _python_door_defects():
          "edges must be HypersurfaceComponent records, got "
          "HypersurfaceComponent(label='Z0', side_a='B+', side_b='B-')"),
         ("region tuple", lambda: BGraph((("a", 1),), ()), "region 0 is not a Region: ('a', 1)"),
+        # records made with tuple.__new__, of a width whose repr raises
+        ("short region", lambda: BGraph((Region("a", 1), tuple.__new__(Region, ("b",))), ()),
+         "region 1 is a Region of width 1, not 2"),
+        ("long edge", lambda: BGraph(equator[0], (
+            tuple.__new__(HypersurfaceComponent, ("Z0", "B+", "B-", "B+")),)),
+         "edge 0 is a HypersurfaceComponent of width 4, not 3"),
         ("edge tuple", lambda: BGraph(equator[0], equator[1] + (("Z1", "B+", "B-"),)),
          "edge 1 is not a HypersurfaceComponent: ('Z1', 'B+', 'B-')"),
         ("region label 3", lambda: BGraph((Region(3, 1),), ()),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import btangent
-from btangent import (BGraph, HypersurfaceComponent, ManifoldFormatError, Region, cli,
+from btangent import (BGraph, HypersurfaceComponent, ManifoldFormatError, Region, bgraph, cli,
                       obstructions, parse_manifold)
 from btangent.cli import build_parser, main, run
 from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
@@ -276,6 +276,19 @@ def test_empty_surface_is_structured_error(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "no triangles" in captured.err
+    assert captured.out == ""
+
+
+def test_surface_past_the_triangle_ceiling_exits_1(tmp_path, capsys, monkeypatch):
+    # a document of 715 827 883 triangles is too big to write here; a lower
+    # ceiling takes the same path
+    monkeypatch.setattr(bgraph, "_MAX_TRIANGLES", 7)
+    path = tmp_path / "oct.json"
+    path.write_text(json.dumps({"surface": {"vertices": 6, "triangles": _OCTAHEDRON}}),
+                    encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: a surface has at most 7 triangles, got 8\n"
     assert captured.out == ""
 
 
