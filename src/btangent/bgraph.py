@@ -405,13 +405,14 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
     """Check that the complex is a closed surface and pair up its half-edges.
 
     ``t`` holds the triangles of a complex on the vertices 0 .. n-1, as
-    ``_vertex_array`` returns them; its rows are sorted in place, and it
-    becomes the result's ``tris``.  The 3F half-edges are keyed u * V + w
-    and sorted once; the complex is closed exactly when every run of equal
-    keys has length two.  The defects are reported in a fixed order:
-    more than ``_MAX_TRIANGLES`` triangles (before any row is read),
-    degenerate or out-of-range triangles, duplicates, isolated vertices,
-    edges not in two triangles.
+    ``_vertex_array`` returns them; once its rows are known to be good they
+    are sorted in place, by three compare-exchanges on whole columns, and it
+    becomes the result's ``tris``.  The 3F half-edges are keyed u * V + w in
+    one F x 3 array and sorted once; the complex is closed exactly when
+    every run of equal keys has length two.  The defects are reported in a
+    fixed order: more than ``_MAX_TRIANGLES`` triangles (before any row is
+    read), degenerate or out-of-range triangles, duplicates, isolated
+    vertices, edges not in two triangles.
     """
     import numpy as np
 
@@ -420,11 +421,21 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
         raise NonClosedSurfaceError("the complex has no triangles")
     if f > _MAX_TRIANGLES:
         raise InvalidArgumentError(f"a surface has at most {_MAX_TRIANGLES} triangles, got {f}")
-    _check_rows(n, t)
-    t.sort(axis=1)
-    # every vertex in use bounds V by 3F, so the vertices and the keys below fit in int64
-    if n <= 3 * f:
-        t = t.astype(np.int64, copy=False)
+    # the rows sorted by the comparators (a, b), (b, c), (a, b) into new
+    # columns: t keeps its rows as stored until the sorted columns show them
+    # good, so that _check_rows can name a bad one as stored
+    a, b, c = t.T
+    lo, mid = np.minimum(a, b), np.maximum(a, b)
+    hi = np.maximum(mid, c)
+    np.minimum(mid, c, out=mid)
+    lo, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+    if ((lo < 0) | (hi >= n) | (lo == mid) | (mid == hi)).any():
+        _check_rows(n, t)
+    t[:, 0], t[:, 1], t[:, 2] = lo, mid, hi  # and so a, b, c, which are views of t
+    del lo, mid, hi
+    # every vertex in use bounds V by 3F, so the vertices and the keys below
+    # fit in int64; only a vertex past int64 makes t an object array, and
+    # then V is past it too
     if n > 3 * f or not np.bincount(t.ravel(), minlength=n).all():
         _check_distinct(t)
         used = np.unique(t)
@@ -433,10 +444,10 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
         raise NonClosedSurfaceError(f"isolated vertices: {missing}"
                                     + (f" ({total} in all)" if total > len(missing) else ""))
 
-    a, b, c = t.T
-    keys = np.stack((a, b, a), axis=1)
-    keys *= n
-    keys += np.stack((b, c, c), axis=1)
+    keys = np.empty((f, 3), dtype=np.int64)
+    for s, (u, w) in enumerate(((a, b), (b, c), (a, c))):
+        np.multiply(u, n, out=keys[:, s])
+        keys[:, s] += w
     keys = keys.ravel()
     # stable, which the report below relies on; on triangles listed in grid
     # order it is also faster than the default sort, which wins on shuffled ones
@@ -480,9 +491,10 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u and v by the edges left, so arrays the caller does not keep are freed.
 
     The labels are int32, so n must be below 2**31; every caller's nodes
-    are triangles, half-edges or cover nodes, which ``_half_edges`` keeps
-    there.  The edge ends u and v may be int32 or int64.  Every gather is an
-    ``np.take``: a fancy index would cast int32 indices to intp each time.
+    are cover nodes, marked edges or region sheets, at most 2F, which
+    ``_half_edges`` keeps there.  The edge ends u and v may be int32 or
+    int64.  Every gather is an ``np.take``: a fancy index would cast int32
+    indices to intp each time.
     """
     import numpy as np
 
@@ -546,8 +558,25 @@ def _z_cycles(n: int, z: np.ndarray, mesh: _HalfEdges) -> Tuple[np.ndarray, np.n
     at = np.argsort(ends, kind="stable").astype(np.int32)
     at //= 2
     del ends
-    cycle = np.unique(_components(len(z), at[0::2], at[1::2]), return_inverse=True)[1]
+    cycle, _ = _numbered(_components(len(z), at[0::2], at[1::2]))
     return cycle, edge
+
+
+def _numbered(label: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Number the classes of a labelling 0, 1, ... in the order of their
+    smallest member, where ``label`` gives every member that smallest
+    member, as ``_components`` does.
+
+    A class's number is the count of smaller classes, so a cumulative sum
+    over the members that label themselves numbers every class; no sort is
+    needed.  Returns the int64 number of every member and the count.
+    """
+    import numpy as np
+
+    number = np.cumsum(label == np.arange(len(label), dtype=label.dtype), dtype=np.int64)
+    count = int(number[-1]) if len(number) else 0
+    number -= 1
+    return number.take(label), count
 
 
 def surface_euler(surf: TriangulatedSurface) -> int:
@@ -561,61 +590,97 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
     """Decide orientability on the orientation double cover.
 
     Neighboring triangles are consistently oriented exactly when they
-    traverse their shared edge in opposite directions.
+    traverse their shared edge in opposite directions.  This is the cover
+    pass of ``build_graph_from_surface`` with no edge marked: each connected
+    piece of the surface is one region, and the surface is orientable
+    exactly when the two sheets of every piece stay apart.
     """
+    import numpy as np
+
     n = surf.vertex_count
-    return _orientable(_half_edges(n, _vertex_array(surf.triangles, 3)))
+    mesh = _half_edges(n, _vertex_array(surf.triangles, 3))
+    return _cover_regions(mesh.pairs, np.empty(0, dtype=np.int64))[2]
 
 
-def _orientable(mesh: _HalfEdges) -> bool:
-    """Components of the orientation double cover.
+def _cover_regions(pairs: np.ndarray, edge: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Regions, the orientability of each and that of the surface, from one
+    components pass over the orientation double cover cut along the marked
+    edges.
 
-    Node 2i + s is triangle i with its stored orientation (s = 0) or the
-    reverse (s = 1).  Across an edge, sheet s meets sheet s of the neighbor,
-    or sheet 1 - s when both run the same way along the edge.  The surface
-    is orientable exactly when no triangle's two sheets are joined.
+    ``pairs`` are the half-edge pairs of a closed surface (see
+    ``_HalfEdges``), and ``edge`` holds the edge numbers of the marked edges.
+    Node 2i + s of the cover is triangle i with its orientation as
+    ``_HalfEdges`` gives it (s = 0) or the reverse (s = 1).  Across an
+    unmarked edge, sheet s meets sheet s of the neighbor, or sheet 1 - s
+    when both run the same way along the edge.  A region is orientable
+    exactly when its two sheets stay apart.  Either way, for j the smallest
+    triangle of the region, every node of it is labelled 2j or 2j + 1, and
+    2j + 1 only on the sheet that 2j is not on: so triangle i lies in
+    region f[2i] // 2, and its sheet 0 in sheet f[2i] & 1 of the region.
+
+    The surface is orientable exactly when every region is and the regions'
+    sheets can be matched across the marked edges: on the parity cover,
+    with node 2r + x for sheet x of region r, the two sheets of every
+    region stay apart.
+
+    Returns the int64 region number of every triangle, regions numbered in
+    the order of their smallest triangle; whether each region is
+    orientable; and whether the surface is.
     """
     import numpy as np
 
-    h, k = mesh.pairs.T
-    sheet = np.arange(2, dtype=np.int32)[:, None]  # int64 here would widen every node
-    same = (h % 3 < 2) == (k % 3 < 2)
-    f = _components(2 * len(mesh.tris), (2 * (h // 3) + sheet).ravel(),
-                    (2 * (k // 3) + (sheet ^ same)).ravel())
-    return bool((f[0::2] != f[1::2]).all())
-
-
-def _region_numbers(mesh: _HalfEdges, edge: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Number the triangles by region: components across unmarked edges.
-
-    ``edge`` holds the edge numbers of the marked edges.  Regions are
-    numbered in the order of their smallest triangle.  Returns the region
-    number of every triangle and the number of regions.
-    """
-    import numpy as np
-
-    unmarked = np.ones(len(mesh.pairs), dtype=bool)
+    h, k = pairs.T
+    same = (h % 3 < 2) == (k % 3 < 2)  # the two run the same way along their edge
+    unmarked = np.ones(len(pairs), dtype=bool)
     unmarked[edge] = False
-    h, k = mesh.pairs.T
-    roots, region = np.unique(_components(len(mesh.tris), h[unmarked] // 3, k[unmarked] // 3),
-                              return_inverse=True)
-    return region, len(roots)
+    sheet = np.arange(2, dtype=np.int32)[:, None]  # int64 here would widen every node
+    # 2F nodes, since the 3F half-edges make E = 3F / 2 pairs; the ends are
+    # passed, not kept, so that _components frees them
+    f = _components(4 * len(pairs) // 3, (2 * (h[unmarked] // 3) + sheet).ravel(),
+                    (2 * (k[unmarked] // 3) + (sheet ^ same[unmarked])).ravel())
+    del unmarked
+    sheet0 = f[0::2]  # the label of every triangle's sheet 0
+    region, count = _numbered(sheet0 // 2)
+    orientable = np.ones(count, dtype=bool)
+    orientable[region[sheet0 == f[1::2]]] = False
+    if not orientable.all():
+        return region, orientable, False
+    # a marked edge joins sheet x of one side's region to sheet x ^ p of the
+    # other's, where p is the two triangles' sheet bits and same
+    h, k = h.take(edge), k.take(edge)
+    p = (sheet0.take(h // 3) ^ sheet0.take(k // 3) ^ same.take(edge)) & 1
+    f = _components(2 * count, (2 * region.take(h // 3) + sheet).ravel(),
+                    (2 * region.take(k // 3) + (sheet ^ p)).ravel())
+    return region, orientable, bool((f[0::2] != f[1::2]).all())
 
 
-def _closure_eulers(mesh: _HalfEdges, n: int, region: np.ndarray, count: int) -> List[int]:
-    """Euler characteristic of each region's closure: corners - edges + faces."""
+def _closure_eulers(tris: np.ndarray, pairs: np.ndarray, n: int, region: np.ndarray,
+                    count: int) -> List[int]:
+    """Euler characteristic of each region's closure: corners - edges + faces,
+    on a surface given by the ``tris`` and ``pairs`` of its ``_HalfEdges``.
+
+    A corner is a distinct (region, vertex) pair.  A scatter gives every
+    vertex one of its regions, which makes one corner each; only the corners
+    of a vertex in its other regions are keyed and sorted.
+    """
     import numpy as np
 
-    sides = region.take(mesh.pairs // 3)  # the regions on the two sides of each edge
+    sides = region.take(pairs // 3)  # the regions on the two sides of each edge
     edges = np.concatenate((sides[:, 0], sides[sides[:, 0] != sides[:, 1], 1]))
     del sides
-    corners = np.repeat(region, 3)  # int64 keys region * V + vertex, one per corner
+    home = np.empty(n, dtype=np.int64)  # every vertex is in use
+    home[tris] = region[:, None]
+    away = np.flatnonzero(home.take(tris) != region[:, None])
+    corners = region.take(away // 3)  # int64 keys region * V + vertex
     corners *= n
-    corners += mesh.tris.ravel()
+    corners += tris.ravel().take(away)
+    del away
     corners.sort()
-    corners = corners[np.concatenate(([True], corners[1:] != corners[:-1]))]
+    first = np.ones(len(corners), dtype=bool)
+    first[1:] = corners[1:] != corners[:-1]
     chi = (np.bincount(region, minlength=count) - np.bincount(edges, minlength=count)
-           + np.bincount(corners // n, minlength=count))
+           + np.bincount(home, minlength=count)
+           + np.bincount(corners[first] // n, minlength=count))
     return chi.tolist()
 
 
@@ -647,12 +712,16 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     """
     import numpy as np
 
-    mesh = _half_edges(n, t)
+    mesh = _half_edges(n, t)  # its triangles are t
     cycle, edge = _z_cycles(n, z, mesh)
+    euler = n - len(mesh.keys) + len(t)
+    pairs = mesh.pairs
+    del mesh  # the edge keys are not read again
 
-    region, count = _region_numbers(mesh, edge)
+    region, region_orientable, orientable = _cover_regions(pairs, edge)
+    count = len(region_orientable)
     labels = [f"R{r}" for r in range(count)]
-    chis = _closure_eulers(mesh, n, region, count)
+    chis = _closure_eulers(t, pairs, n, region, count)
     regions = tuple(_records_of(Region, zip(labels, chis)))
 
     # the distinct (cycle, region) pairs across every marked edge, by cycle;
@@ -660,7 +729,7 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     # (8 ms of a cold start)
     sides = np.repeat(cycle, 2)  # int64 keys cycle * count + region
     sides *= count
-    sides += region.take(mesh.pairs[edge] // 3).ravel()
+    sides += region.take(pairs[edge] // 3).ravel()
     del region, edge
     sides.sort()
     first = np.ones(len(sides), dtype=bool)
@@ -676,11 +745,11 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
         a, b = sorted(near) if len(near) == 2 else near * 2
         edges.append(HypersurfaceComponent(f"Z{k}", a, b))
 
-    if sum(chis) != n - len(mesh.keys) + len(mesh.tris):
+    if sum(chis) != euler:
         raise NonClosedSurfaceError("closure Euler characteristics do not sum to the "
                                     "surface's: the complex is not a surface at some vertex")
 
-    return BGraph(regions, edges, ambient_dim=2, orientable=_orientable(mesh))
+    return BGraph(regions, edges, ambient_dim=2, orientable=orientable)
 
 
 # ---------------------------------------------------------------------------

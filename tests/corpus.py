@@ -267,6 +267,69 @@ def orientable_oracle(surf: TriangulatedSurface) -> bool:
     return all(uf.find(2 * i) != uf.find(2 * i + 1) for i in range(len(surf.triangles)))
 
 
+class ParityUnionFind:
+    """Union-find whose members carry a parity relative to their class's root.
+
+    A union asks for a given parity between two members; a class in which
+    two unions disagree is marked twisted.
+    """
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.parity = [0] * n  # parity relative to the parent
+        self.twisted = [False] * n  # meaningful at roots
+
+    def find(self, x: int) -> Tuple[int, int]:
+        """The root of x and the parity of x relative to it."""
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        relative = 0
+        for y in reversed(path):  # from the root down, pointing each at the root
+            relative ^= self.parity[y]
+            self.parity[y] = relative
+            self.parent[y] = x
+        return x, relative
+
+    def union(self, x: int, y: int, parity: int) -> None:
+        (rx, px), (ry, py) = self.find(x), self.find(y)
+        if rx == ry:
+            self.twisted[rx] = self.twisted[rx] or (px ^ py) != parity
+            return
+        self.parent[ry] = rx
+        self.parity[ry] = px ^ py ^ parity
+        self.twisted[rx] = self.twisted[rx] or self.twisted[ry]
+
+
+def region_orientable_oracle(surf: TriangulatedSurface) -> List[Tuple[int, bool]]:
+    """Each triangle's region and whether that region is orientable.
+
+    Triangles are joined across unmarked edges by a parity union-find: the
+    parity of two neighbors is 0 when their stored cyclic orders run the
+    shared edge in opposite directions and 1 when they run it the same way.
+    A region is orientable exactly when no two joins disagree.  Regions are
+    numbered in the order of their smallest triangle.
+    """
+    runs = defaultdict(list)  # edge -> (triangle, whether it runs the edge upwards)
+    for i, (a, b, c) in enumerate(surf.triangles):
+        for x, y in ((a, b), (b, c), (c, a)):
+            runs[min(x, y), max(x, y)].append((i, x < y))
+    zset = {tuple(sorted(e)) for e in surf.z_edges}
+    uf = ParityUnionFind(len(surf.triangles))
+    for e, sides in runs.items():
+        if e in zset or len(sides) != 2:
+            continue
+        (i, up_i), (j, up_j) = sides
+        uf.union(i, j, int(up_i == up_j))
+    number: Dict[int, int] = {}
+    result = []
+    for i in range(len(surf.triangles)):
+        root = uf.find(i)[0]
+        result.append((number.setdefault(root, len(number)), not uf.twisted[root]))
+    return result
+
+
 def crossing_winding(field, center: Tuple[float, float], radius: float, samples: int = 40001) -> int:
     """Winding number by counting signed crossings of the negative u-axis."""
     cx, cy = center

@@ -31,7 +31,14 @@ from btangent import (
     winding_index,
 )
 from btangent import bgraph, manifold_io
-from btangent.bgraph import _components, _graph_columns, _half_edges, _vertex_array, _z_cycles
+from btangent.bgraph import (
+    _components,
+    _cover_regions,
+    _graph_columns,
+    _half_edges,
+    _vertex_array,
+    _z_cycles,
+)
 from corpus import (
     UnionFind,
     circle_graph,
@@ -43,6 +50,7 @@ from corpus import (
     projective_plane,
     random_bgraph,
     region_count_oracle,
+    region_orientable_oracle,
     relabel,
     subdivide,
     torus7,
@@ -465,10 +473,9 @@ _CORPUS = (octahedron(), octahedron(False), torus7(), genus2(), projective_plane
            grid_surface(5, 6, True, (1, 3)), subdivide(grid_surface(4, 4, False, (0, 2)), [3]))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_document_and_surface_give_the_same_graph(data):
-    surf = data.draw(st.sampled_from(_CORPUS), label="surface")
+def _shuffled(surf: TriangulatedSurface, data) -> TriangulatedSurface:
+    """The same surface and marked curves, relabelled, with its triangles and
+    marked edges listed in drawn orders and each row rotated or reversed."""
     surf = relabel(surf, data.draw(st.permutations(range(surf.vertex_count)), label="relabelling"))
     order = data.draw(st.permutations(range(len(surf.triangles))), label="triangle order")
     turns = data.draw(st.lists(st.integers(0, 5), min_size=len(order), max_size=len(order)),
@@ -477,11 +484,101 @@ def test_document_and_surface_give_the_same_graph(data):
     tris = [(t[s % 3:] + t[:s % 3])[::1 if s < 3 else -1] for t, s in zip(tris, turns)]
     z = data.draw(st.permutations(surf.z_edges), label="marked edge order")
     flips = data.draw(st.lists(st.booleans(), min_size=len(z), max_size=len(z)), label="flips")
-    z = [e[::-1] if flip else e for e, flip in zip(z, flips)]
-    doc = {"surface": {"vertices": surf.vertex_count, "triangles": [list(t) for t in tris],
-                       "z_edges": [list(e) for e in z]}}
-    expected = build_graph_from_surface(TriangulatedSurface(surf.vertex_count, tris, z))
-    assert parse_manifold(doc) == expected
+    return TriangulatedSurface(surf.vertex_count, tuple(tris),
+                               tuple(e[::-1] if flip else e for e, flip in zip(z, flips)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_document_and_surface_give_the_same_graph(data):
+    surf = _shuffled(data.draw(st.sampled_from(_CORPUS), label="surface"), data)
+    assert parse_manifold(_document(surf)) == build_graph_from_surface(surf)
+
+
+# a Klein bottle without loops is one region whose two sheets join; cut along
+# k >= 1 rows it falls into annuli, each orientable, while M is not
+@pytest.mark.parametrize("kind", ["torus", "klein bottle, no loop", "klein bottle, loops",
+                                  "corpus"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cover_pass_matches_the_parity_oracle(kind, data):
+    if kind == "corpus":
+        surf = data.draw(st.sampled_from(_CORPUS), label="surface")
+    else:
+        n, m = data.draw(st.integers(3, 8), label="n"), data.draw(st.integers(3, 8), label="m")
+        loops = 0 if kind == "klein bottle, no loop" else data.draw(
+            st.integers(0 if kind == "torus" else 1, m), label="loops")
+        rows = data.draw(st.sets(st.integers(0, m - 1), min_size=loops, max_size=loops),
+                         label="loop rows")
+        faces = data.draw(st.lists(st.integers(0, 2 * n * m - 1), max_size=4), label="coned faces")
+        surf = subdivide(grid_surface(n, m, kind != "torus", sorted(rows)), faces)
+    surf = _shuffled(surf, data)
+    n = surf.vertex_count
+    mesh = _half_edges(n, _vertex_array(surf.triangles, 3))
+    _, edge = _z_cycles(n, _vertex_array(surf.z_edges, 2), mesh)
+    region, region_orientable, orientable = _cover_regions(mesh.pairs, edge)
+    assert region.dtype == np.int64
+    assert [(r, bool(region_orientable[r])) for r in region.tolist()] == \
+        region_orientable_oracle(surf)
+    assert orientable == orientable_oracle(surf)
+    if kind == "torus":
+        assert orientable and region_orientable.all()
+    elif kind == "klein bottle, no loop":
+        assert not orientable and region_orientable.tolist() == [False]
+    elif kind == "klein bottle, loops":
+        assert not orientable and region_orientable.all()
+
+
+def _first_row_defect(n: int, rows) -> str:
+    """The message for the first bad row, written out: rows in document
+    order, a degenerate row before one out of range, and of an out-of-range
+    row its first such vertex as stored."""
+    for i, row in enumerate(rows):
+        if len(set(row)) < 3:
+            return f"triangle {i} is degenerate: {tuple(row)}"
+        outside = [v for v in row if not 0 <= v < n]
+        if outside:
+            return f"triangle {i} uses vertex {outside[0]} out of range"
+    raise AssertionError("no bad row")
+
+
+# vertices of a 4 x 4 grid torus (0 .. 15), and vertices outside it: just
+# past either end, and past int64, which makes the rows an object array
+_IN_RANGE = st.sampled_from([0, 1, 7, 15])
+_OUTSIDE = st.sampled_from([16, 17, -1, -5, 2**63, 2**70, -2**63 - 1, -2**64])
+
+
+def _degenerate(vertex):
+    return st.tuples(vertex, vertex).flatmap(lambda p: st.permutations([p[0], p[0], p[1]]))
+
+
+_BAD_ROWS = st.one_of(
+    st.lists(_degenerate(_IN_RANGE), min_size=1, max_size=3),
+    st.lists(st.one_of(
+        _degenerate(st.one_of(_IN_RANGE, _OUTSIDE)),
+        st.lists(st.one_of(_IN_RANGE, _OUTSIDE), min_size=3, max_size=3).filter(
+            lambda r: not all(0 <= v < 16 for v in r)),  # out of range, and maybe degenerate
+    ), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_first_row_defect_is_named_in_document_order(data):
+    rows = [list(t) for t in grid_surface(4, 4).triangles]
+    for row in data.draw(_BAD_ROWS, label="bad rows"):
+        rows.insert(data.draw(st.integers(0, len(rows)), label="at"), list(row))
+    message = _first_row_defect(16, rows)
+    for reader in (build_graph_from_surface, surface_euler, surface_orientable):
+        with pytest.raises(NonClosedSurfaceError) as exc:
+            reader(TriangulatedSurface(16, rows, ()))
+        assert str(exc.value) == message
+    # a row of integers reaches the same check from a document, and its
+    # defect is not a format error, so it has no pointer
+    with pytest.raises(NonClosedSurfaceError) as exc:
+        parse_manifold({"surface": {"vertices": 16, "triangles": rows}})
+    assert type(exc.value) is NonClosedSurfaceError and str(exc.value) == message
+    assert not hasattr(exc.value, "pointer")
 
 
 def test_isolated_vertex_rejected():
@@ -565,6 +662,38 @@ def test_keys_past_int32_give_the_constructed_graph():
     assert [e for e in g.edges if e.is_loop] == [("Z0", "R0", "R0")]  # row 0
     assert sorted(e.side_b for e in g.edges[1:]) == sorted(r.label for r in g.regions[1:])
     assert {e.side_a for e in g.edges[1:]} == {"R0"}
+
+
+def test_kernel_dtypes_past_int32(monkeypatch):
+    # triangles, half-edges and cover nodes are numbered in int32; vertices,
+    # edge keys and region and cycle numbers are int64, on a surface whose
+    # keys pass 2**31
+    seen = {}
+
+    def spy(name):
+        real = getattr(bgraph, name)
+
+        def call(*args):
+            seen.setdefault(name, []).append((args, real(*args)))
+            return seen[name][-1][1]
+        monkeypatch.setattr(bgraph, name, call)
+
+    for name in ("_half_edges", "_z_cycles", "_cover_regions", "_components"):
+        spy(name)
+    build_graph_from_surface(_torus_of_disks(320))
+    (_, mesh), = seen["_half_edges"]
+    assert (mesh.tris.dtype, mesh.keys.dtype, mesh.pairs.dtype) == (np.int64, np.int64, np.int32)
+    assert int(mesh.keys[-1]) > 2**31
+    (_, (cycle, _)), = seen["_z_cycles"]
+    (_, (region, region_orientable, orientable)), = seen["_cover_regions"]
+    assert cycle.dtype == region.dtype == np.int64 and int(region.max()) * 320**2 > 2**31
+    assert region_orientable.all() and orientable
+    # the marked edges' cycles, the double cover and the parity cover
+    marked, cover, parity = seen["_components"]
+    assert [args[0] for args, _ in (marked, cover, parity)] == [
+        len(cycle), 2 * len(mesh.tris), 2 * len(region_orientable)]
+    assert {end.dtype for args, _ in (marked, cover) for end in args[1:]} == {np.dtype(np.int32)}
+    assert {labels.dtype for _, labels in (marked, cover, parity)} == {np.dtype(np.int32)}
 
 
 def test_parse_manifold_leaves_the_document_as_it_was():
