@@ -341,24 +341,6 @@ def _check_vertex_rows(rows, k: int, what: str) -> None:
                 raise _defect(f"/{i}/{j}", f"{what} {i} has a vertex that is not an integer: {v!r}")
 
 
-@dataclass(frozen=True)
-class _HalfEdges:
-    """A checked closed surface as flat arrays.
-
-    Half-edge 3i + s is side s of triangle i with sorted vertices a < b < c:
-    (a, b) for s = 0, (b, c) for s = 1 and (a, c) for s = 2.  The first two
-    run along their edge and the third against it.
-
-    Half-edges are numbered in int32, which ``_half_edges`` makes room for
-    by refusing more than ``_MAX_TRIANGLES`` triangles; vertices and keys
-    are int64, since u * V + w passes 2**31 from V = 46 341 vertices on.
-    """
-
-    tris: np.ndarray  # F x 3 int64 vertex numbers, rows sorted
-    keys: np.ndarray  # one int64 key u * V + w (u < w) per edge, ascending
-    pairs: np.ndarray  # E x 2 int32: the two half-edges of each edge, in key order
-
-
 # the most triangles a surface may have: its 3F half-edges are numbered in int32
 _MAX_TRIANGLES = (2**31 - 1) // 3
 
@@ -377,21 +359,6 @@ def _vertex_array(rows, k: int) -> np.ndarray:
         return np.array(list(map(int, chain.from_iterable(rows))), dtype=object).reshape(-1, k)
 
 
-def _check_rows(n: int, t: np.ndarray) -> None:
-    """Raise at the first row of t that is degenerate or has a vertex outside 0 .. n-1."""
-    outside = (t < 0) | (t >= n)
-    a, b, c = t.T
-    degenerate = (a == b) | (b == c) | (a == c)
-    bad = degenerate | outside.any(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
-        row = t[i].tolist()
-        if degenerate[i]:
-            raise NonClosedSurfaceError(f"triangle {i} is degenerate: {tuple(row)}")
-        j = int(outside[i].argmax())
-        raise NonClosedSurfaceError(f"triangle {i} uses vertex {row[j]} out of range")
-
-
 def _check_distinct(t: np.ndarray) -> None:
     """Raise when two rows of t, each sorted, are equal."""
     import numpy as np
@@ -401,18 +368,27 @@ def _check_distinct(t: np.ndarray) -> None:
         raise NonClosedSurfaceError("duplicate triangle in complex")
 
 
-def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
-    """Check that the complex is a closed surface and pair up its half-edges.
+def _half_edges(n: int, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check that the complex is a closed surface and return its edge table.
 
     ``t`` holds the triangles of a complex on the vertices 0 .. n-1, as
     ``_vertex_array`` returns them; once its rows are known to be good they
-    are sorted in place, by three compare-exchanges on whole columns, and it
-    becomes the result's ``tris``.  The 3F half-edges are keyed u * V + w in
-    one F x 3 array and sorted once; the complex is closed exactly when
-    every run of equal keys has length two.  The defects are reported in a
-    fixed order: more than ``_MAX_TRIANGLES`` triangles (before any row is
-    read), degenerate or out-of-range triangles, duplicates, isolated
-    vertices, edges not in two triangles.
+    are sorted in place, by three compare-exchanges on whole columns, which
+    orients triangle i as a -> b -> c -> a by its sorted row (a, b, c).
+
+    The table has a row per edge, in ascending key order: ``keys``, the
+    int64 keys u * V + w (u < w), which pass 2**31 from V = 46 341 on;
+    ``faces``, E x 2 int32, the two triangles of each edge; and ``same``,
+    true where the two run the same way along it.  Only this function
+    numbers half-edges: 3i + s is side (a, b), (b, c) or (a, c) of triangle
+    i for s = 0, 1, 2, the first two along their edge and the third against
+    it, in int32, which refusing more than ``_MAX_TRIANGLES`` triangles
+    makes room for.  The 3F keys are computed in one F x 3 array and sorted
+    once; the complex is closed exactly when every run of equal keys has
+    length two.  The defects are reported in a fixed order: more than
+    ``_MAX_TRIANGLES`` triangles (before any row is read), degenerate or
+    out-of-range triangles, duplicates, isolated vertices, edges not in two
+    triangles.
     """
     import numpy as np
 
@@ -423,16 +399,23 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
         raise InvalidArgumentError(f"a surface has at most {_MAX_TRIANGLES} triangles, got {f}")
     # the rows sorted by the comparators (a, b), (b, c), (a, b) into new
     # columns: t keeps its rows as stored until the sorted columns show them
-    # good, so that _check_rows can name a bad one as stored
+    # good, so that the first bad row is named as stored
     a, b, c = t.T
     lo, mid = np.minimum(a, b), np.maximum(a, b)
     hi = np.maximum(mid, c)
     np.minimum(mid, c, out=mid)
     lo, mid = np.minimum(lo, mid), np.maximum(lo, mid)
-    if ((lo < 0) | (hi >= n) | (lo == mid) | (mid == hi)).any():
-        _check_rows(n, t)
+    degenerate = (lo == mid) | (mid == hi)
+    bad = degenerate | (lo < 0) | (hi >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        row = t[i].tolist()
+        if degenerate[i]:
+            raise NonClosedSurfaceError(f"triangle {i} is degenerate: {tuple(row)}")
+        v = next(v for v in row if not 0 <= v < n)
+        raise NonClosedSurfaceError(f"triangle {i} uses vertex {v} out of range")
     t[:, 0], t[:, 1], t[:, 2] = lo, mid, hi  # and so a, b, c, which are views of t
-    del lo, mid, hi
+    del lo, mid, hi, degenerate, bad
     # every vertex in use bounds V by 3F, so the vertices and the keys below
     # fit in int64; only a vertex past int64 makes t an object array, and
     # then V is past it too
@@ -468,15 +451,17 @@ def _half_edges(n: int, t: np.ndarray) -> _HalfEdges:
             f"edge {e} lies in {runs[r]} triangle(s); a closed surface needs 2"
         )
     keys = keys[::2].copy()  # not a view, which would keep all 3F keys alive
-    pairs = order.reshape(-1, 2)
+    pairs = order.reshape(-1, 2)  # the two half-edges of each edge
     # every edge lies in exactly two triangles, so a repeated triangle meets
     # its copy across an edge: the two triangles there share their third
     # vertex, which for half-edge 3i + s is vertex (s + 2) % 3 of triangle i
     third = t.ravel().take(pairs - pairs % 3 + (pairs + 2) % 3)
     if (third[:, 0] == third[:, 1]).any():
         raise NonClosedSurfaceError("duplicate triangle in complex")
-
-    return _HalfEdges(t, keys, pairs)
+    del third
+    along = pairs % 3 < 2  # sides 0 and 1 run along their edge, side 2 against it
+    pairs //= 3  # in place: the two triangles of each edge
+    return keys, pairs, along[:, 0] == along[:, 1]
 
 
 def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -514,7 +499,7 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             f, jumped = jumped, jumped.take(jumped)
 
 
-def _z_cycles(n: int, z: np.ndarray, mesh: _HalfEdges) -> Tuple[np.ndarray, np.ndarray]:
+def _z_cycles(n: int, z: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Check that the marked edges are distinct and form disjoint cycles.
 
     ``z`` holds them as ``_vertex_array`` returns them, in any order and
@@ -522,7 +507,7 @@ def _z_cycles(n: int, z: np.ndarray, mesh: _HalfEdges) -> Tuple[np.ndarray, np.n
     pairs are sorted.
     Returns, for every marked edge in that order, its cycle number (cycles
     numbered in the order of their smallest edge) and its edge number
-    (index into ``mesh.keys``).
+    (index into the edge ``keys`` of ``_half_edges``).
     """
     import numpy as np
 
@@ -535,8 +520,8 @@ def _z_cycles(n: int, z: np.ndarray, mesh: _HalfEdges) -> Tuple[np.ndarray, np.n
     # no edge needs the pairs' own order, so that the first defect is the same
     order = np.argsort(zkeys) if named.all() else np.lexsort(z.T[::-1])
     zkeys = zkeys[order]
-    edge = np.searchsorted(mesh.keys, zkeys).clip(max=len(mesh.keys) - 1)
-    off = mesh.keys[edge] != zkeys
+    edge = np.searchsorted(keys, zkeys).clip(max=len(keys) - 1)
+    off = keys[edge] != zkeys
     repeat = np.zeros(len(z), dtype=bool)  # sorted above: a repeat is a neighbour
     repeat[1:] = zkeys[1:] == zkeys[:-1]
     if (off | repeat).any():
@@ -581,9 +566,9 @@ def _numbered(label: np.ndarray) -> Tuple[np.ndarray, int]:
 
 def surface_euler(surf: TriangulatedSurface) -> int:
     """Euler characteristic V - E + F of a valid closed surface."""
-    n = surf.vertex_count
-    mesh = _half_edges(n, _vertex_array(surf.triangles, 3))
-    return n - len(mesh.keys) + len(mesh.tris)
+    n, t = surf.vertex_count, _vertex_array(surf.triangles, 3)
+    keys, _, _ = _half_edges(n, t)
+    return n - len(keys) + len(t)
 
 
 def surface_orientable(surf: TriangulatedSurface) -> bool:
@@ -597,20 +582,20 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
     """
     import numpy as np
 
-    n = surf.vertex_count
-    mesh = _half_edges(n, _vertex_array(surf.triangles, 3))
-    return _cover_regions(mesh.pairs, np.empty(0, dtype=np.int64))[2]
+    _, faces, same = _half_edges(surf.vertex_count, _vertex_array(surf.triangles, 3))
+    return _cover_regions(faces, same, np.empty(0, dtype=np.int64))[2]
 
 
-def _cover_regions(pairs: np.ndarray, edge: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
+def _cover_regions(faces: np.ndarray, same: np.ndarray,
+                   edge: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Regions, the orientability of each and that of the surface, from one
     components pass over the orientation double cover cut along the marked
     edges.
 
-    ``pairs`` are the half-edge pairs of a closed surface (see
-    ``_HalfEdges``), and ``edge`` holds the edge numbers of the marked edges.
-    Node 2i + s of the cover is triangle i with its orientation as
-    ``_HalfEdges`` gives it (s = 0) or the reverse (s = 1).  Across an
+    ``faces`` and ``same`` are the edge table of a closed surface (see
+    ``_half_edges``), and ``edge`` holds the edge numbers of the marked edges.
+    Node 2i + s of the cover is triangle i with its orientation by its
+    sorted vertices (s = 0) or the reverse (s = 1).  Across an
     unmarked edge, sheet s meets sheet s of the neighbor, or sheet 1 - s
     when both run the same way along the edge.  A region is orientable
     exactly when its two sheets stay apart.  Either way, for j the smallest
@@ -629,15 +614,14 @@ def _cover_regions(pairs: np.ndarray, edge: np.ndarray) -> Tuple[np.ndarray, np.
     """
     import numpy as np
 
-    h, k = pairs.T
-    same = (h % 3 < 2) == (k % 3 < 2)  # the two run the same way along their edge
-    unmarked = np.ones(len(pairs), dtype=bool)
+    h, k = faces.T
+    unmarked = np.ones(len(faces), dtype=bool)
     unmarked[edge] = False
     sheet = np.arange(2, dtype=np.int32)[:, None]  # int64 here would widen every node
-    # 2F nodes, since the 3F half-edges make E = 3F / 2 pairs; the ends are
+    # 2F nodes, since a closed surface has E = 3F / 2 edges; the ends are
     # passed, not kept, so that _components frees them
-    f = _components(4 * len(pairs) // 3, (2 * (h[unmarked] // 3) + sheet).ravel(),
-                    (2 * (k[unmarked] // 3) + (sheet ^ same[unmarked])).ravel())
+    f = _components(4 * len(faces) // 3, (2 * h[unmarked] + sheet).ravel(),
+                    (2 * k[unmarked] + (sheet ^ same[unmarked])).ravel())
     del unmarked
     sheet0 = f[0::2]  # the label of every triangle's sheet 0
     region, count = _numbered(sheet0 // 2)
@@ -648,16 +632,17 @@ def _cover_regions(pairs: np.ndarray, edge: np.ndarray) -> Tuple[np.ndarray, np.
     # a marked edge joins sheet x of one side's region to sheet x ^ p of the
     # other's, where p is the two triangles' sheet bits and same
     h, k = h.take(edge), k.take(edge)
-    p = (sheet0.take(h // 3) ^ sheet0.take(k // 3) ^ same.take(edge)) & 1
-    f = _components(2 * count, (2 * region.take(h // 3) + sheet).ravel(),
-                    (2 * region.take(k // 3) + (sheet ^ p)).ravel())
+    p = (sheet0.take(h) ^ sheet0.take(k) ^ same.take(edge)) & 1
+    f = _components(2 * count, (2 * region.take(h) + sheet).ravel(),
+                    (2 * region.take(k) + (sheet ^ p)).ravel())
     return region, orientable, bool((f[0::2] != f[1::2]).all())
 
 
-def _closure_eulers(tris: np.ndarray, pairs: np.ndarray, n: int, region: np.ndarray,
+def _closure_eulers(tris: np.ndarray, faces: np.ndarray, n: int, region: np.ndarray,
                     count: int) -> List[int]:
     """Euler characteristic of each region's closure: corners - edges + faces,
-    on a surface given by the ``tris`` and ``pairs`` of its ``_HalfEdges``.
+    on a surface given by its sorted triangle rows ``tris`` and the
+    ``faces`` of its edge table (see ``_half_edges``).
 
     A corner is a distinct (region, vertex) pair.  A scatter gives every
     vertex one of its regions, which makes one corner each; only the corners
@@ -665,7 +650,7 @@ def _closure_eulers(tris: np.ndarray, pairs: np.ndarray, n: int, region: np.ndar
     """
     import numpy as np
 
-    sides = region.take(pairs // 3)  # the regions on the two sides of each edge
+    sides = region.take(faces)  # the regions on the two sides of each edge
     edges = np.concatenate((sides[:, 0], sides[sides[:, 0] != sides[:, 1], 1]))
     del sides
     home = np.empty(n, dtype=np.int64)  # every vertex is in use
@@ -712,16 +697,16 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     """
     import numpy as np
 
-    mesh = _half_edges(n, t)  # its triangles are t
-    cycle, edge = _z_cycles(n, z, mesh)
-    euler = n - len(mesh.keys) + len(t)
-    pairs = mesh.pairs
-    del mesh  # the edge keys are not read again
+    keys, faces, same = _half_edges(n, t)
+    cycle, edge = _z_cycles(n, z, keys)
+    euler = n - len(keys) + len(t)
+    del keys  # not read again
 
-    region, region_orientable, orientable = _cover_regions(pairs, edge)
+    region, region_orientable, orientable = _cover_regions(faces, same, edge)
+    del same
     count = len(region_orientable)
     labels = [f"R{r}" for r in range(count)]
-    chis = _closure_eulers(t, pairs, n, region, count)
+    chis = _closure_eulers(t, faces, n, region, count)
     regions = tuple(_records_of(Region, zip(labels, chis)))
 
     # the distinct (cycle, region) pairs across every marked edge, by cycle;
@@ -729,7 +714,7 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     # (8 ms of a cold start)
     sides = np.repeat(cycle, 2)  # int64 keys cycle * count + region
     sides *= count
-    sides += region.take(pairs[edge] // 3).ravel()
+    sides += region.take(faces[edge]).ravel()
     del region, edge
     sides.sort()
     first = np.ones(len(sides), dtype=bool)

@@ -77,14 +77,18 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
         ZeroOnContourError: |field| <= 1e-12 at some sample point.
         NonConvergentError: the cap is reached with steps still >= pi/2.
         InvalidArgumentError: radius not a finite positive real, center not
-            two finite reals, or a non-finite field value at a sample point.
+            two finite reals (a bool is neither), or a non-finite field
+            value at a sample point.
     """
     from numbers import Real  # numpy registers its numbers here; lazy, off the import path
 
-    if not (isinstance(radius, Real) and math.isfinite(radius) and radius > 0):
+    # bool is a Real to numbers, but neither a radius nor a coordinate
+    if not (isinstance(radius, Real) and not isinstance(radius, bool)
+            and math.isfinite(radius) and radius > 0):
         raise InvalidArgumentError(f"radius must be finite and positive, got {radius!r}")
     cx, cy = center if isinstance(center, Sized) and len(center) == 2 else (None, None)
-    if not all(isinstance(c, Real) and math.isfinite(c) for c in (cx, cy)):
+    if not all(isinstance(c, Real) and not isinstance(c, bool) and math.isfinite(c)
+               for c in (cx, cy)):
         raise InvalidArgumentError(f"center must be two finite reals, got {center!r}")
     n = MIN_SAMPLES
     while True:
@@ -117,7 +121,7 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
         if max_step < MAX_STEP:
             return IndexResult(
                 index=round(total / (2.0 * math.pi)),
-                radius_used=radius,
+                radius_used=float(radius),
                 samples_used=n,
                 max_step_radians=max_step,
             )

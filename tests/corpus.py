@@ -225,6 +225,18 @@ class UnionFind:
         return len({self.find(i) for i in range(len(self.parent))})
 
 
+def edge_table_oracle(surf: TriangulatedSurface) -> Dict[Tuple[int, int], List[Tuple[int, bool]]]:
+    """Each edge, as its sorted vertex pair, mapped to the triangles holding
+    it, each with whether it runs along the edge from the smaller vertex to
+    the larger; a triangle with vertices a < b < c runs a -> b -> c -> a."""
+    runs = defaultdict(list)
+    for i, t in enumerate(surf.triangles):
+        a, b, c = sorted(t)
+        for x, y in ((a, b), (b, c), (c, a)):
+            runs[min(x, y), max(x, y)].append((i, x < y))
+    return dict(runs)
+
+
 def region_count_oracle(surf: TriangulatedSurface) -> int:
     """Number of regions via union-find over triangle adjacency off the marked edges."""
     inc = defaultdict(list)

@@ -42,6 +42,7 @@ from btangent.bgraph import (
 from corpus import (
     UnionFind,
     circle_graph,
+    edge_table_oracle,
     genus2,
     grid_surface,
     octahedron,
@@ -239,9 +240,9 @@ def test_marked_edges_keep_the_lexicographic_order(n, m, data):
     flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)),
                       label="flips")
     z = [surf.z_edges[i][::-1] if flip else surf.z_edges[i] for i, flip in zip(order, flips)]
-    mesh = _half_edges(n * m, _vertex_array(surf.triangles, 3))
-    cycle, edge = _z_cycles(n * m, _vertex_array(z, 2), mesh)
-    assert (cycle.tolist(), edge.tolist()) == _lexsorted_cycles(n * m, np.array(z), mesh.keys)
+    keys, _, _ = _half_edges(n * m, _vertex_array(surf.triangles, 3))
+    cycle, edge = _z_cycles(n * m, _vertex_array(z, 2), keys)
+    assert (cycle.tolist(), edge.tolist()) == _lexsorted_cycles(n * m, np.array(z), keys)
 
 
 def _as_multigraph(g: BGraph) -> nx.MultiGraph:
@@ -514,9 +515,9 @@ def test_cover_pass_matches_the_parity_oracle(kind, data):
         surf = subdivide(grid_surface(n, m, kind != "torus", sorted(rows)), faces)
     surf = _shuffled(surf, data)
     n = surf.vertex_count
-    mesh = _half_edges(n, _vertex_array(surf.triangles, 3))
-    _, edge = _z_cycles(n, _vertex_array(surf.z_edges, 2), mesh)
-    region, region_orientable, orientable = _cover_regions(mesh.pairs, edge)
+    keys, faces, same = _half_edges(n, _vertex_array(surf.triangles, 3))
+    _, edge = _z_cycles(n, _vertex_array(surf.z_edges, 2), keys)
+    region, region_orientable, orientable = _cover_regions(faces, same, edge)
     assert region.dtype == np.int64
     assert [(r, bool(region_orientable[r])) for r in region.tolist()] == \
         region_orientable_oracle(surf)
@@ -527,6 +528,27 @@ def test_cover_pass_matches_the_parity_oracle(kind, data):
         assert not orientable and region_orientable.tolist() == [False]
     elif kind == "klein bottle, loops":
         assert not orientable and region_orientable.all()
+
+
+@pytest.mark.parametrize("kind", ["corpus", "torus", "klein bottle"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_edge_table_matches_its_oracle(kind, data):
+    if kind == "corpus":
+        surf = data.draw(st.sampled_from(_CORPUS), label="surface")
+    else:
+        n, m = data.draw(st.integers(3, 8), label="n"), data.draw(st.integers(3, 8), label="m")
+        surf = grid_surface(n, m, kind == "klein bottle")
+    faces = data.draw(st.lists(st.integers(0, len(surf.triangles) - 1), max_size=4),
+                      label="coned faces")
+    surf = _shuffled(subdivide(surf, faces), data)
+    n = surf.vertex_count
+    keys, faces, same = _half_edges(n, _vertex_array(surf.triangles, 3))
+    table = edge_table_oracle(surf)
+    edges = sorted(table)
+    assert keys.tolist() == [u * n + w for u, w in edges]
+    assert [set(pair) for pair in faces.tolist()] == [{i for i, _ in table[e]} for e in edges]
+    assert same.tolist() == [up_i == up_j for (_, up_i), (_, up_j) in map(table.get, edges)]
 
 
 def _first_row_defect(n: int, rows) -> str:
@@ -667,7 +689,7 @@ def test_keys_past_int32_give_the_constructed_graph():
 def test_kernel_dtypes_past_int32(monkeypatch):
     # triangles, half-edges and cover nodes are numbered in int32; vertices,
     # edge keys and region and cycle numbers are int64, on a surface whose
-    # keys pass 2**31
+    # keys pass 2**31; the edge table's direction bit is a bool
     seen = {}
 
     def spy(name):
@@ -681,9 +703,9 @@ def test_kernel_dtypes_past_int32(monkeypatch):
     for name in ("_half_edges", "_z_cycles", "_cover_regions", "_components"):
         spy(name)
     build_graph_from_surface(_torus_of_disks(320))
-    (_, mesh), = seen["_half_edges"]
-    assert (mesh.tris.dtype, mesh.keys.dtype, mesh.pairs.dtype) == (np.int64, np.int64, np.int32)
-    assert int(mesh.keys[-1]) > 2**31
+    ((_, t), (keys, faces, same)), = seen["_half_edges"]
+    assert (t.dtype, keys.dtype, faces.dtype, same.dtype) == (np.int64, np.int64, np.int32, bool)
+    assert int(keys[-1]) > 2**31
     (_, (cycle, _)), = seen["_z_cycles"]
     (_, (region, region_orientable, orientable)), = seen["_cover_regions"]
     assert cycle.dtype == region.dtype == np.int64 and int(region.max()) * 320**2 > 2**31
@@ -691,7 +713,7 @@ def test_kernel_dtypes_past_int32(monkeypatch):
     # the marked edges' cycles, the double cover and the parity cover
     marked, cover, parity = seen["_components"]
     assert [args[0] for args, _ in (marked, cover, parity)] == [
-        len(cycle), 2 * len(mesh.tris), 2 * len(region_orientable)]
+        len(cycle), 2 * len(t), 2 * len(region_orientable)]
     assert {end.dtype for args, _ in (marked, cover) for end in args[1:]} == {np.dtype(np.int32)}
     assert {labels.dtype for _, labels in (marked, cover, parity)} == {np.dtype(np.int32)}
 

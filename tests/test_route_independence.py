@@ -41,13 +41,14 @@ def test_surface_oracles_stay_apart_from_the_kernel():
     """The test oracles share nothing with the components kernel.
 
     The region count, orientability and per-region orientability oracles
-    in tests/corpus.py use their own union-finds; the kernel's callers keep
-    no Python search queue.
+    in tests/corpus.py use their own union-finds, and the edge table oracle
+    its own dict; the kernel's callers keep no Python search queue.
     """
     kernel = {"_components", "_half_edges"}
     assert not _names(corpus.region_count_oracle) & kernel
     assert not _names(corpus.orientable_oracle) & kernel
     assert not _names(corpus.region_orientable_oracle) & kernel
+    assert not _names(corpus.edge_table_oracle) & kernel
     for func in (bgraph._cover_regions, bgraph._z_cycles):
         code = func.__code__
         assert "_components" in code.co_names

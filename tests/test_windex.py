@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
 from btangent import (
@@ -95,10 +97,18 @@ def test_radius_independence():
     (named_field("radial"), (0.0, -math.inf), 0.1),
     ((lambda x, y: (math.nan, y)), (0.0, 0.0), 0.1),
     ((lambda x, y: (math.inf, y)), (0.0, 0.0), 0.1),
+    (named_field("radial"), (0.0, 0.0), True),
+    (named_field("radial"), (True, 0.0), 0.1),
 ])
 def test_bad_contour_or_field_value_rejected(field, center, radius):
     with pytest.raises(InvalidArgumentError):
         winding_index(field, center, radius)
+
+
+def test_numpy_float_radius_gives_a_json_result():
+    result = winding_index(named_field("radial"), (0.0, 0.0), np.float32(0.1))
+    assert type(result.radius_used) is float
+    assert json.loads(json.dumps(result.to_json_dict()))["radius_used"] == float(np.float32(0.1))
 
 
 def test_zero_on_contour_detected():
