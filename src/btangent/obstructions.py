@@ -136,11 +136,19 @@ def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
     its two regions.  Encoding -1 as the bit 1 turns this into one linear
     equation x_a + x_b = 1 per edge.  Every equation has exactly two
     unknowns, so Gaussian elimination specializes to a union-find in which
-    each region stores its bit relative to its class root: an equation
-    either merges two classes or is checked against the class they already
-    share.  This takes O(E * alpha(V)) time and O(V) memory, on the
-    graph's integer form.  The returned assignment is normalized so that,
-    in every class, the smallest region label gets +1, matching two_color.
+    each region stores its bit relative to its parent.  Each end of an
+    edge walks to its root by path halving: it folds its parent's bit into
+    its own, points at its grandparent and steps there, and the bits it
+    folds restate the equation on the two roots.  Different roots are
+    joined by hooking the larger index onto the smaller; a shared root
+    checks the restated equation.  Path halving keeps finds O(log V)
+    amortized with no rank array (Tarjan and van Leeuwen 1984), in O(V)
+    memory, on the graph's integer form.
+
+    Every link points to a smaller index, so one forward pass over the
+    regions turns each bit into the bit relative to its class root.  That
+    root is the class's smallest index, and labels are sorted, so in
+    every class the smallest region label gets +1, matching two_color.
 
     Raises:
         InconsistentGluingError: the gluing belongs to a different graph.
@@ -149,44 +157,28 @@ def gauge_solvable(gluing: SignGluing, g: BGraph) -> Optional[Coloring]:
         raise InconsistentGluingError("the sign gluing belongs to a different region graph")
     labels, a, b = g._columns
     parent = list(range(len(labels)))
-    bit = [0] * len(labels)  # x_u + x_parent[u] over GF(2)
-    size = [1] * len(labels)
-
-    def root(u: int) -> int:
-        path = []
-        while parent[u] != u:
-            path.append(u)
-            u = parent[u]
-        acc = 0
-        for node in reversed(path):
-            acc ^= bit[node]
-            bit[node] = acc
-            parent[node] = u
-        return u
-
-    for ra, rb in zip(a, b):
-        ua, ub = root(ra), root(rb)
-        # the equation x_ra + x_rb = 1 restated on the two roots: x_ua + x_ub = rhs
-        rhs = bit[ra] ^ bit[rb] ^ 1
-        if ua == ub:
-            if rhs:
-                return None
-            continue
-        if size[ua] < size[ub]:
-            ua, ub = ub, ua
-        parent[ub] = ua
-        bit[ub] = rhs
-        size[ua] += size[ub]
-
-    # labels are sorted, so the first region met in a class is its smallest
-    flip = [-1] * len(labels)  # per root: the bit of its class's smallest region
-    signs = []
-    for u in range(len(labels)):
-        r = root(u)
-        if flip[r] < 0:
-            flip[r] = bit[u]
-        signs.append(-1 if bit[u] ^ flip[r] else 1)
-    return Coloring(dict(zip(labels, signs)))
+    bit = [0] * len(labels)  # x_u + x_parent[u] over GF(2), so 0 at a root
+    for u, w in zip(a, b):
+        rhs = 1  # the equation x_u + x_w = 1, restated as u and w climb
+        while (p := parent[u]) != u:
+            bit[u] ^= bit[p]
+            rhs ^= bit[u]
+            parent[u] = u = parent[p]
+        while (p := parent[w]) != w:
+            bit[w] ^= bit[p]
+            rhs ^= bit[w]
+            parent[w] = w = parent[p]
+        if u < w:
+            parent[w] = u
+            bit[w] = rhs
+        elif w < u:
+            parent[u] = w
+            bit[u] = rhs
+        elif rhs:
+            return None
+    for u, p in enumerate(parent):  # p <= u, so bit[p] is already final
+        bit[u] ^= bit[p]
+    return Coloring(dict(zip(labels, map((1, -1).__getitem__, bit))))
 
 
 def classify_bm(m: int) -> BmClass:

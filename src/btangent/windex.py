@@ -66,12 +66,39 @@ class IndexResult:
         }
 
 
+def _finite_float(x) -> Optional[float]:
+    """x as a float if it is a finite real, else None; a bool is not a real here."""
+    from numbers import Real  # numpy registers its numbers here; lazy, off the import path
+
+    if not isinstance(x, Real) or isinstance(x, bool):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _contour_radius(radius) -> float:
+    """The radius as a float, so the contour is sampled in double precision.
+
+    Raises:
+        InvalidArgumentError: radius not a finite positive real.
+    """
+    r = _finite_float(radius)
+    if r is None or r <= 0:
+        raise InvalidArgumentError(f"radius must be finite and positive, got {radius!r}")
+    return r
+
+
 def winding_index(field: PlaneField, center: Tuple[float, float], radius: float) -> IndexResult:
     """Degree of field/|field| on the circle of given center and radius.
 
     Sampling starts at 64 points and doubles until every consecutive angle
     step is below pi/2, capped at 2**16 points.  Angle increments are summed
-    in fixed sample order, so results are reproducible bit for bit.
+    in fixed sample order, so results are reproducible bit for bit.  The
+    radius and center are converted to float first, so the field always
+    sees double-precision points, and messages quote the converted values.
 
     Raises:
         ZeroOnContourError: |field| <= 1e-12 at some sample point.
@@ -80,16 +107,12 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
             two finite reals (a bool is neither), or a non-finite field
             value at a sample point.
     """
-    from numbers import Real  # numpy registers its numbers here; lazy, off the import path
-
-    # bool is a Real to numbers, but neither a radius nor a coordinate
-    if not (isinstance(radius, Real) and not isinstance(radius, bool)
-            and math.isfinite(radius) and radius > 0):
-        raise InvalidArgumentError(f"radius must be finite and positive, got {radius!r}")
+    radius = _contour_radius(radius)
     cx, cy = center if isinstance(center, Sized) and len(center) == 2 else (None, None)
-    if not all(isinstance(c, Real) and not isinstance(c, bool) and math.isfinite(c)
-               for c in (cx, cy)):
+    cx, cy = _finite_float(cx), _finite_float(cy)
+    if cx is None or cy is None:
         raise InvalidArgumentError(f"center must be two finite reals, got {center!r}")
+    center = (cx, cy)
     n = MIN_SAMPLES
     while True:
         angles = [2.0 * math.pi * k / n for k in range(n)]
@@ -121,7 +144,7 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
         if max_step < MAX_STEP:
             return IndexResult(
                 index=round(total / (2.0 * math.pi)),
-                radius_used=float(radius),
+                radius_used=radius,
                 samples_used=n,
                 max_step_radians=max_step,
             )
@@ -271,8 +294,9 @@ def verify_poincare_hopf(
     Raises:
         NotColorableError: coloring is None; without a global sign choice
             the colored index sum has no meaning.
-        InvalidArgumentError: a zero names a chart missing from `fields`, or
-            a region missing from the graph or the coloring.
+        InvalidArgumentError: radius not a finite positive real (checked
+            before any zero), or a zero names a chart missing from
+            `fields`, or a region missing from the graph or the coloring.
         ImproperColoringError: coloring is not a proper coloring of g.
         OddDimensionError: the ambient dimension of g is odd.
         ZeroOnCriticalSetError: a listed zero sits on or too near Z, where
@@ -283,6 +307,7 @@ def verify_poincare_hopf(
     """
     if coloring is None:
         raise NotColorableError("graph is not two-colorable; no global sign choice exists")
+    radius = _contour_radius(radius)
     labels = set(g.region_labels())
     for z in zeros:
         if z.chart not in fields:

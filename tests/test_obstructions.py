@@ -136,6 +136,81 @@ def test_gauge_takes_only_the_gluing_of_its_own_graph():
     assert gauge_solvable(SignGluing.canonical(rebuilt), g).to_json_dict() == {"B+": 1, "B-": -1}
 
 
+def _gauge(g: BGraph):
+    return gauge_solvable(SignGluing.canonical(g), g)
+
+
+def _assert_routes_agree(g: BGraph):
+    """The union-find and the BFS give the same coloring, or both None."""
+    alg = _gauge(g)
+    assert alg == two_color(g)
+    return alg
+
+
+def _indexed_graph(n: int, pairs) -> BGraph:
+    """Regions P000000, P000001, ... (sorted as numbered) joined by the given
+    index pairs, with the edges in the order given."""
+    labels = [f"P{i:06d}" for i in range(n)]
+    return BGraph(tuple(Region(lab, 0) for lab in labels),
+                  tuple(HypersurfaceComponent(f"E{k}", labels[u], labels[w])
+                        for k, (u, w) in enumerate(pairs)))
+
+
+PATH_REGIONS = 2 * 10**5
+
+
+def test_gauge_on_a_long_path_listed_backwards():
+    # each edge hooks the next region onto the one before it, so the parent
+    # links form one chain through every region
+    pairs = [(i, i + 1) for i in reversed(range(PATH_REGIONS - 1))]
+    c = _assert_routes_agree(_indexed_graph(PATH_REGIONS, pairs))
+    assert [c[f"P{i:06d}"] for i in (0, 1, 2, PATH_REGIONS - 1)] == [1, -1, 1, -1]
+
+
+@pytest.mark.parametrize("regions", [PATH_REGIONS, PATH_REGIONS + 1], ids=["even", "odd"])
+def test_gauge_on_a_long_cycle_closed_last(regions):
+    # the closing edge's find climbs the whole chain the path built
+    pairs = [(i, i + 1) for i in reversed(range(regions - 1))] + [(regions - 1, 0)]
+    c = _assert_routes_agree(_indexed_graph(regions, pairs))
+    assert (c is None) == (regions % 2 == 1)
+
+
+@pytest.mark.parametrize("hub", [0, 500], ids=["smallest hub", "largest hub"])
+def test_gauge_on_a_star(hub):
+    leaves = [u for u in range(501) if u != hub]
+    for pairs in ([(hub, u) for u in leaves], [(u, hub) for u in reversed(leaves)]):
+        c = _assert_routes_agree(_indexed_graph(501, pairs))
+        assert c[f"P{hub:06d}"] == (1 if hub == 0 else -1)
+    # one leaf joined to another closes a triangle through the hub
+    assert _assert_routes_agree(_indexed_graph(501, [(hub, u) for u in leaves]
+                                               + [(leaves[0], leaves[1])])) is None
+
+
+def test_gauge_on_components_with_loops():
+    # a 4-cycle, a path of 3 and an isolated region; then a loop in any of
+    # them, or a separate 5-cycle, leaves no coloring
+    pairs = [(3, 1), (1, 0), (0, 2), (2, 3), (6, 5), (4, 5)]
+    c = _assert_routes_agree(_indexed_graph(8, pairs))
+    assert [c[f"P{i:06d}"] for i in range(8)] == [1, -1, -1, 1, 1, -1, 1, 1]
+    for loop in ((7, 7), (5, 5), (0, 0)):
+        assert _assert_routes_agree(_indexed_graph(8, pairs + [loop])) is None
+        assert _assert_routes_agree(_indexed_graph(8, [loop] + pairs)) is None
+    odd = pairs + [(8, 9), (9, 10), (10, 11), (11, 12), (12, 8)]
+    assert _assert_routes_agree(_indexed_graph(13, odd)) is None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_gauge_matches_two_color_with_edges_shuffled_and_sides_swapped(seed):
+    rng = np.random.default_rng(seed)
+    g = random_bgraph(rng, max_regions=40)
+    edges = [e._replace(side_a=e.side_b, side_b=e.side_a) if rng.random() < 0.5 else e
+             for e in g.edges]
+    rng.shuffle(edges)
+    h = BGraph(g.regions, tuple(edges), g.ambient_dim, g.orientable)
+    assert _assert_routes_agree(h) == _gauge(g)
+
+
 def test_classify_bm_parity():
     for m in range(1, 51):
         want = BmClass.TANGENT_EQUIVALENT if m % 2 == 0 else BmClass.B_TANGENT_EQUIVALENT

@@ -99,6 +99,8 @@ def test_radius_independence():
     ((lambda x, y: (math.inf, y)), (0.0, 0.0), 0.1),
     (named_field("radial"), (0.0, 0.0), True),
     (named_field("radial"), (True, 0.0), 0.1),
+    pytest.param(named_field("radial"), (0.0, 0.0), 10**400, id="radius past float"),
+    pytest.param(named_field("radial"), (0.0, 10**400), 0.1, id="center past float"),
 ])
 def test_bad_contour_or_field_value_rejected(field, center, radius):
     with pytest.raises(InvalidArgumentError):
@@ -109,6 +111,18 @@ def test_numpy_float_radius_gives_a_json_result():
     result = winding_index(named_field("radial"), (0.0, 0.0), np.float32(0.1))
     assert type(result.radius_used) is float
     assert json.loads(json.dumps(result.to_json_dict()))["radius_used"] == float(np.float32(0.1))
+
+
+def test_numpy_float32_contour_is_sampled_in_double_precision():
+    seen = set()
+
+    def field(x, y):
+        seen.update((type(x), type(y)))
+        return (x, y)
+
+    result = winding_index(field, (np.float32(0.0), np.float32(0.0)), np.float32(0.1))
+    assert result.index == 1
+    assert seen == {float}
 
 
 def test_zero_on_contour_detected():
@@ -185,6 +199,28 @@ def test_zero_on_critical_set_rejected():
             bad, g, coloring, kit["fields"],
             critical_distance=kit["critical_distance"],
         )
+
+
+@pytest.mark.parametrize("zeros, radius", [
+    (None, True),
+    (None, -1.0),
+    ((), -1.0),
+    ((), math.nan),
+], ids=["bool radius, sphere zeros", "negative radius, sphere zeros",
+        "negative radius, no zeros", "nan radius, no zeros"])
+def test_radius_checked_before_any_zero(zeros, radius):
+    """A bad radius is one error whatever the zero list: it is not met first
+    as a zero too near the critical set, nor missed when there is no zero."""
+    kit = sphere_height_example()
+    g = kit["graph"]
+    calls = []
+    with pytest.raises(InvalidArgumentError, match="radius must be finite and positive"):
+        verify_poincare_hopf(
+            kit["zeros"] if zeros is None else zeros, g, two_color(g),
+            _recording_fields(kit, calls), radius=radius,
+            critical_distance=kit["critical_distance"],
+        )
+    assert calls == []
 
 
 def _recording_fields(kit, calls):
