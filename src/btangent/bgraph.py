@@ -693,7 +693,8 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     """``build_graph_from_surface`` on a complex given as its parts.
 
     ``t`` holds the triangles and ``z`` the marked edges, as
-    ``_vertex_array`` returns them; the rows of both are sorted in place.
+    ``_vertex_array`` or the numeric reader of ``manifold_io`` returns
+    them; the rows of both are sorted in place.
     """
     import numpy as np
 

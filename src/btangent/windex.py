@@ -10,7 +10,7 @@ number.
 from __future__ import annotations
 
 import math
-from collections.abc import Sized
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -91,6 +91,18 @@ def _contour_radius(radius) -> float:
     return r
 
 
+def _is_pair(center) -> bool:
+    """Whether center is a tuple, a list or a 1-D numpy array of length 2.
+
+    A dict or a set is not, although either unpacks into two values: a
+    dict into its keys and a set in an order that depends on hashing.
+    """
+    numpy = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    sequence = isinstance(center, (tuple, list)) or (
+        numpy is not None and isinstance(center, numpy.ndarray) and center.ndim == 1)
+    return sequence and len(center) == 2
+
+
 def winding_index(field: PlaneField, center: Tuple[float, float], radius: float) -> IndexResult:
     """Degree of field/|field| on the circle of given center and radius.
 
@@ -104,11 +116,11 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
         ZeroOnContourError: |field| <= 1e-12 at some sample point.
         NonConvergentError: the cap is reached with steps still >= pi/2.
         InvalidArgumentError: radius not a finite positive real, center not
-            two finite reals (a bool is neither), or a non-finite field
-            value at a sample point.
+            a tuple, list or 1-D numpy array of two finite reals (a bool is
+            not a real), or a non-finite field value at a sample point.
     """
     radius = _contour_radius(radius)
-    cx, cy = center if isinstance(center, Sized) and len(center) == 2 else (None, None)
+    cx, cy = center if _is_pair(center) else (None, None)
     cx, cy = _finite_float(cx), _finite_float(cy)
     if cx is None or cy is None:
         raise InvalidArgumentError(f"center must be two finite reals, got {center!r}")

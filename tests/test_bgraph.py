@@ -895,7 +895,9 @@ def _python_door_defects():
     for dim in ("x", None, 2.5, True):
         cases.append((f"ambient_dim {dim!r}", lambda d=dim: BGraph(*equator, ambient_dim=d),
                       f"ambient_dim must be an integer, got {dim!r}"))
-    for center in ((0.0, 0.0, 0.0), (0.0,), ("a", "b"), 0.0):
+    # a dict or a set unpacks into two reals, and a 2 x 1 array into two rows
+    for center in ((0.0, 0.0, 0.0), (0.0,), ("a", "b"), 0.0, {0.5: "x", 0.0: "y"}, {0.0, 0.5},
+                   np.array([[0.5], [0.0]])):
         cases.append((f"center {center!r}", lambda c=center: winding_index(radial, c, 0.1),
                       f"center must be two finite reals, got {center!r}"))
     return cases

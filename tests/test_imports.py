@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import btangent
 from btangent import spheremap
 
@@ -31,6 +33,35 @@ def test_graph_subcommands_never_load_numpy():
     proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# A compact surface document with a bad row, which the numeric reader must
+# decline without loading numpy, so that the row check reports it.
+_BAD_ROW = """
+import sys
+from btangent import ManifoldFormatError, load_manifold
+try:
+    load_manifold(sys.argv[1])
+except ManifoldFormatError as exc:
+    print(exc)
+assert "numpy" not in sys.modules
+"""
+
+
+@pytest.mark.parametrize("row, message", [
+    ("[1,2.5,3]", "triangle 3 has a vertex that is not an integer: 2.5 (at /surface/triangles/3/1)"),
+    ("[1,true,3]",
+     "triangle 3 has a vertex that is not an integer: True (at /surface/triangles/3/1)"),
+    ("[1,2]", "triangle 3 does not have 3 vertices: (1, 2) (at /surface/triangles/3)"),
+], ids=["float", "true", "wrong width"])
+def test_a_compact_bad_row_is_reported_without_numpy(tmp_path, row, message):
+    path = tmp_path / "row.json"
+    path.write_text('{"surface":{"vertices":4,"triangles":[[0,1,2],[0,1,3],[0,2,3],%s]}}' % row)
+    env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _BAD_ROW, str(path)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == message + "\n"
 
 
 def test_every_public_name_is_reachable():

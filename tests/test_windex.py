@@ -107,6 +107,15 @@ def test_bad_contour_or_field_value_rejected(field, center, radius):
         winding_index(field, center, radius)
 
 
+@pytest.mark.parametrize("center", [(0.5, 0.0), [0.5, 0.0], np.array([0.5, 0.0]),
+                                    np.array([0.5, 0.0], dtype=np.float32)],
+                         ids=["tuple", "list", "array", "float32 array"])
+def test_center_is_a_tuple_list_or_1d_array(center):
+    # the field's one zero is (0.5, 0): a centre read as (0, 0.5) gives index 0
+    result = winding_index(lambda x, y: (x - 0.5, y), center, 0.1)
+    assert result.index == 1
+
+
 def test_numpy_float_radius_gives_a_json_result():
     result = winding_index(named_field("radial"), (0.0, 0.0), np.float32(0.1))
     assert type(result.radius_used) is float
