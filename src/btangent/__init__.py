@@ -106,8 +106,6 @@ __all__ = [
     "BmClass",
     "BUNDLED_NAMES",
     "ChartZero",
-    "CheckItem",
-    "CheckReport",
     "ClassificationVerdict",
     "Coloring",
     "EdgeVerdict",
@@ -130,7 +128,6 @@ __all__ = [
     "PlaneField",
     "Region",
     "SignGluing",
-    "SphereMapReport",
     "TriangulatedSurface",
     "UnsupportedDimensionError",
     "VerificationReport",
@@ -143,30 +140,22 @@ __all__ = [
     "bundled_path",
     "classical_euler_number",
     "classify_bm",
-    "degree_integral",
-    "degree_preimage",
     "edge_obstruction",
     "equivalence_report",
     "euler_report",
     "gauge_solvable",
-    "homotopy_endpoints",
     "load_manifold",
     "default_center",
     "default_radius",
     "named_b_field",
     "named_field",
-    "north_pole",
     "parse_manifold",
-    "pole_map",
-    "pole_map_differential",
-    "reflection",
     "sphere_equator_graph",
     "sphere_height_example",
-    "sphere_map_report",
     "surface_euler",
     "surface_orientable",
-    "tangent_frame",
     "two_color",
     "verify_poincare_hopf",
     "winding_index",
+    *_SPHEREMAP_NAMES,
 ]

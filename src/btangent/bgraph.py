@@ -432,8 +432,8 @@ def _half_edges(n: int, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarr
         np.multiply(u, n, out=keys[:, s])
         keys[:, s] += w
     keys = keys.ravel()
-    # stable, which the report below relies on; on triangles listed in grid
-    # order it is also faster than the default sort, which wins on shuffled ones
+    # stable only for speed: on triangles listed in grid order it is faster
+    # than the default sort, which wins on shuffled ones
     order = np.argsort(keys, kind="stable").astype(np.int32)
     keys = keys.take(order)
     # closed: 3F is even, and every key equals its partner in its pair and
@@ -442,10 +442,10 @@ def _half_edges(n: int, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarr
         _check_distinct(t)
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         runs = np.diff(np.append(starts, 3 * f))
-        # a stable sort starts each run at its first half-edge: report the
-        # edge met first in triangle order
+        # report the edge met first in triangle order: the bad run holding the
+        # smallest half-edge, whatever order the sort left each run in
         bad_runs = np.flatnonzero(runs != 2)
-        r = bad_runs[order[starts[bad_runs]].argmin()]
+        r = bad_runs[np.minimum.reduceat(order, starts)[bad_runs].argmin()]
         e = divmod(int(keys[starts[r]]), n)
         raise NonClosedSurfaceError(
             f"edge {e} lies in {runs[r]} triangle(s); a closed surface needs 2"

@@ -88,10 +88,10 @@ def _dot_escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _render_dot(g: BGraph, coloring, note: str = "") -> str:
+def _render_dot(g: BGraph, coloring) -> str:
     lines = ["graph regions {", "  node [style=filled];"]
-    if note:
-        lines.insert(1, f"  // {note}")
+    if coloring is None:
+        lines.insert(1, "  // NOT TWO-COLORABLE")
     for r in g.regions:
         fill = "white"
         if coloring is not None:
@@ -105,12 +105,11 @@ def _render_dot(g: BGraph, coloring, note: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args: argparse.Namespace, obj: dict, g: Optional[BGraph] = None, coloring=None,
-          note: str = "") -> str:
+def _emit(args: argparse.Namespace, obj: dict, g: Optional[BGraph] = None, coloring=None) -> str:
     if args.format == "markdown":
         return _render_markdown(args.subcommand, obj)
     if args.format == "dot":
-        return _render_dot(g, coloring, note)
+        return _render_dot(g, coloring)
     return _render_json(obj)
 
 
@@ -120,9 +119,7 @@ def _run_analyze(args: argparse.Namespace) -> Tuple[int, str]:
     obj = verdict.to_json_dict()
     if args.m is not None:
         obj["bm_classification"] = {"m": args.m, "class": classify_bm(args.m).value}
-    code = 0 if verdict.two_colorable else 2
-    note = "" if verdict.two_colorable else "NOT TWO-COLORABLE"
-    return code, _emit(args, obj, g, verdict.coloring, note)
+    return (0 if verdict.two_colorable else 2), _emit(args, obj, g, verdict.coloring)
 
 
 def _run_euler(args: argparse.Namespace) -> Tuple[int, str]:
@@ -131,7 +128,7 @@ def _run_euler(args: argparse.Namespace) -> Tuple[int, str]:
         report = euler_report(g)
     except NotColorableError as exc:
         obj = {"two_colorable": False, "verdict": "NOT TWO-COLORABLE", "error": str(exc)}
-        return 2, _emit(args, obj, g, None, "NOT TWO-COLORABLE")
+        return 2, _emit(args, obj, g)
     return 0, _emit(args, report.to_json_dict(), g, report.coloring_used)
 
 
@@ -140,7 +137,7 @@ def _run_color(args: argparse.Namespace) -> Tuple[int, str]:
     coloring = two_color(g)
     if coloring is None:
         obj = {"two_colorable": False, "coloring": None, "verdict": "NOT TWO-COLORABLE"}
-        return 2, _emit(args, obj, g, None, "NOT TWO-COLORABLE")
+        return 2, _emit(args, obj, g)
     obj = {"two_colorable": True, "coloring": coloring.to_json_dict(), "verdict": "TWO-COLORABLE"}
     return 0, _emit(args, obj, g, coloring)
 

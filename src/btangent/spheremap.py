@@ -17,7 +17,7 @@ homotopy_endpoints checks the odd-dimensional null homotopy on a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
@@ -346,12 +346,7 @@ class SphereMapReport:
     agreement: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "degree_integral": self.degree_integral,
-            "degree_preimage": self.degree_preimage,
-            "agreement": self.agreement,
-        }
+        return asdict(self)
 
 
 def sphere_map_report(n: int, samples: int = 200_000, seed: int = 0) -> SphereMapReport:

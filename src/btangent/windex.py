@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bgraph import BGraph, Coloring, sphere_equator_graph
@@ -58,12 +58,7 @@ class IndexResult:
     max_step_radians: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "radius_used": self.radius_used,
-            "samples_used": self.samples_used,
-            "max_step_radians": self.max_step_radians,
-        }
+        return asdict(self)
 
 
 def _finite_float(x) -> Optional[float]:
@@ -251,12 +246,7 @@ class ZeroIndex:
     index: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "chart": self.chart,
-            "point": list(self.point),
-            "region": self.region,
-            "index": self.index,
-        }
+        return {**asdict(self), "point": list(self.point)}
 
 
 @dataclass(frozen=True)
@@ -271,14 +261,7 @@ class VerificationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "zeros": [z.to_json_dict() for z in self.zeros],
-            "colored_sum": self.colored_sum,
-            "b_euler": self.b_euler,
-            "unsigned_sum": self.unsigned_sum,
-            "classical_euler": self.classical_euler,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "zeros": [z.to_json_dict() for z in self.zeros]}
 
 
 def verify_poincare_hopf(

@@ -329,6 +329,11 @@ def _bad_complexes():
         ("edge in 3 triangles",
          (7, tris + ((0, 1, 6), (1, 2, 6), (0, 2, 6)), ()),
          NonClosedSurfaceError, "edge (0, 1) lies in 3 triangle(s); a closed surface needs 2"),
+        # half-edge 0 is one of three on edge (0, 1), while edges (1, 6) and
+        # (0, 6) hold half-edges 1 and 2 alone: a sort that does not start
+        # the run at half-edge 0 must not change the edge named
+        ("edge in 3 triangles, listed first", (7, ((0, 1, 6),) + tris, ()),
+         NonClosedSurfaceError, "edge (0, 1) lies in 3 triangle(s); a closed surface needs 2"),
         # three edges in 3 triangles each: the one met first in triangle order is named
         ("first of several edges in 3 triangles",
          (103, grid.triangles + tuple(
@@ -378,6 +383,43 @@ def test_bad_complex_gives_its_exact_error(name, parts, error, message):
             parse_manifold({"surface": {"vertices": n, "triangles": [list(t) for t in tris],
                                         "z_edges": [list(e) for e in z]}})
         assert type(exc.value) is error and str(exc.value) == message
+
+
+def _tie_break_cases():
+    surfaces = {"octahedron": octahedron(), "torus7": torus7(), "genus2": genus2(),
+                "projective plane": projective_plane(), "pinched": pinched_octahedra(),
+                "marked grid torus": grid_surface(8, 6, loop_rows=(1, 4)),
+                "marked grid Klein bottle": grid_surface(8, 6, klein=True, loop_rows=(2,))}
+    return [(name, parts) for name, parts, _, _ in _bad_complexes()] + [
+        (name, (s.vertex_count, s.triangles, s.z_edges)) for name, s in surfaces.items()]
+
+
+@pytest.mark.parametrize("name, parts", _tie_break_cases(),
+                         ids=[case[0] for case in _tie_break_cases()])
+def test_results_do_not_depend_on_how_the_sort_breaks_ties(monkeypatch, name, parts):
+    """Every result and every error is the same when 1-D argsort puts equal
+    keys in reverse index order, as an unstable sort may."""
+    def outcomes():
+        out = []
+        for reader in (build_graph_from_surface, surface_euler, surface_orientable):
+            try:
+                out.append(reader(TriangulatedSurface(*parts)))
+            except BTangentError as exc:
+                out.append((type(exc), str(exc)))
+        return out
+
+    argsort = np.argsort
+
+    def reversed_ties(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.ndim != 1:
+            return argsort(a, *args, **kwargs)
+        return np.lexsort((-np.arange(len(a)), a))
+
+    expected = outcomes()
+    monkeypatch.setattr(np, "argsort", reversed_ties)
+    assert np.argsort(np.zeros(3)).tolist() == [2, 1, 0]
+    assert outcomes() == expected
 
 
 def _document(surf: TriangulatedSurface) -> dict:
