@@ -22,6 +22,11 @@ from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError, _as_int, _is_int
 
+__all__ = [
+    "BGraph", "Coloring", "HypersurfaceComponent", "Region", "TriangulatedSurface",
+    "build_graph_from_surface", "sphere_equator_graph", "surface_euler", "surface_orientable",
+]
+
 if TYPE_CHECKING:
     import numpy as np
 

@@ -1,5 +1,13 @@
 """Exception types raised by the btangent package, and its integer rule."""
 
+__all__ = [
+    "BTangentError", "EvenDimensionError", "ImproperColoringError", "InconsistentGluingError",
+    "InvalidArgumentError", "InvalidZError", "ManifoldFormatError", "NonClosedSurfaceError",
+    "NonConvergentError", "NonTangentInputError", "NonUnitInputError", "NotColorableError",
+    "NotOrientableError", "OddDimensionError", "UnsupportedDimensionError",
+    "ZeroOnContourError", "ZeroOnCriticalSetError",
+]
+
 
 class BTangentError(Exception):
     """Base class for all structured errors in this package."""

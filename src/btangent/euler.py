@@ -16,6 +16,8 @@ from .bgraph import BGraph, Coloring
 from .errors import ImproperColoringError, NotColorableError, OddDimensionError
 from .obstructions import _canonical_coloring
 
+__all__ = ["EulerReport", "b_euler_number", "classical_euler_number", "euler_report"]
+
 
 @dataclass(frozen=True)
 class EulerReport:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple
@@ -47,6 +46,8 @@ from .bgraph import (
     _vertex_array,
 )
 from .errors import InvalidArgumentError, ManifoldFormatError, _is_int
+
+__all__ = ["BUNDLED_NAMES", "bundled_path", "load_manifold", "parse_manifold"]
 
 BUNDLED_NAMES = (
     "sphere_equator",
@@ -63,8 +64,7 @@ def bundled_path(name: str) -> Path:
         name = name[: -len(".json")]
     if name not in BUNDLED_NAMES:
         raise KeyError(f"no bundled manifold {name!r}; have {', '.join(BUNDLED_NAMES)}")
-    with resources.as_file(resources.files("btangent.data") / f"{name}.json") as p:
-        return Path(p)
+    return Path(__file__).with_name("data") / f"{name}.json"
 
 
 def _need(obj: dict, key: str, kind: type, pointer: str) -> Any:

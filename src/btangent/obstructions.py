@@ -15,6 +15,11 @@ from typing import ClassVar, List, Optional
 from .bgraph import BGraph, Coloring
 from .errors import InconsistentGluingError, InvalidArgumentError, NotOrientableError, _as_int
 
+__all__ = [
+    "BmClass", "ClassificationVerdict", "EdgeVerdict", "SignGluing", "classify_bm",
+    "edge_obstruction", "equivalence_report", "gauge_solvable", "two_color",
+]
+
 
 class BmClass(Enum):
     """Which classical bundle a tangency-order-m rescaling is isomorphic to."""

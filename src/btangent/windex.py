@@ -24,6 +24,12 @@ from .errors import (
 )
 from .euler import b_euler_number, classical_euler_number
 
+__all__ = [
+    "BPlaneField", "ChartZero", "IndexResult", "PlaneField", "VerificationReport", "ZeroIndex",
+    "b_frame_index", "default_center", "default_radius", "named_b_field", "named_field",
+    "sphere_height_example", "verify_poincare_hopf", "winding_index",
+]
+
 PlaneField = Callable[[float, float], Tuple[float, float]]
 
 ZERO_TOLERANCE = 1e-12
@@ -61,11 +67,16 @@ class IndexResult:
         return asdict(self)
 
 
-def _finite_float(x) -> Optional[float]:
-    """x as a float if it is a finite real, else None; a bool is not a real here."""
+def _real(x) -> bool:
+    """Whether x is a real number; a bool is not a real here."""
     from numbers import Real  # numpy registers its numbers here; lazy, off the import path
 
-    if not isinstance(x, Real) or isinstance(x, bool):
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _finite_float(x) -> Optional[float]:
+    """x as a float if it is a finite real, else None."""
+    if not _real(x):
         return None
     try:
         x = float(x)
@@ -87,7 +98,7 @@ def _contour_radius(radius) -> float:
 
 
 def _is_pair(center) -> bool:
-    """Whether center is a tuple, a list or a 1-D numpy array of length 2.
+    """Whether center (or a field value) is a tuple, a list or a 1-D numpy array of length 2.
 
     A dict or a set is not, although either unpacks into two values: a
     dict into its keys and a set in an order that depends on hashing.
@@ -112,7 +123,8 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
         NonConvergentError: the cap is reached with steps still >= pi/2.
         InvalidArgumentError: radius not a finite positive real, center not
             a tuple, list or 1-D numpy array of two finite reals (a bool is
-            not a real), or a non-finite field value at a sample point.
+            not a real), or a field value at a sample point that is not two
+            finite reals by the same rule.
     """
     radius = _contour_radius(radius)
     cx, cy = center if _is_pair(center) else (None, None)
@@ -125,8 +137,15 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
         angles = [2.0 * math.pi * k / n for k in range(n)]
         values = []
         for k, t in enumerate(angles):
-            u, v = field(cx + radius * math.cos(t), cy + radius * math.sin(t))
-            if not (math.isfinite(u) and math.isfinite(v)):
+            value = field(cx + radius * math.cos(t), cy + radius * math.sin(t))
+            u, v = value if _is_pair(value) else (None, None)
+            if not (_real(u) and _real(v)):
+                raise InvalidArgumentError(
+                    f"field is not two reals at sample {k}/{n} on the contour "
+                    f"(center {center}, radius {radius})"
+                )
+            u, v = _finite_float(u), _finite_float(v)
+            if u is None or v is None:
                 raise InvalidArgumentError(
                     f"field is not finite at sample {k}/{n} on the contour "
                     f"(center {center}, radius {radius})"

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import btangent
-from btangent import spheremap
+from btangent import bgraph, errors, euler, manifold_io, obstructions, spheremap, windex
 
 # Every subcommand but `sphere`, on every bundled graph, in one fresh
 # interpreter: none of them may load numpy, which costs a cold start more
@@ -64,15 +64,43 @@ def test_a_compact_bad_row_is_reported_without_numpy(tmp_path, row, message):
     assert proc.stdout == message + "\n"
 
 
+# the package's public surface: adding or removing a public name changes this set
+_PUBLIC_NAMES = {
+    "BGraph", "BPlaneField", "BTangentError", "BUNDLED_NAMES", "BmClass", "ChartZero", "CheckItem",
+    "CheckReport", "ClassificationVerdict", "Coloring", "EdgeVerdict", "EulerReport",
+    "EvenDimensionError", "HypersurfaceComponent", "ImproperColoringError",
+    "InconsistentGluingError", "IndexResult", "InvalidArgumentError", "InvalidZError",
+    "ManifoldFormatError", "NonClosedSurfaceError", "NonConvergentError", "NonTangentInputError",
+    "NonUnitInputError", "NotColorableError", "NotOrientableError", "OddDimensionError",
+    "PlaneField", "Region", "SignGluing", "SphereMapReport", "TriangulatedSurface",
+    "UnsupportedDimensionError", "VerificationReport", "ZeroIndex", "ZeroOnContourError",
+    "ZeroOnCriticalSetError", "b_euler_number", "b_frame_index", "build_graph_from_surface",
+    "bundled_path", "classical_euler_number", "classify_bm", "default_center", "default_radius",
+    "degree_integral", "degree_preimage", "edge_obstruction", "equivalence_report", "euler_report",
+    "gauge_solvable", "homotopy_endpoints", "load_manifold", "named_b_field", "named_field",
+    "north_pole", "parse_manifold", "pole_map", "pole_map_differential", "reflection",
+    "sphere_equator_graph", "sphere_height_example", "sphere_map_report", "surface_euler",
+    "surface_orientable", "tangent_frame", "two_color", "verify_poincare_hopf", "winding_index",
+}
+
+
 def test_every_public_name_is_reachable():
+    assert set(btangent.__all__) == _PUBLIC_NAMES
     star: dict = {}
     exec("from btangent import *", star)
-    assert set(btangent.__all__) <= set(star)
+    assert set(star) - {"__builtins__"} == set(btangent.__all__)
     assert set(btangent.__all__) <= set(dir(btangent))
     # every lazily exported name is public and is the spheremap object itself
     assert set(btangent._SPHEREMAP_NAMES) <= set(btangent.__all__)
     for name in btangent._SPHEREMAP_NAMES:
         assert getattr(btangent, name) is getattr(spheremap, name), name
+    # each eager name is declared public once, by the module that defines it
+    declared: dict = {}
+    for module in (bgraph, errors, euler, manifold_io, obstructions, windex):
+        for name in module.__all__:
+            assert name in vars(module) and not name.startswith("_"), (module.__name__, name)
+            assert declared.setdefault(name, module.__name__) == module.__name__, name
+    assert set(declared) | set(btangent._SPHEREMAP_NAMES) == _PUBLIC_NAMES
 
 
 _FAILING_PROPERTY = """

@@ -97,6 +97,12 @@ def test_radius_independence():
     (named_field("radial"), (0.0, -math.inf), 0.1),
     ((lambda x, y: (math.nan, y)), (0.0, 0.0), 0.1),
     ((lambda x, y: (math.inf, y)), (0.0, 0.0), 0.1),
+    pytest.param(lambda x, y: 1.0, (0.0, 0.0), 0.1, id="field value a float"),
+    pytest.param(lambda x, y: (1.0, 2.0, 3.0), (0.0, 0.0), 0.1, id="field value of 3 reals"),
+    pytest.param(lambda x, y: (1j, 1.0), (0.0, 0.0), 0.1, id="complex field value"),
+    pytest.param(lambda x, y: ("a", "b"), (0.0, 0.0), 0.1, id="field value of strings"),
+    pytest.param(lambda x, y: (True, 0.0), (0.0, 0.0), 0.1, id="bool field value"),
+    pytest.param(lambda x, y: (10**400, 0.0), (0.0, 0.0), 0.1, id="field value past float"),
     (named_field("radial"), (0.0, 0.0), True),
     (named_field("radial"), (True, 0.0), 0.1),
     pytest.param(named_field("radial"), (0.0, 0.0), 10**400, id="radius past float"),
@@ -105,6 +111,13 @@ def test_radius_independence():
 def test_bad_contour_or_field_value_rejected(field, center, radius):
     with pytest.raises(InvalidArgumentError):
         winding_index(field, center, radius)
+
+
+def test_a_field_value_that_is_not_two_reals_is_named():
+    with pytest.raises(InvalidArgumentError) as exc:
+        winding_index(lambda x, y: 1.0, (0, 0), 1)
+    assert str(exc.value) == ("field is not two reals at sample 0/64 on the contour "
+                              "(center (0.0, 0.0), radius 1.0)")
 
 
 @pytest.mark.parametrize("center", [(0.5, 0.0), [0.5, 0.0], np.array([0.5, 0.0]),
