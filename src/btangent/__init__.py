@@ -8,36 +8,34 @@ out the sphere case explicitly through the degree of the reflection-valued
 gluing map.
 """
 
-from . import bgraph, errors, euler, manifold_io, obstructions, windex
-from .bgraph import *
-from .errors import *
-from .euler import *
-from .manifold_io import *
-from .obstructions import *
-from .windex import *
-
 __version__ = "0.1.0"
 
-# spheremap needs numpy, so it is imported on first use (PEP 562)
-_SPHEREMAP_NAMES = (
-    "CheckItem", "CheckReport", "SphereMapReport", "degree_integral", "degree_preimage",
-    "homotopy_endpoints", "north_pole", "pole_map", "pole_map_differential", "reflection",
-    "sphere_map_report", "tangent_frame",
-)
+# `import btangent` loads no submodule: the first public name asked of the
+# package, its __all__ or dir() loads all seven (PEP 562), and numpy loads
+# only inside the functions that use it
+_MODULES = ("bgraph", "errors", "euler", "manifold_io", "obstructions", "spheremap", "windex")
+
+
+def _load() -> None:
+    """Import the seven modules and bind here the names each lists in its __all__."""
+    from importlib import import_module
+
+    public = []
+    for name in _MODULES:
+        module = import_module(f"{__name__}.{name}")
+        globals().update((key, getattr(module, key)) for key in module.__all__)
+        public += module.__all__
+    globals()["__all__"] = public
 
 
 def __getattr__(name: str):
-    if name in _SPHEREMAP_NAMES:
-        from . import spheremap
-
-        return getattr(spheremap, name)
+    if name == "__all__" or not name.startswith("_"):
+        _load()
+        if name in globals():
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_SPHEREMAP_NAMES))
-
-
-# each module lists its public names in __all__; the package exports exactly those
-__all__ = [*bgraph.__all__, *errors.__all__, *euler.__all__, *manifold_io.__all__,
-           *obstructions.__all__, *windex.__all__, *_SPHEREMAP_NAMES]
+    _load()
+    return sorted(globals())

@@ -14,35 +14,20 @@ identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from .bgraph import BGraph
+# only what parsing needs loads with the module; each _run_* imports what it
+# runs, so a cold start loads the modules of its own subcommand alone
 from .errors import BTangentError, InvalidArgumentError, NotColorableError
-from .euler import euler_report
-from .manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
-from .obstructions import (
-    EdgeVerdict,
-    _canonical_coloring,
-    classify_bm,
-    edge_obstruction,
-    equivalence_report,
-    two_color,
-)
-from .windex import (
-    FIELD_NAMES,
-    b_frame_index,
-    default_center,
-    default_radius,
-    named_b_field,
-    named_field,
-    sphere_height_example,
-    verify_poincare_hopf,
-    winding_index,
-)
+from .windex import FIELD_NAMES
+
+if TYPE_CHECKING:
+    from .bgraph import BGraph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_input(name: str) -> Path:
+    from .manifold_io import BUNDLED_NAMES, bundled_path
+
     p = Path(name)
     if p.exists():
         return p
@@ -114,6 +101,9 @@ def _emit(args: argparse.Namespace, obj: dict, g: Optional[BGraph] = None, color
 
 
 def _run_analyze(args: argparse.Namespace) -> Tuple[int, str]:
+    from .manifold_io import load_manifold
+    from .obstructions import classify_bm, equivalence_report
+
     g = load_manifold(_resolve_input(args.input))
     verdict = equivalence_report(g)
     obj = verdict.to_json_dict()
@@ -123,6 +113,9 @@ def _run_analyze(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_euler(args: argparse.Namespace) -> Tuple[int, str]:
+    from .euler import euler_report
+    from .manifold_io import load_manifold
+
     g = load_manifold(_resolve_input(args.input))
     try:
         report = euler_report(g)
@@ -133,6 +126,9 @@ def _run_euler(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_color(args: argparse.Namespace) -> Tuple[int, str]:
+    from .manifold_io import load_manifold
+    from .obstructions import two_color
+
     g = load_manifold(_resolve_input(args.input))
     coloring = two_color(g)
     if coloring is None:
@@ -143,6 +139,9 @@ def _run_color(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_index(args: argparse.Namespace) -> Tuple[int, str]:
+    from .windex import (b_frame_index, default_center, default_radius, named_b_field,
+                         named_field, winding_index)
+
     name, delta = args.field_name, args.delta
     if not math.isfinite(delta):
         raise InvalidArgumentError(f"--delta must be finite, got {delta}")
@@ -158,13 +157,16 @@ def _run_index(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_sphere(args: argparse.Namespace) -> Tuple[int, str]:
-    from .spheremap import sphere_map_report  # numpy loads only for this subcommand
+    from .spheremap import sphere_map_report
 
     report = sphere_map_report(args.n, samples=args.samples, seed=args.seed)
     return 0, _emit(args, report.to_json_dict())
 
 
 def _run_edge(args: argparse.Namespace) -> Tuple[int, str]:
+    from .manifold_io import load_manifold
+    from .obstructions import EdgeVerdict, _canonical_coloring, edge_obstruction
+
     g = load_manifold(_resolve_input(args.input))
     verdict = edge_obstruction(g, args.dim_m, args.dim_f)
     obj = {
@@ -179,6 +181,10 @@ def _run_edge(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_ph_verify(args: argparse.Namespace) -> Tuple[int, str]:
+    from .manifold_io import load_manifold
+    from .obstructions import two_color
+    from .windex import sphere_height_example, verify_poincare_hopf
+
     g = load_manifold(_resolve_input(args.input))
     kit = sphere_height_example()
     if g != kit["graph"]:
@@ -247,11 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    # one command per process builds few cycles, and collecting them costs a
+    # large load more than it frees; the caller's setting comes back on return
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code, text = run(build_parser().parse_args(argv))
     except (BTangentError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     sys.stdout.write(text)
     return code
 

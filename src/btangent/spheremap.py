@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from .errors import (
     EvenDimensionError,
@@ -31,17 +29,30 @@ from .errors import (
     _as_int,
 )
 
+if TYPE_CHECKING:  # numpy loads where a function first needs it, after its argument checks
+    import numpy as np
+
+__all__ = [
+    "CheckItem", "CheckReport", "SphereMapReport", "degree_integral", "degree_preimage",
+    "homotopy_endpoints", "north_pole", "pole_map", "pole_map_differential", "reflection",
+    "sphere_map_report", "tangent_frame",
+]
+
 UNIT_TOLERANCE = 1e-12
 TANGENT_TOLERANCE = 1e-10
 
 
 def north_pole(n: int) -> np.ndarray:
+    import numpy as np
+
     p = np.zeros(n)
     p[-1] = 1.0
     return p
 
 
 def _as_unit(q) -> np.ndarray:
+    import numpy as np
+
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size < 2:
         raise NonUnitInputError("q must be a vector of dimension >= 2")
@@ -57,6 +68,8 @@ def reflection(q) -> np.ndarray:
 
     Returns I - 2 q q^T: an involutive orthogonal matrix of determinant -1.
     """
+    import numpy as np
+
     q = _as_unit(q)
     return np.eye(q.size) - 2.0 * np.outer(q, q)
 
@@ -77,6 +90,8 @@ def pole_map_differential(q, v) -> np.ndarray:
     Raises:
         NonTangentInputError: v is not orthogonal to q (within 1e-10).
     """
+    import numpy as np
+
     q = _as_unit(q)
     v = np.asarray(v, dtype=float)
     dot = float(q @ v)
@@ -96,6 +111,8 @@ def tangent_frame(q) -> np.ndarray:
     det H = -1, det[q | v_1 | ... | v_{n-1}] = -s (-1)^k: the last vector is
     flipped where that sign is negative.
     """
+    import numpy as np
+
     q = _as_unit(q)
     k = int(np.argmax(np.abs(q)))
     s = -np.sign(q[k])
@@ -118,6 +135,8 @@ def _pullback_density(q: np.ndarray) -> np.ndarray:
     with K = cI_2 + V^T U (see degree_integral), whose entries need only
     q.q and t.
     """
+    import numpy as np
+
     n = q.shape[1]
     t = q[:, -1]
     qq = np.einsum("ij,ij->i", q, q)
@@ -163,6 +182,8 @@ def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
         raise InvalidArgumentError(f"samples must be at most 10**9, got {samples}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(seed))
     chunk = 8192
     total = 0.0
@@ -195,6 +216,8 @@ def degree_preimage(n: int) -> int:
     n = _as_int(n, "n")
     if not 2 <= n <= 8:
         raise UnsupportedDimensionError(f"degree_preimage supports 2 <= n <= 8, got {n}")
+    import numpy as np
+
     south = -north_pole(n)
     deg = 0
     for q in (north_pole(n), -north_pole(n)):
@@ -215,6 +238,8 @@ def _collapse(direction: np.ndarray, height: np.ndarray) -> np.ndarray:
 
     Batched over the leading axes of direction and height; no input checks.
     """
+    import numpy as np
+
     radial = np.sqrt(np.clip(1.0 - height * height, 0.0, None))[..., None] * direction
     return np.concatenate(
         [radial, np.broadcast_to(height[..., None], radial.shape[:-1] + (1,))], axis=-1
@@ -251,6 +276,8 @@ def _paired_rotation(v: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     for odd n); rotating every plane by pi gives -identity, which is why
     this connects the antipodal map to the identity.
     """
+    import numpy as np
+
     d = v.shape[-1]
     out = np.empty(np.broadcast_shapes(v.shape, c.shape + (d,)))
     even = v[..., 0::2]
@@ -289,6 +316,7 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
         raise UnsupportedDimensionError(f"homotopy_endpoints supports odd 3 <= n <= 7, got {n}")
     if not 3 <= grid <= 100:
         raise InvalidArgumentError(f"grid must be in 3..100, got {grid}")
+    import numpy as np
 
     rng = np.random.Generator(np.random.Philox(0))
     vs = rng.normal(size=(grid, n - 1))

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .bgraph import BGraph, Coloring, sphere_equator_graph
 from .errors import (
     InvalidArgumentError,
     NonConvergentError,
@@ -22,7 +20,9 @@ from .errors import (
     ZeroOnContourError,
     ZeroOnCriticalSetError,
 )
-from .euler import b_euler_number, classical_euler_number
+
+if TYPE_CHECKING:  # the index subcommand loads no graph code
+    from .bgraph import BGraph, Coloring
 
 __all__ = [
     "BPlaneField", "ChartZero", "IndexResult", "PlaneField", "VerificationReport", "ZeroIndex",
@@ -40,8 +40,7 @@ MAX_STEP = math.pi / 2
 FIELD_NAMES = ("x_delta", "radial", "saddle", "x0_degenerate", "sphere_height_b")
 
 
-@dataclass(frozen=True)
-class BPlaneField:
+class BPlaneField(NamedTuple):
     """Coefficients of a field x*a(x,y)*d/dx + b(x,y)*d/dy near the line x = 0."""
 
     a: Callable[[float, float], float]
@@ -56,15 +55,14 @@ class BPlaneField:
         return lambda x, y: (self.a(x, y), self.b(x, y))
 
 
-@dataclass(frozen=True)
-class IndexResult:
-    index: int
+class IndexResult(NamedTuple):
+    index: int  # shadows tuple.index, as namedtuple permits
     radius_used: float
     samples_used: int
     max_step_radians: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _real(x) -> bool:
@@ -124,7 +122,8 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
         InvalidArgumentError: radius not a finite positive real, center not
             a tuple, list or 1-D numpy array of two finite reals (a bool is
             not a real), or a field value at a sample point that is not two
-            finite reals by the same rule.
+            finite reals by the same rule, or a radius so small against the
+            center that center + radius rounds to the center.
     """
     radius = _contour_radius(radius)
     cx, cy = center if _is_pair(center) else (None, None)
@@ -132,6 +131,11 @@ def winding_index(field: PlaneField, center: Tuple[float, float], radius: float)
     if cx is None or cy is None:
         raise InvalidArgumentError(f"center must be two finite reals, got {center!r}")
     center = (cx, cy)
+    if cx + radius == cx or cy + radius == cy:
+        raise InvalidArgumentError(
+            f"radius {radius} vanishes against center {center} in double precision: "
+            f"the contour collapses onto its center"
+        )
     n = MIN_SAMPLES
     while True:
         angles = [2.0 * math.pi * k / n for k in range(n)]
@@ -248,8 +252,7 @@ def default_radius(name: str, delta: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChartZero:
+class ChartZero(NamedTuple):
     """A claimed zero of the field: chart name, chart point, region label."""
 
     chart: str
@@ -257,19 +260,17 @@ class ChartZero:
     region: str
 
 
-@dataclass(frozen=True)
-class ZeroIndex:
+class ZeroIndex(NamedTuple):
     chart: str
     point: Tuple[float, float]
     region: str
     index: int
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "point": list(self.point)}
+        return {**self._asdict(), "point": list(self.point)}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of comparing an index sum with the rescaled Euler number."""
 
     zeros: Tuple[ZeroIndex, ...]
@@ -280,7 +281,7 @@ class VerificationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "zeros": [z.to_json_dict() for z in self.zeros]}
+        return {**self._asdict(), "zeros": [z.to_json_dict() for z in self.zeros]}
 
 
 def verify_poincare_hopf(
@@ -319,6 +320,8 @@ def verify_poincare_hopf(
     The pass flag records exact integer equality of the colored index sum
     with the rescaled Euler number; no tolerance is involved.
     """
+    from .euler import b_euler_number, classical_euler_number
+
     if coloring is None:
         raise NotColorableError("graph is not two-colorable; no global sign choice exists")
     radius = _contour_radius(radius)
@@ -368,6 +371,8 @@ def sphere_height_example() -> dict:
     the poles.  Charts are the two stereographic projections; each pole is
     the origin of one chart.
     """
+    from .bgraph import sphere_equator_graph
+
     g = sphere_equator_graph()
     fields = {"north": _sphere_height_chart, "south": _sphere_height_chart}
     zeros = (

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import btangent
-from btangent import (BGraph, HypersurfaceComponent, ManifoldFormatError, Region, bgraph, cli,
+from btangent import (BGraph, HypersurfaceComponent, ManifoldFormatError, Region, bgraph,
                       obstructions, parse_manifold)
 from btangent.cli import build_parser, main, run
 from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
@@ -83,6 +83,15 @@ def test_index_subcommand_values(capsys):
     assert json.loads(capsys.readouterr().out)["index"] == 1
 
 
+def test_index_contour_collapsed_onto_its_center_is_named(capsys):
+    # 1e308 + 0.1 == 1e308: every sample of the default contour is the centre
+    assert main(["index", "x_delta", "--delta", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: radius 0.1 vanishes against center (1e+308, 0.0) in double "
+                            "precision: the contour collapses onto its center\n")
+
+
 def test_edge_subcommand_exit_codes(capsys):
     code = main(["edge", "torus_loop", "--dim-m", "2", "--dim-f", "1"])
     doc = json.loads(capsys.readouterr().out)
@@ -105,7 +114,6 @@ def test_edge_runs_one_two_coloring(monkeypatch, capsys, dim_m):
         return real(g)
 
     monkeypatch.setattr(obstructions, "two_color", counted)
-    monkeypatch.setattr(cli, "two_color", counted)
     for name in BUNDLED_NAMES:
         calls.clear()
         main(["edge", name, "--dim-m", dim_m, "--dim-f", "2"])

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,13 @@ import pytest
 
 import btangent
 from btangent import bgraph, errors, euler, manifold_io, obstructions, spheremap, windex
+
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env)
+
 
 # Every subcommand but `sphere`, on every bundled graph, in one fresh
 # interpreter: none of them may load numpy, which costs a cold start more
@@ -29,10 +37,54 @@ for argv in runs:
 
 
 def test_graph_subcommands_never_load_numpy():
-    env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True, text=True,
-                          env=env)
+    proc = _fresh(_NO_NUMPY)
     assert proc.returncode == 0, proc.stderr
+
+
+# What each cold start loads: the package root nothing, `index` no graph code
+# and no dataclasses, and a refused `sphere` no numpy.
+_ROOT_LOADS_NOTHING = """
+import sys
+import btangent
+loaded = sorted(m for m in sys.modules if m.startswith("btangent.") or m == "numpy")
+assert loaded == [], loaded
+from btangent import *
+assert "numpy" not in sys.modules, "from btangent import *"
+names = dir(btangent)
+assert "numpy" not in sys.modules, "dir(btangent)"
+assert set(btangent.__all__) <= set(names)
+"""
+
+_COLD_CLI = """
+import contextlib, io, json, sys
+from btangent.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    code = main(sys.argv[1:])
+loaded = [m for m in ("dataclasses", "numpy", "btangent.bgraph", "btangent.euler",
+                      "btangent.manifold_io", "btangent.obstructions", "btangent.spheremap")
+          if m in sys.modules]
+print(json.dumps({"code": code, "report": report.getvalue(), "loaded": loaded}))
+"""
+
+
+def test_import_btangent_loads_no_submodule_and_no_numpy():
+    proc = _fresh(_ROOT_LOADS_NOTHING)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_cold_index_loads_no_graph_code_and_no_dataclasses():
+    proc = _fresh(_COLD_CLI, "index", "saddle")
+    run = json.loads(proc.stdout)
+    assert run["code"] == 0 and json.loads(run["report"])["index"] == -1, proc.stderr
+    assert run["loaded"] == []
+
+
+def test_a_refused_sphere_loads_no_numpy():
+    proc = _fresh(_COLD_CLI, "sphere", "--samples", "100")
+    run = json.loads(proc.stdout)
+    assert run["code"] == 1 and run["report"] == ""
+    assert proc.stderr == "error: need at least 10**4 samples, got 100\n"
+    assert run["loaded"] == ["dataclasses", "btangent.spheremap"]
 
 
 # A compact surface document with a bad row, which the numeric reader must
@@ -57,9 +109,7 @@ assert "numpy" not in sys.modules
 def test_a_compact_bad_row_is_reported_without_numpy(tmp_path, row, message):
     path = tmp_path / "row.json"
     path.write_text('{"surface":{"vertices":4,"triangles":[[0,1,2],[0,1,3],[0,2,3],%s]}}' % row)
-    env = dict(os.environ, PYTHONPATH=str(Path(btangent.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _BAD_ROW, str(path)], capture_output=True,
-                          text=True, env=env)
+    proc = _fresh(_BAD_ROW, str(path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == message + "\n"
 
@@ -90,17 +140,15 @@ def test_every_public_name_is_reachable():
     exec("from btangent import *", star)
     assert set(star) - {"__builtins__"} == set(btangent.__all__)
     assert set(btangent.__all__) <= set(dir(btangent))
-    # every lazily exported name is public and is the spheremap object itself
-    assert set(btangent._SPHEREMAP_NAMES) <= set(btangent.__all__)
-    for name in btangent._SPHEREMAP_NAMES:
-        assert getattr(btangent, name) is getattr(spheremap, name), name
-    # each eager name is declared public once, by the module that defines it
+    # each name is declared public once, by the module that defines it, and the
+    # package exports that module's object
     declared: dict = {}
-    for module in (bgraph, errors, euler, manifold_io, obstructions, windex):
+    for module in (bgraph, errors, euler, manifold_io, obstructions, spheremap, windex):
         for name in module.__all__:
             assert name in vars(module) and not name.startswith("_"), (module.__name__, name)
             assert declared.setdefault(name, module.__name__) == module.__name__, name
-    assert set(declared) | set(btangent._SPHEREMAP_NAMES) == _PUBLIC_NAMES
+            assert getattr(btangent, name) is getattr(module, name), name
+    assert set(declared) == _PUBLIC_NAMES
 
 
 _FAILING_PROPERTY = """

@@ -167,6 +167,20 @@ def test_contour_below_the_zero_tolerance_states_it():
     assert winding_index(named_field("x_delta", 2.1e-6), (2.1e-6, 0.0), 1.05e-6).index == 1
 
 
+@pytest.mark.parametrize("center, radius", [((1e308, 0.0), 0.1), ((0.0, 1e16), 0.5),
+                                            ((1.0, 1.0), 1e-17)])
+def test_a_contour_collapsed_onto_its_center_is_named(center, radius):
+    # in at least one coordinate centre + radius rounds to the centre, so the
+    # contour flattens; the field is never evaluated
+    def field(x, y):
+        raise AssertionError("field evaluated")
+
+    with pytest.raises(InvalidArgumentError) as exc:
+        winding_index(field, center, radius)
+    assert str(exc.value) == (f"radius {radius} vanishes against center {center} in double "
+                              "precision: the contour collapses onto its center")
+
+
 def test_non_convergent_angle_jump():
     # angle jumps by pi across x = 0; no sample count resolves that
     def jumpy(x, y):
