@@ -11,13 +11,13 @@ gluing map.
 __version__ = "0.1.0"
 
 # `import btangent` loads no submodule: the first public name asked of the
-# package, its __all__ or dir() loads all seven (PEP 562), and numpy loads
+# package, its __all__ or dir() loads all six (PEP 562), and numpy loads
 # only inside the functions that use it
-_MODULES = ("bgraph", "errors", "euler", "manifold_io", "obstructions", "spheremap", "windex")
+_MODULES = ("bgraph", "errors", "manifold_io", "obstructions", "spheremap", "windex")
 
 
 def _load() -> None:
-    """Import the seven modules and bind here the names each lists in its __all__."""
+    """Import the six modules and bind here the names each lists in its __all__."""
     from importlib import import_module
 
     public = []

@@ -1,23 +1,40 @@
-"""Existence tests for rescaled-tangent-bundle isomorphisms.
+"""Obstructions read from the region graph of a pair (M, Z).
 
-Whether the tangent bundle of a pair (M, Z) is isomorphic to its singular
-variant is a property of the region graph alone: it holds exactly when the
-graph admits a proper two-coloring by signs.  The same coloring question is
+The graph alone gives four answers about the rescaled tangent bundle:
+whether it is isomorphic to TM, which holds exactly when the graph admits a
+proper two-coloring by signs; the necessary condition for edge-rescaled
+bundles, read from the same coloring in odd codimension; its relative Euler
+number, the coloring-weighted sum of region Euler characteristics, beside
+the classical plain sum; and the Poincare-Hopf match of that number with
+the colored sum of a field's winding indices.  The coloring question is
 solved twice on purpose, once by breadth-first search and once as a GF(2)
 linear system over the edge constraints, so each route checks the other.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, List, Optional
+from typing import Callable, ClassVar, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .bgraph import BGraph, Coloring
-from .errors import InconsistentGluingError, InvalidArgumentError, NotOrientableError, _as_int
+from .bgraph import BGraph, Coloring, sphere_equator_graph
+from .errors import (
+    ImproperColoringError,
+    InconsistentGluingError,
+    InvalidArgumentError,
+    NotColorableError,
+    NotOrientableError,
+    OddDimensionError,
+    ZeroOnCriticalSetError,
+    _as_int,
+)
+from .windex import PlaneField, _contour_radius, named_field, winding_index
 
 __all__ = [
-    "BmClass", "ClassificationVerdict", "EdgeVerdict", "SignGluing", "classify_bm",
-    "edge_obstruction", "equivalence_report", "gauge_solvable", "two_color",
+    "BmClass", "ChartZero", "ClassificationVerdict", "EdgeVerdict", "EulerReport", "SignGluing",
+    "VerificationReport", "ZeroIndex", "b_euler_number", "classical_euler_number", "classify_bm",
+    "edge_obstruction", "equivalence_report", "euler_report", "gauge_solvable",
+    "sphere_height_example", "two_color", "verify_poincare_hopf",
 ]
 
 
@@ -230,3 +247,209 @@ def edge_obstruction(g: BGraph, dim_m: int, dim_f: int) -> EdgeVerdict:
     if (dim_m - dim_f) % 2 == 1 and _canonical_coloring(g) is None:
         return EdgeVerdict.OBSTRUCTED
     return EdgeVerdict.INCONCLUSIVE
+
+
+@dataclass(frozen=True)
+class EulerReport:
+    b_euler: int
+    classical_euler: int
+    coloring_used: Coloring
+
+    def to_json_dict(self) -> dict:
+        return {
+            "b_euler": self.b_euler,
+            "classical_euler": self.classical_euler,
+            "coloring_used": self.coloring_used.to_json_dict(),
+        }
+
+
+def b_euler_number(g: BGraph, coloring: Coloring) -> int:
+    """Signed region sum sum_U c(U) chi(U) for a proper coloring c.
+
+    Raises:
+        ImproperColoringError: coloring is not total or violates an edge.
+        OddDimensionError: ambient dimension is odd (both Euler numbers
+            vanish identically there; the sum would be meaningless).
+    """
+    if g.ambient_dim % 2 != 0:
+        raise OddDimensionError(
+            f"b-Euler number needs even ambient dimension, got {g.ambient_dim}"
+        )
+    if not coloring.is_proper(g):
+        raise ImproperColoringError("coloring is not a proper sign coloring of the graph")
+    return sum(coloring[label] * chi for label, chi in g.regions)
+
+
+def classical_euler_number(g: BGraph) -> int:
+    """Euler characteristic of the ambient manifold as the plain region sum.
+
+    This is the one place the sum is taken.  It equals chi(M) in every even
+    dimension n: cutting M open along the two-sided hypersurface Z leaves
+    the disjoint union of the region closures, bounded by two copies of Z,
+    so chi(M) = sum_U chi(closure of U) - chi(Z).  Z is a closed manifold of
+    odd dimension n - 1, hence chi(Z) = 0.
+
+    Raises:
+        OddDimensionError: ambient dimension is odd.
+    """
+    if g.ambient_dim % 2 != 0:
+        raise OddDimensionError(
+            f"classical Euler number needs even ambient dimension, got {g.ambient_dim}"
+        )
+    return sum(chi for _, chi in g.regions)
+
+
+def euler_report(g: BGraph) -> EulerReport:
+    """Both Euler numbers under the canonical coloring.
+
+    Raises:
+        OddDimensionError: ambient dimension is odd.
+        NotColorableError: the graph admits no proper sign coloring, so the
+            rescaled bundle has no well-defined relative Euler number.
+    """
+    classical = classical_euler_number(g)
+    coloring = _canonical_coloring(g)
+    if coloring is None:
+        raise NotColorableError("graph is not two-colorable; no global sign choice exists")
+    return EulerReport(
+        b_euler=b_euler_number(g, coloring),
+        classical_euler=classical,
+        coloring_used=coloring,
+    )
+
+
+# ---------------------------------------------------------------------------
+# index-sum verification on the two-chart sphere
+# ---------------------------------------------------------------------------
+
+
+class ChartZero(NamedTuple):
+    """A claimed zero of the field: chart name, chart point, region label."""
+
+    chart: str
+    point: Tuple[float, float]
+    region: str
+
+
+class ZeroIndex(NamedTuple):
+    chart: str
+    point: Tuple[float, float]
+    region: str
+    index: int
+
+    def to_json_dict(self) -> dict:
+        return {**self._asdict(), "point": list(self.point)}
+
+
+class VerificationReport(NamedTuple):
+    """Outcome of comparing an index sum with the rescaled Euler number."""
+
+    zeros: Tuple[ZeroIndex, ...]
+    colored_sum: int
+    b_euler: int
+    unsigned_sum: int
+    classical_euler: int
+    passed: bool
+
+    def to_json_dict(self) -> dict:
+        return {**self._asdict(), "zeros": [z.to_json_dict() for z in self.zeros]}
+
+
+def verify_poincare_hopf(
+    zeros: Sequence[ChartZero],
+    g: BGraph,
+    coloring: Optional[Coloring],
+    fields: Mapping[str, PlaneField],
+    radius: float = 0.1,
+    critical_distance: Optional[Callable[[str, Tuple[float, float]], float]] = None,
+) -> VerificationReport:
+    """Check sum_p c(p) ind(p) == b-Euler number on caller-supplied zeros.
+
+    Args:
+        zeros: the complete zero list of the field, each tagged with the
+            chart it is visible in and the region containing it.
+        g: region graph of the underlying pair.
+        coloring: proper sign coloring used to weight the indices, as
+            two_color returns it (None when the graph has none).
+        fields: chart name -> plane field giving the honest field there.
+        radius: contour radius for every index computation.
+        critical_distance: optional (chart, point) -> distance to the
+            critical set in chart coordinates.  When given, any zero within
+            `radius` of the critical set is rejected.
+
+    Raises:
+        NotColorableError: coloring is None; without a global sign choice
+            the colored index sum has no meaning.
+        InvalidArgumentError: radius not a finite positive real (checked
+            before any zero), or a zero names a chart missing from
+            `fields`, or a region missing from the graph or the coloring.
+        ImproperColoringError: coloring is not a proper coloring of g.
+        OddDimensionError: the ambient dimension of g is odd.
+        ZeroOnCriticalSetError: a listed zero sits on or too near Z, where
+            winding indices of the honest field are not defined.
+
+    The pass flag records exact integer equality of the colored index sum
+    with the rescaled Euler number; no tolerance is involved.
+    """
+    if coloring is None:
+        raise NotColorableError("graph is not two-colorable; no global sign choice exists")
+    radius = _contour_radius(radius)
+    labels = set(g.region_labels())
+    for z in zeros:
+        if z.chart not in fields:
+            raise InvalidArgumentError(f"zero {z.point} is in chart {z.chart!r}, which has no field")
+        if z.region not in labels or z.region not in coloring.assignment:
+            raise InvalidArgumentError(
+                f"zero {z.point} names region {z.region!r}, which the graph or coloring lacks"
+            )
+    # the sums check the coloring and the dimension before any field is evaluated
+    be = b_euler_number(g, coloring)
+    classical = classical_euler_number(g)
+    results: List[ZeroIndex] = []
+    for z in zeros:
+        if critical_distance is not None:
+            d = critical_distance(z.chart, z.point)
+            if d <= radius:
+                raise ZeroOnCriticalSetError(
+                    f"zero {z.point} in chart {z.chart!r} is within {d:.3g} of the critical set"
+                )
+        res = winding_index(fields[z.chart], z.point, radius)
+        results.append(ZeroIndex(z.chart, z.point, z.region, res.index))
+    colored = sum(coloring[r.region] * r.index for r in results)
+    unsigned = sum(r.index for r in results)
+    return VerificationReport(
+        zeros=tuple(results),
+        colored_sum=colored,
+        b_euler=be,
+        unsigned_sum=unsigned,
+        classical_euler=classical,
+        passed=(colored == be),
+    )
+
+
+def _sphere_critical_distance(chart: str, point: Tuple[float, float]) -> float:
+    # the equator is the unit circle of both stereographic charts
+    return abs(math.hypot(*point) - 1.0)
+
+
+def sphere_height_example() -> dict:
+    """Everything needed to verify the index sum on the round sphere.
+
+    The field is the height function times its negated gradient: a section
+    of the rescaled bundle along the equator, with honest zeros exactly at
+    the poles.  Charts are the two stereographic projections; each pole is
+    the origin of one chart.
+    """
+    g = sphere_equator_graph()
+    chart = named_field("sphere_height_b")
+    fields = {"north": chart, "south": chart}
+    zeros = (
+        ChartZero("north", (0.0, 0.0), "B+"),
+        ChartZero("south", (0.0, 0.0), "B-"),
+    )
+    return {
+        "graph": g,
+        "fields": fields,
+        "zeros": zeros,
+        "critical_distance": _sphere_critical_distance,
+    }

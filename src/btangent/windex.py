@@ -1,33 +1,23 @@
-"""Winding-number indices of plane vector fields and index-sum verification.
+"""Winding-number indices of plane vector fields, and the named fields.
 
 Indices are computed as sampled winding numbers on small circles.  Fields
 near a critical line {x = 0} come in two flavors: the honest field
 (x*a(x,y), b(x,y)) and its rescaled frame coefficients (a, b).  Their
 indices at a common zero differ exactly by the sign of the region the zero
 sits in, which is what makes the signed index sum match the rescaled Euler
-number.
+number (``obstructions.verify_poincare_hopf``).
 """
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
-from .errors import (
-    InvalidArgumentError,
-    NonConvergentError,
-    NotColorableError,
-    ZeroOnContourError,
-    ZeroOnCriticalSetError,
-)
-
-if TYPE_CHECKING:  # the index subcommand loads no graph code
-    from .bgraph import BGraph, Coloring
+from .errors import InvalidArgumentError, NonConvergentError, ZeroOnContourError
 
 __all__ = [
-    "BPlaneField", "ChartZero", "IndexResult", "PlaneField", "VerificationReport", "ZeroIndex",
-    "b_frame_index", "default_center", "default_radius", "named_b_field", "named_field",
-    "sphere_height_example", "verify_poincare_hopf", "winding_index",
+    "BPlaneField", "IndexResult", "PlaneField", "b_frame_index", "default_center",
+    "default_radius", "named_b_field", "named_field", "winding_index",
 ]
 
 PlaneField = Callable[[float, float], Tuple[float, float]]
@@ -203,22 +193,36 @@ def _sphere_height_chart(x: float, y: float) -> Tuple[float, float]:
     return (f * x, f * y)
 
 
+def _known(name: str) -> str:
+    """name, or InvalidArgumentError if it is not in FIELD_NAMES.
+
+    Tuple membership compares by equality, so an unhashable name gets the
+    same error as any other.
+    """
+    if name not in FIELD_NAMES:
+        raise InvalidArgumentError(f"unknown field {name!r}")
+    return name
+
+
 def named_field(name: str, delta: float = 0.0) -> PlaneField:
     """Look up a built-in plane field by name.
 
     Known names are FIELD_NAMES; x_delta takes delta.  Each field but
     sphere_height_b is the honest form of its rescaled frame.
     """
-    if name == "sphere_height_b":
+    if _known(name) == "sphere_height_b":
         return _sphere_height_chart
-    if name not in FIELD_NAMES:
-        raise InvalidArgumentError(f"unknown field {name!r}")
     return named_b_field(name, delta).honest()
 
 
 def named_b_field(name: str, delta: float = 0.0) -> BPlaneField:
-    """Rescaled-frame version of a built-in field, where one exists."""
-    if name == "x_delta":
+    """Rescaled-frame version of a built-in field, where one exists.
+
+    Raises:
+        InvalidArgumentError: unknown name, or sphere_height_b, which has no
+            rescaled frame.
+    """
+    if _known(name) == "x_delta":
         return BPlaneField(a=lambda x, y: x - delta, b=lambda x, y: y)
     if name == "radial":
         return BPlaneField(a=lambda x, y: 1.0, b=lambda x, y: y)
@@ -231,7 +235,7 @@ def named_b_field(name: str, delta: float = 0.0) -> BPlaneField:
 
 def default_center(name: str, delta: float = 0.0) -> Tuple[float, float]:
     """Zero location of a built-in field, used as the default contour center."""
-    if name == "x_delta":
+    if _known(name) == "x_delta":
         return (delta, 0.0)
     return (0.0, 0.0)
 
@@ -242,146 +246,6 @@ def default_radius(name: str, delta: float = 0.0) -> float:
     x_delta also vanishes at the origin, so a contour around (delta, 0) must
     stay closer than |delta| to enclose only its own zero.
     """
-    if name == "x_delta" and delta != 0:
+    if _known(name) == "x_delta" and delta != 0:
         return min(0.1, abs(delta) / 2)
     return 0.1
-
-
-# ---------------------------------------------------------------------------
-# index-sum verification on the two-chart sphere
-# ---------------------------------------------------------------------------
-
-
-class ChartZero(NamedTuple):
-    """A claimed zero of the field: chart name, chart point, region label."""
-
-    chart: str
-    point: Tuple[float, float]
-    region: str
-
-
-class ZeroIndex(NamedTuple):
-    chart: str
-    point: Tuple[float, float]
-    region: str
-    index: int
-
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "point": list(self.point)}
-
-
-class VerificationReport(NamedTuple):
-    """Outcome of comparing an index sum with the rescaled Euler number."""
-
-    zeros: Tuple[ZeroIndex, ...]
-    colored_sum: int
-    b_euler: int
-    unsigned_sum: int
-    classical_euler: int
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "zeros": [z.to_json_dict() for z in self.zeros]}
-
-
-def verify_poincare_hopf(
-    zeros: Sequence[ChartZero],
-    g: BGraph,
-    coloring: Optional[Coloring],
-    fields: Mapping[str, PlaneField],
-    radius: float = 0.1,
-    critical_distance: Optional[Callable[[str, Tuple[float, float]], float]] = None,
-) -> VerificationReport:
-    """Check sum_p c(p) ind(p) == b-Euler number on caller-supplied zeros.
-
-    Args:
-        zeros: the complete zero list of the field, each tagged with the
-            chart it is visible in and the region containing it.
-        g: region graph of the underlying pair.
-        coloring: proper sign coloring used to weight the indices, as
-            two_color returns it (None when the graph has none).
-        fields: chart name -> plane field giving the honest field there.
-        radius: contour radius for every index computation.
-        critical_distance: optional (chart, point) -> distance to the
-            critical set in chart coordinates.  When given, any zero within
-            `radius` of the critical set is rejected.
-
-    Raises:
-        NotColorableError: coloring is None; without a global sign choice
-            the colored index sum has no meaning.
-        InvalidArgumentError: radius not a finite positive real (checked
-            before any zero), or a zero names a chart missing from
-            `fields`, or a region missing from the graph or the coloring.
-        ImproperColoringError: coloring is not a proper coloring of g.
-        OddDimensionError: the ambient dimension of g is odd.
-        ZeroOnCriticalSetError: a listed zero sits on or too near Z, where
-            winding indices of the honest field are not defined.
-
-    The pass flag records exact integer equality of the colored index sum
-    with the rescaled Euler number; no tolerance is involved.
-    """
-    from .euler import b_euler_number, classical_euler_number
-
-    if coloring is None:
-        raise NotColorableError("graph is not two-colorable; no global sign choice exists")
-    radius = _contour_radius(radius)
-    labels = set(g.region_labels())
-    for z in zeros:
-        if z.chart not in fields:
-            raise InvalidArgumentError(f"zero {z.point} is in chart {z.chart!r}, which has no field")
-        if z.region not in labels or z.region not in coloring.assignment:
-            raise InvalidArgumentError(
-                f"zero {z.point} names region {z.region!r}, which the graph or coloring lacks"
-            )
-    # the sums check the coloring and the dimension before any field is evaluated
-    be = b_euler_number(g, coloring)
-    classical = classical_euler_number(g)
-    results: List[ZeroIndex] = []
-    for z in zeros:
-        if critical_distance is not None:
-            d = critical_distance(z.chart, z.point)
-            if d <= radius:
-                raise ZeroOnCriticalSetError(
-                    f"zero {z.point} in chart {z.chart!r} is within {d:.3g} of the critical set"
-                )
-        res = winding_index(fields[z.chart], z.point, radius)
-        results.append(ZeroIndex(z.chart, z.point, z.region, res.index))
-    colored = sum(coloring[r.region] * r.index for r in results)
-    unsigned = sum(r.index for r in results)
-    return VerificationReport(
-        zeros=tuple(results),
-        colored_sum=colored,
-        b_euler=be,
-        unsigned_sum=unsigned,
-        classical_euler=classical,
-        passed=(colored == be),
-    )
-
-
-def _sphere_critical_distance(chart: str, point: Tuple[float, float]) -> float:
-    # the equator is the unit circle of both stereographic charts
-    return abs(math.hypot(*point) - 1.0)
-
-
-def sphere_height_example() -> dict:
-    """Everything needed to verify the index sum on the round sphere.
-
-    The field is the height function times its negated gradient: a section
-    of the rescaled bundle along the equator, with honest zeros exactly at
-    the poles.  Charts are the two stereographic projections; each pole is
-    the origin of one chart.
-    """
-    from .bgraph import sphere_equator_graph
-
-    g = sphere_equator_graph()
-    fields = {"north": _sphere_height_chart, "south": _sphere_height_chart}
-    zeros = (
-        ChartZero("north", (0.0, 0.0), "B+"),
-        ChartZero("south", (0.0, 0.0), "B-"),
-    )
-    return {
-        "graph": g,
-        "fields": fields,
-        "zeros": zeros,
-        "critical_distance": _sphere_critical_distance,
-    }

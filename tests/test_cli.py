@@ -131,6 +131,38 @@ def test_ph_verify_passes_on_sphere(capsys):
     assert doc["unsigned_sum"] == doc["classical_euler"] == 2
 
 
+def _sphere_document(regions, sides) -> dict:
+    """The equator sphere's graph document, with its regions and edge sides as given."""
+    return {"graph": {"regions": [{"label": label, "chi": 1} for label in regions],
+                      "edges": [{"label": "Z0", "a": sides[0], "b": sides[1]}],
+                      "ambient_dim": 2, "orientable": True}}
+
+
+@pytest.mark.parametrize("regions, sides", [
+    (("B-", "B+"), ("B+", "B-")),
+    (("B+", "B-"), ("B-", "B+")),
+    (("B-", "B+"), ("B-", "B+")),
+], ids=["regions reordered", "sides swapped", "both"])
+def test_ph_verify_accepts_the_equator_sphere_in_any_order(tmp_path, capsys, regions, sides):
+    assert main(["ph-verify", "sphere_equator"]) == 0
+    bundled = capsys.readouterr().out
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(_sphere_document(regions, sides)))
+    assert main(["ph-verify", str(path)]) == 0
+    assert capsys.readouterr().out == bundled
+
+
+def test_ph_verify_refuses_the_sphere_with_renamed_regions(tmp_path, capsys):
+    # the kit's zeros name the regions B+ and B-
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(_sphere_document(("N", "S"), ("N", "S"))))
+    assert main(["ph-verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: ph-verify supports only the sphere cut along its equator "
+                            "(bundled sphere_equator)\n")
+
+
 def test_markdown_format(capsys, tmp_path):
     code = main(["euler", "sphere_equator", "--format", "markdown"])
     out = capsys.readouterr().out

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import btangent
-from btangent import bgraph, errors, euler, manifold_io, obstructions, spheremap, windex
+from btangent import bgraph, errors, manifold_io, obstructions, spheremap, windex
 
 def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter with the package on its path."""
@@ -60,8 +60,8 @@ import contextlib, io, json, sys
 from btangent.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as report:
     code = main(sys.argv[1:])
-loaded = [m for m in ("dataclasses", "numpy", "btangent.bgraph", "btangent.euler",
-                      "btangent.manifold_io", "btangent.obstructions", "btangent.spheremap")
+loaded = [m for m in ("dataclasses", "numpy", "btangent.bgraph", "btangent.manifold_io",
+                      "btangent.obstructions", "btangent.spheremap")
           if m in sys.modules]
 print(json.dumps({"code": code, "report": report.getvalue(), "loaded": loaded}))
 """
@@ -143,7 +143,7 @@ def test_every_public_name_is_reachable():
     # each name is declared public once, by the module that defines it, and the
     # package exports that module's object
     declared: dict = {}
-    for module in (bgraph, errors, euler, manifold_io, obstructions, spheremap, windex):
+    for module in (bgraph, errors, manifold_io, obstructions, spheremap, windex):
         for name in module.__all__:
             assert name in vars(module) and not name.startswith("_"), (module.__name__, name)
             assert declared.setdefault(name, module.__name__) == module.__name__, name

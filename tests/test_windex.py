@@ -19,6 +19,8 @@ from btangent import (
     ZeroOnCriticalSetError,
     b_euler_number,
     b_frame_index,
+    default_center,
+    default_radius,
     named_b_field,
     named_field,
     sphere_height_example,
@@ -41,6 +43,20 @@ def test_x_delta_indices(delta, expected):
     assert res.index == expected
     assert res.max_step_radians < math.pi / 2
     assert crossing_winding(f, (delta, 0.0), 0.1) == expected
+
+
+@pytest.mark.parametrize("lookup", [named_field, named_b_field, default_center, default_radius])
+@pytest.mark.parametrize("name", ["bogus", None, ["x_delta"]], ids=["bogus", "None", "list"])
+def test_every_lookup_refuses_an_unknown_name(lookup, name):
+    with pytest.raises(InvalidArgumentError) as exc:
+        lookup(name)
+    assert str(exc.value) == f"unknown field {name!r}"
+
+
+def test_a_known_field_without_a_rescaled_frame_is_named():
+    with pytest.raises(InvalidArgumentError) as exc:
+        named_b_field("sphere_height_b")
+    assert str(exc.value) == "no rescaled frame for field 'sphere_height_b'"
 
 
 def test_x0_degenerate_honest_index_zero():
