@@ -37,21 +37,21 @@ class _Parser(argparse.ArgumentParser):
         raise BTangentError(message)
 
 
-def _resolve_input(name: str) -> Path:
-    from .manifold_io import BUNDLED_NAMES, bundled_path
+def _load_input(name: str) -> BGraph:
+    from .manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 
     p = Path(name)
-    if p.exists():
-        return p
-    if p.name != name:
-        raise BTangentError(f"no such file {name!r}")
-    try:
-        return bundled_path(name)
-    except KeyError:
-        raise BTangentError(
-            f"no such file {name!r} and no bundled manifold of that name "
-            f"(bundled: {', '.join(BUNDLED_NAMES)})"
-        ) from None
+    if not p.exists():
+        if p.name != name:
+            raise BTangentError(f"no such file {name!r}")
+        try:
+            p = bundled_path(name)
+        except KeyError:
+            raise BTangentError(
+                f"no such file {name!r} and no bundled manifold of that name "
+                f"(bundled: {', '.join(BUNDLED_NAMES)})"
+            ) from None
+    return load_manifold(p)
 
 
 def _render_json(obj: dict) -> str:
@@ -101,10 +101,9 @@ def _emit(args: argparse.Namespace, obj: dict, g: Optional[BGraph] = None, color
 
 
 def _run_analyze(args: argparse.Namespace) -> Tuple[int, str]:
-    from .manifold_io import load_manifold
     from .obstructions import classify_bm, equivalence_report
 
-    g = load_manifold(_resolve_input(args.input))
+    g = _load_input(args.input)
     verdict = equivalence_report(g)
     obj = verdict.to_json_dict()
     if args.m is not None:
@@ -113,10 +112,9 @@ def _run_analyze(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_euler(args: argparse.Namespace) -> Tuple[int, str]:
-    from .manifold_io import load_manifold
     from .obstructions import euler_report
 
-    g = load_manifold(_resolve_input(args.input))
+    g = _load_input(args.input)
     try:
         report = euler_report(g)
     except NotColorableError as exc:
@@ -126,10 +124,9 @@ def _run_euler(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_color(args: argparse.Namespace) -> Tuple[int, str]:
-    from .manifold_io import load_manifold
     from .obstructions import two_color
 
-    g = load_manifold(_resolve_input(args.input))
+    g = _load_input(args.input)
     coloring = two_color(g)
     if coloring is None:
         obj = {"two_colorable": False, "coloring": None, "verdict": "NOT TWO-COLORABLE"}
@@ -139,13 +136,14 @@ def _run_color(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_index(args: argparse.Namespace) -> Tuple[int, str]:
-    from .windex import (b_frame_index, default_center, default_radius, named_b_field,
-                         named_field, winding_index)
+    from .windex import (_own_zero_radius, b_frame_index, default_center, default_radius,
+                         named_b_field, named_field, winding_index)
 
     name, delta = args.field_name, args.delta
     if not math.isfinite(delta):
         raise InvalidArgumentError(f"--delta must be finite, got {delta}")
     radius = default_radius(name, delta) if args.radius is None else args.radius
+    radius = _own_zero_radius(name, delta, radius)
     center = default_center(name, delta)
     if args.frame == "b":
         result = b_frame_index(named_b_field(name, delta), center, radius)
@@ -164,10 +162,9 @@ def _run_sphere(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_edge(args: argparse.Namespace) -> Tuple[int, str]:
-    from .manifold_io import load_manifold
     from .obstructions import EdgeVerdict, _canonical_coloring, edge_obstruction
 
-    g = load_manifold(_resolve_input(args.input))
+    g = _load_input(args.input)
     verdict = edge_obstruction(g, args.dim_m, args.dim_f)
     obj = {
         "verdict": verdict.value,
@@ -187,10 +184,9 @@ def _unordered(g: BGraph) -> tuple:
 
 
 def _run_ph_verify(args: argparse.Namespace) -> Tuple[int, str]:
-    from .manifold_io import load_manifold
     from .obstructions import sphere_height_example, two_color, verify_poincare_hopf
 
-    g = load_manifold(_resolve_input(args.input))
+    g = _load_input(args.input)
     kit = sphere_height_example()
     if _unordered(g) != _unordered(kit["graph"]):
         raise BTangentError("ph-verify supports only the sphere cut along its equator "

@@ -13,9 +13,8 @@ linear system over the edge constraints, so each route checks the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .bgraph import BGraph, Coloring, sphere_equator_graph
 from .errors import (
@@ -50,8 +49,7 @@ class EdgeVerdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class SignGluing:
+class SignGluing(NamedTuple):
     """The sign gluing of a region graph, which the graph alone determines.
 
     The rescaling forces the two side signs of every edge to multiply to
@@ -78,8 +76,7 @@ _EQUIVALENT_CRITERIA = (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     """The isomorphism verdict for one region graph, held as its coloring.
 
     The graph is two-colorable exactly when a proper coloring exists; every
@@ -87,7 +84,7 @@ class ClassificationVerdict:
     """
 
     coloring: Optional[Coloring]
-    pontrjagin_note: ClassVar[str] = "2p(TM) = 2p(bTM) always"
+    pontrjagin_note = "2p(TM) = 2p(bTM) always"  # unannotated, so not a field
 
     @property
     def two_colorable(self) -> bool:
@@ -249,18 +246,13 @@ def edge_obstruction(g: BGraph, dim_m: int, dim_f: int) -> EdgeVerdict:
     return EdgeVerdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     b_euler: int
     classical_euler: int
     coloring_used: Coloring
 
     def to_json_dict(self) -> dict:
-        return {
-            "b_euler": self.b_euler,
-            "classical_euler": self.classical_euler,
-            "coloring_used": self.coloring_used.to_json_dict(),
-        }
+        return {**self._asdict(), "coloring_used": self.coloring_used.to_json_dict()}
 
 
 def b_euler_number(g: BGraph, coloring: Coloring) -> int:
@@ -311,11 +303,7 @@ def euler_report(g: BGraph) -> EulerReport:
     coloring = _canonical_coloring(g)
     if coloring is None:
         raise NotColorableError("graph is not two-colorable; no global sign choice exists")
-    return EulerReport(
-        b_euler=b_euler_number(g, coloring),
-        classical_euler=classical,
-        coloring_used=coloring,
-    )
+    return EulerReport(b_euler_number(g, coloring), classical, coloring)
 
 
 # ---------------------------------------------------------------------------

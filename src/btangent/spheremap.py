@@ -17,8 +17,8 @@ homotopy_endpoints checks the odd-dimensional null homotopy on a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, Tuple
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Dict, NamedTuple, Tuple
 
 from .errors import (
     EvenDimensionError,
@@ -246,8 +246,7 @@ def _collapse(direction: np.ndarray, height: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     value: float
     tolerance: float
@@ -257,11 +256,10 @@ class CheckItem:
         return self.value <= self.tolerance
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     items: Tuple[CheckItem, ...]
-    metrics: Dict[str, float] = field(default_factory=dict)
+    metrics: Dict[str, float]
 
     @property
     def passed(self) -> bool:
@@ -357,11 +355,8 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
         CheckItem("time1_constant_south_pole", end_dev, 1e-12),
         CheckItem("images_unit_norm", float(np.max(norm_devs)), 1e-12),
     )
-    return CheckReport(
-        name=f"null_homotopy_n{n}",
-        items=items,
-        metrics={"max_adjacent_step": float(np.max(steps)), "grid": float(grid)},
-    )
+    metrics = {"max_adjacent_step": float(np.max(steps)), "grid": float(grid)}
+    return CheckReport(f"null_homotopy_n{n}", items, metrics)
 
 
 @dataclass(frozen=True)

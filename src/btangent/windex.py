@@ -243,9 +243,27 @@ def default_center(name: str, delta: float = 0.0) -> Tuple[float, float]:
 def default_radius(name: str, delta: float = 0.0) -> float:
     """Default contour radius: 0.1, at most |delta|/2 for x_delta with delta != 0.
 
-    x_delta also vanishes at the origin, so a contour around (delta, 0) must
-    stay closer than |delta| to enclose only its own zero.
+    Half the bound that ``_own_zero_radius`` puts on any radius.
     """
     if _known(name) == "x_delta" and delta != 0:
         return min(0.1, abs(delta) / 2)
     return 0.1
+
+
+def _own_zero_radius(name: str, delta: float, radius) -> float:
+    """radius as a float, for a contour around the field's zero that meets no other.
+
+    x_delta with delta != 0 also vanishes at the origin, with index
+    -sign(delta).  A contour around (delta, 0) of radius >= |delta| meets or
+    encloses that zero and crosses the critical line x = 0, in either frame.
+
+    Raises:
+        InvalidArgumentError: radius not a finite positive real, or >= |delta| for x_delta.
+    """
+    r = _contour_radius(radius)
+    if _known(name) == "x_delta" and delta != 0 and r >= abs(delta):
+        raise InvalidArgumentError(
+            f"radius {r} around ({delta}, 0.0) reaches the critical line x = 0 and the zero "
+            f"of x_delta at the origin: it must be below |delta| = {abs(delta)}"
+        )
+    return r

@@ -83,6 +83,20 @@ def test_index_subcommand_values(capsys):
     assert json.loads(capsys.readouterr().out)["index"] == 1
 
 
+def test_index_refuses_an_x_delta_radius_that_reaches_the_origin(capsys):
+    assert main(["index", "x_delta", "--delta", "0.5", "--radius", "0.4"]) == 0
+    assert json.loads(capsys.readouterr().out)["index"] == 1
+    # the contour of radius |delta| passes through the second zero at the origin
+    for frame in ("honest", "b"):
+        argv = ["index", "x_delta", "--delta", "0.5", "--radius", "0.5", "--frame", frame]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: radius 0.5 around (0.5, 0.0) reaches the critical line "
+                                "x = 0 and the zero of x_delta at the origin: it must be below "
+                                "|delta| = 0.5\n")
+
+
 def test_index_contour_collapsed_onto_its_center_is_named(capsys):
     # 1e308 + 0.1 == 1e308: every sample of the default contour is the centre
     assert main(["index", "x_delta", "--delta", "1e308"]) == 1
@@ -383,6 +397,7 @@ def test_every_bundled_manifold_loads():
     ["index", "radial", "--delta", "inf"],
     ["index", "sphere_height_b", "--frame", "b"],
     ["sphere", "--samples", "99999999999999999999"],
+    ["index", "x_delta", "--delta", "0.5", "--radius", "0.6"],
 ])
 def test_out_of_range_arguments_are_structured_errors(argv):
     proc = _cold_cli(*argv)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +151,27 @@ def test_every_public_name_is_reachable():
             assert declared.setdefault(name, module.__name__) == module.__name__, name
             assert getattr(btangent, name) is getattr(module, name), name
     assert set(declared) == _PUBLIC_NAMES
+
+
+# A record is a named tuple; it is a frozen dataclass only when its
+# __post_init__ checks its fields, as dataclasses.replace runs that check again
+# and a named tuple's _replace does not. SphereMapReport is the one exception:
+# the benchmark's own tests call dataclasses.replace on it.
+def test_a_record_is_a_named_tuple_unless_it_checks_its_fields():
+    classes = [c for c in (getattr(btangent, n) for n in btangent.__all__) if isinstance(c, type)]
+    checked = {btangent.BGraph, btangent.Coloring, btangent.TriangulatedSurface}
+    dataclass_types = {c for c in classes if dataclasses.is_dataclass(c)}
+    assert dataclass_types == checked | {btangent.SphereMapReport}
+    for c in checked:
+        assert "__post_init__" in vars(c), c.__name__
+    for c in classes:
+        if hasattr(c, "_fields"):
+            assert issubclass(c, tuple), c.__name__
+    g = btangent.load_manifold(btangent.bundled_path("genus2_separating"))
+    for record in (btangent.equivalence_report(g), btangent.euler_report(g)):
+        again = pickle.loads(pickle.dumps(record))
+        assert type(again) is type(record)
+        assert again == record == tuple(getattr(record, f) for f in record._fields)
 
 
 _FAILING_PROPERTY = """

@@ -1,6 +1,5 @@
 import dataclasses
 import pickle
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -126,7 +125,7 @@ def test_gauge_two_parallel_edges():
 
 def test_gauge_takes_only_the_gluing_of_its_own_graph():
     g = sphere_equator_graph()
-    assert [f.name for f in fields(SignGluing)] == ["graph"]
+    assert SignGluing._fields == ("graph",)
     for other in (circle_graph(2), torus_loop_graph(),
                   BGraph(g.regions, g.edges, ambient_dim=3)):
         with pytest.raises(InconsistentGluingError):
