@@ -24,10 +24,28 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 # only what parsing needs loads with the module; each _run_* imports what it
 # runs, so a cold start loads the modules of its own subcommand alone
 from .errors import BTangentError, InvalidArgumentError, NotColorableError
-from .windex import FIELD_NAMES
 
 if TYPE_CHECKING:
     from .bgraph import BGraph
+
+
+class _FieldNames:
+    """windex.FIELD_NAMES as the choices of index's FIELD: windex loads only
+    when argparse checks a FIELD or prints the choices, not when it builds
+    the parser of every subcommand."""
+
+    def __contains__(self, name) -> bool:
+        from .windex import FIELD_NAMES
+
+        return name in FIELD_NAMES
+
+    def __iter__(self):
+        from .windex import FIELD_NAMES
+
+        return iter(FIELD_NAMES)
+
+
+_FIELD_CHOICES = _FieldNames()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,20 +154,14 @@ def _run_color(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def _run_index(args: argparse.Namespace) -> Tuple[int, str]:
-    from .windex import (_own_zero_radius, b_frame_index, default_center, default_radius,
-                         named_b_field, named_field, winding_index)
+    from .windex import default_center, field_index
 
     name, delta = args.field_name, args.delta
     if not math.isfinite(delta):
         raise InvalidArgumentError(f"--delta must be finite, got {delta}")
-    radius = default_radius(name, delta) if args.radius is None else args.radius
-    radius = _own_zero_radius(name, delta, radius)
-    center = default_center(name, delta)
-    if args.frame == "b":
-        result = b_frame_index(named_b_field(name, delta), center, radius)
-    else:
-        result = winding_index(named_field(name, delta), center, radius)
-    obj = {"field": name, "frame": args.frame, "delta": delta, "center": list(center)}
+    result = field_index(name, delta, args.radius, args.frame)
+    obj = {"field": name, "frame": args.frame, "delta": delta,
+           "center": list(default_center(name, delta))}
     obj.update(result.to_json_dict())
     return 0, _emit(args, obj)
 
@@ -228,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("index", "winding index of a named plane field", _run_index,
                 needs_input=False)
-    p.add_argument("field_name", choices=FIELD_NAMES, metavar="FIELD",
-                   help=f"one of: {', '.join(FIELD_NAMES)}")
+    p.add_argument("field_name", choices=_FIELD_CHOICES, metavar="FIELD",
+                   help="one of: %(choices)s")
     p.add_argument("--delta", type=float, default=0.0, help="parameter of the x_delta family")
     p.add_argument("--radius", type=float,
                    help="contour radius (default 0.1, at most |delta|/2 for x_delta)")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .bgraph import BGraph, Coloring, sphere_equator_graph
 from .errors import (
@@ -27,7 +27,11 @@ from .errors import (
     ZeroOnCriticalSetError,
     _as_int,
 )
-from .windex import PlaneField, _contour_radius, named_field, winding_index
+
+# the index-sum check alone reads plane fields: it imports windex where it
+# runs, so that analyze, color, edge and euler never load it
+if TYPE_CHECKING:
+    from .windex import PlaneField
 
 __all__ = [
     "BmClass", "ChartZero", "ClassificationVerdict", "EdgeVerdict", "EulerReport", "SignGluing",
@@ -379,6 +383,8 @@ def verify_poincare_hopf(
     The pass flag records exact integer equality of the colored index sum
     with the rescaled Euler number; no tolerance is involved.
     """
+    from .windex import _contour_radius, winding_index
+
     if coloring is None:
         raise NotColorableError("graph is not two-colorable; no global sign choice exists")
     radius = _contour_radius(radius)
@@ -428,6 +434,8 @@ def sphere_height_example() -> dict:
     the poles.  Charts are the two stereographic projections; each pole is
     the origin of one chart.
     """
+    from .windex import named_field
+
     g = sphere_equator_graph()
     chart = named_field("sphere_height_b")
     fields = {"north": chart, "south": chart}

@@ -17,7 +17,7 @@ from .errors import InvalidArgumentError, NonConvergentError, ZeroOnContourError
 
 __all__ = [
     "BPlaneField", "IndexResult", "PlaneField", "b_frame_index", "default_center",
-    "default_radius", "named_b_field", "named_field", "winding_index",
+    "default_radius", "field_index", "named_b_field", "named_field", "winding_index",
 ]
 
 PlaneField = Callable[[float, float], Tuple[float, float]]
@@ -267,3 +267,31 @@ def _own_zero_radius(name: str, delta: float, radius) -> float:
             f"of x_delta at the origin: it must be below |delta| = {abs(delta)}"
         )
     return r
+
+
+def field_index(name: str, delta: float = 0.0, radius: Optional[float] = None,
+                frame: str = "honest") -> IndexResult:
+    """Winding index of a built-in field around its own zero, as the
+    ``index`` subcommand reports it.
+
+    The contour is centred at ``default_center``, and its radius defaults
+    to ``default_radius``.  For x_delta with delta != 0 a radius must stay
+    below |delta|, or the contour would meet or enclose the field's second
+    zero at the origin; ``winding_index`` itself checks no such rule.
+    frame "honest" takes the index of the field itself, "b" that of its
+    rescaled frame (``b_frame_index``).
+
+    Raises:
+        InvalidArgumentError: unknown frame or name, sphere_height_b in the
+            "b" frame, or a radius that is not a finite positive real or
+            reaches the other zero of x_delta.
+        ZeroOnContourError / NonConvergentError: as ``winding_index``.
+    """
+    if frame not in ("honest", "b"):
+        raise InvalidArgumentError(f"unknown frame {frame!r}; have 'honest' and 'b'")
+    radius = default_radius(name, delta) if radius is None else radius
+    radius = _own_zero_radius(name, delta, radius)
+    center = default_center(name, delta)
+    if frame == "b":
+        return b_frame_index(named_b_field(name, delta), center, radius)
+    return winding_index(named_field(name, delta), center, radius)

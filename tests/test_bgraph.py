@@ -30,15 +30,9 @@ from btangent import (
     surface_orientable,
     winding_index,
 )
-from btangent import bgraph, manifold_io
-from btangent.bgraph import (
-    _components,
-    _cover_regions,
-    _graph_columns,
-    _half_edges,
-    _vertex_array,
-    _z_cycles,
-)
+from btangent import manifold_io, surface
+from btangent.bgraph import _graph_columns
+from btangent.surface import _components, _cover_regions, _half_edges, _vertex_array, _z_cycles
 from corpus import (
     UnionFind,
     circle_graph,
@@ -691,8 +685,8 @@ def test_triangle_count_is_bounded_before_any_row_is_read():
     # 3F half-edges are numbered in int32; a broadcast view holds no rows:
     # reading them would allocate gigabytes, which the cap turns into a
     # MemoryError, and sorting the read-only view would raise
-    assert bgraph._MAX_TRIANGLES == 715_827_882
-    assert 3 * bgraph._MAX_TRIANGLES < 2**31 <= 3 * (bgraph._MAX_TRIANGLES + 1)
+    assert surface._MAX_TRIANGLES == 715_827_882
+    assert 3 * surface._MAX_TRIANGLES < 2**31 <= 3 * (surface._MAX_TRIANGLES + 1)
     rows = np.broadcast_to(np.array([0, 1, 2], dtype=np.int64), (715_827_883, 3))
     with pytest.raises(InvalidArgumentError) as exc, _address_space_grows_at_most(256 << 20):
         _half_edges(3, rows)
@@ -735,12 +729,12 @@ def test_kernel_dtypes_past_int32(monkeypatch):
     seen = {}
 
     def spy(name):
-        real = getattr(bgraph, name)
+        real = getattr(surface, name)
 
         def call(*args):
             seen.setdefault(name, []).append((args, real(*args)))
             return seen[name][-1][1]
-        monkeypatch.setattr(bgraph, name, call)
+        monkeypatch.setattr(surface, name, call)
 
     for name in ("_half_edges", "_z_cycles", "_cover_regions", "_components"):
         spy(name)
@@ -779,8 +773,8 @@ def test_load_manifold_lets_the_document_go_before_the_kernel(tmp_path, monkeypa
         held.append(tracemalloc.get_traced_memory()[0])
         return surface_graph(*args)
 
-    surface_graph = manifold_io._surface_graph
-    monkeypatch.setattr(manifold_io, "_surface_graph", kernel)
+    surface_graph = surface._surface_graph
+    monkeypatch.setattr(surface, "_surface_graph", kernel)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -805,7 +799,7 @@ def test_surface_kernel_traced_peak_is_bounded():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        g = bgraph._surface_graph(n, t, z)
+        g = surface._surface_graph(n, t, z)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import btangent
-from btangent import (BGraph, HypersurfaceComponent, ManifoldFormatError, Region, bgraph,
-                      obstructions, parse_manifold)
+from btangent import (BGraph, HypersurfaceComponent, ManifoldFormatError, Region, obstructions,
+                      parse_manifold, surface)
+from btangent import cli, windex
 from btangent.cli import build_parser, main, run
 from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 
@@ -95,6 +96,26 @@ def test_index_refuses_an_x_delta_radius_that_reaches_the_origin(capsys):
         assert captured.err == ("error: radius 0.5 around (0.5, 0.0) reaches the critical line "
                                 "x = 0 and the zero of x_delta at the origin: it must be below "
                                 "|delta| = 0.5\n")
+
+
+def test_index_field_choices_read_as_the_field_names_tuple(monkeypatch, capsys):
+    """index's FIELD choices, which load windex only when read, print and
+    refuse as choices=windex.FIELD_NAMES does on the Python running the
+    test: the whole help text, and the message and exit code of an unknown
+    field."""
+    def texts():
+        with pytest.raises(SystemExit) as exc:
+            main(["index", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr()
+        return help_text, main(["index", "bogus"]), capsys.readouterr()
+
+    lazy = texts()
+    monkeypatch.setattr(cli, "_FIELD_CHOICES", windex.FIELD_NAMES)
+    assert lazy == texts()
+    (help_text, _), code, (out, err) = lazy
+    assert f"one of: {', '.join(windex.FIELD_NAMES)}" in " ".join(help_text.split())
+    assert code == 1 and out == "" and err.startswith("error: argument FIELD: invalid choice: ")
 
 
 def test_index_contour_collapsed_onto_its_center_is_named(capsys):
@@ -336,7 +357,7 @@ def test_empty_surface_is_structured_error(tmp_path, capsys):
 def test_surface_past_the_triangle_ceiling_exits_1(tmp_path, capsys, monkeypatch):
     # a document of 715 827 883 triangles is too big to write here; a lower
     # ceiling takes the same path
-    monkeypatch.setattr(bgraph, "_MAX_TRIANGLES", 7)
+    monkeypatch.setattr(surface, "_MAX_TRIANGLES", 7)
     path = tmp_path / "oct.json"
     path.write_text(json.dumps({"surface": {"vertices": 6, "triangles": _OCTAHEDRON}}),
                     encoding="utf-8")

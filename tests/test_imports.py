@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import btangent
-from btangent import bgraph, errors, manifold_io, obstructions, spheremap, windex
+from btangent import bgraph, errors, manifold_io, obstructions, spheremap, surface, windex
 
 def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter with the package on its path."""
@@ -25,8 +25,9 @@ _NO_NUMPY = """
 import contextlib, io, sys
 import btangent
 assert "numpy" not in sys.modules, "import btangent"
-from btangent.cli import FIELD_NAMES, main
+from btangent.cli import main
 from btangent.manifold_io import BUNDLED_NAMES
+from btangent.windex import FIELD_NAMES
 runs = [["index", field] for field in FIELD_NAMES]
 for name in BUNDLED_NAMES:
     runs += [["analyze", name], ["euler", name], ["color", name], ["ph-verify", name],
@@ -63,7 +64,8 @@ from btangent.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as report:
     code = main(sys.argv[1:])
 loaded = [m for m in ("dataclasses", "numpy", "btangent.bgraph", "btangent.manifold_io",
-                      "btangent.obstructions", "btangent.spheremap")
+                      "btangent.obstructions", "btangent.spheremap", "btangent.surface",
+                      "btangent.windex")
           if m in sys.modules]
 print(json.dumps({"code": code, "report": report.getvalue(), "loaded": loaded}))
 """
@@ -78,7 +80,36 @@ def test_a_cold_index_loads_no_graph_code_and_no_dataclasses():
     proc = _fresh(_COLD_CLI, "index", "saddle")
     run = json.loads(proc.stdout)
     assert run["code"] == 0 and json.loads(run["report"])["index"] == -1, proc.stderr
-    assert run["loaded"] == []
+    assert run["loaded"] == ["btangent.windex"]
+
+
+# A graph document runs no surface kernel and no plane field, so a cold graph
+# subcommand compiles neither module: only ph-verify reads fields.
+_GRAPH_LOADS = ["dataclasses", "btangent.bgraph", "btangent.manifold_io", "btangent.obstructions"]
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["analyze", "sphere_equator"], 0, _GRAPH_LOADS),
+    (["color", "circle_4_points"], 0, _GRAPH_LOADS),
+    (["edge", "torus_loop", "--dim-m", "3", "--dim-f", "2"], 2, _GRAPH_LOADS),
+    (["euler", "genus2_separating"], 0, _GRAPH_LOADS),
+    (["ph-verify", "sphere_equator"], 0, _GRAPH_LOADS + ["btangent.windex"]),
+], ids=["analyze", "color", "edge", "euler", "ph-verify"])
+def test_a_cold_graph_subcommand_loads_no_surface_code(argv, code, loaded):
+    proc = _fresh(_COLD_CLI, *argv)
+    run = json.loads(proc.stdout)
+    assert run["code"] == code, proc.stderr
+    assert run["loaded"] == loaded
+
+
+def test_a_cold_surface_analyze_loads_the_surface_code_and_numpy(tmp_path):
+    path = tmp_path / "tetrahedron.json"
+    path.write_text('{"surface":{"vertices":4,"triangles":[[0,1,2],[0,1,3],[0,2,3],[1,2,3]]}}')
+    proc = _fresh(_COLD_CLI, "analyze", str(path))
+    run = json.loads(proc.stdout)
+    assert run["code"] == 0, proc.stderr
+    assert run["loaded"] == ["dataclasses", "numpy", "btangent.bgraph", "btangent.manifold_io",
+                             "btangent.obstructions", "btangent.surface"]
 
 
 def test_a_refused_sphere_loads_no_numpy():
@@ -129,10 +160,11 @@ _PUBLIC_NAMES = {
     "ZeroOnCriticalSetError", "b_euler_number", "b_frame_index", "build_graph_from_surface",
     "bundled_path", "classical_euler_number", "classify_bm", "default_center", "default_radius",
     "degree_integral", "degree_preimage", "edge_obstruction", "equivalence_report", "euler_report",
-    "gauge_solvable", "homotopy_endpoints", "load_manifold", "named_b_field", "named_field",
-    "north_pole", "parse_manifold", "pole_map", "pole_map_differential", "reflection",
-    "sphere_equator_graph", "sphere_height_example", "sphere_map_report", "surface_euler",
-    "surface_orientable", "tangent_frame", "two_color", "verify_poincare_hopf", "winding_index",
+    "field_index", "gauge_solvable", "homotopy_endpoints", "load_manifold", "named_b_field",
+    "named_field", "north_pole", "parse_manifold", "pole_map", "pole_map_differential",
+    "reflection", "sphere_equator_graph", "sphere_height_example", "sphere_map_report",
+    "surface_euler", "surface_orientable", "tangent_frame", "two_color", "verify_poincare_hopf",
+    "winding_index",
 }
 
 
@@ -145,7 +177,7 @@ def test_every_public_name_is_reachable():
     # each name is declared public once, by the module that defines it, and the
     # package exports that module's object
     declared: dict = {}
-    for module in (bgraph, errors, manifold_io, obstructions, spheremap, windex):
+    for module in (bgraph, errors, manifold_io, obstructions, spheremap, surface, windex):
         for name in module.__all__:
             assert name in vars(module) and not name.startswith("_"), (module.__name__, name)
             assert declared.setdefault(name, module.__name__) == module.__name__, name

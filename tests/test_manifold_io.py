@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from btangent import manifold_io, parse_manifold
+from btangent import parse_manifold
+from btangent import surface as surface_io
 from btangent.errors import BTangentError, ManifoldFormatError
 from btangent.manifold_io import load_manifold
 
@@ -101,7 +102,7 @@ def _documents(draw):
         if draw(st.booleans()):
             extra.append(('"note2"', '"triangles:[[0,1,2]]"'))
     elif defect == "sentinel":
-        extra.append(('"note"', json.dumps(manifold_io._SENTINEL + "triangles")))
+        extra.append(('"note"', json.dumps(surface_io._SENTINEL + "triangles")))
     elif defect == "duplicate triangles":
         extra.append(('"triangles"', _array(rows["triangles"][:2], item)))
     pairs = [('"vertices"', str(surf.vertex_count + draw(st.sampled_from([0, 0, 0, 1, -1])))),
@@ -147,13 +148,13 @@ def _check(tmp_path, text: str) -> None:
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_documents(), st.sampled_from([1, 40, manifold_io._CHUNK]))
+@given(_documents(), st.sampled_from([1, 40, surface_io._CHUNK]))
 def test_load_manifold_matches_the_reference_path(tmp_path, monkeypatch, document, chunk):
     text, readable = document
-    monkeypatch.setattr(manifold_io, "_CHUNK", chunk)  # rows cut into pieces of about chunk
+    monkeypatch.setattr(surface_io, "_CHUNK", chunk)  # rows cut into pieces of about chunk
     _check(tmp_path, text)
     if readable:
-        assert manifold_io._read_rows(text) is not None
+        assert surface_io._read_rows(text) is not None
 
 
 # every bad entry in a triangle and in a marked edge, and every bad join
@@ -165,32 +166,32 @@ _CASES += [(f"{layout} join {join!r}", _octahedron_text(layout, join=join))
 
 
 # with each row its own piece, and with one piece
-@pytest.mark.parametrize("chunk", [1, manifold_io._CHUNK])
+@pytest.mark.parametrize("chunk", [1, surface_io._CHUNK])
 @pytest.mark.parametrize("text", [text for _, text in _CASES], ids=[name for name, _ in _CASES])
 def test_each_bad_entry_and_join_matches_the_reference_path(tmp_path, monkeypatch, text, chunk):
-    monkeypatch.setattr(manifold_io, "_CHUNK", chunk)
+    monkeypatch.setattr(surface_io, "_CHUNK", chunk)
     _check(tmp_path, text)
 
 
-@pytest.mark.parametrize("chunk", [1, 10, manifold_io._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 10, surface_io._CHUNK])
 @pytest.mark.parametrize("layout", ["compact", "default"])
 def test_reader_reads_compact_and_default_documents(monkeypatch, chunk, layout):
-    monkeypatch.setattr(manifold_io, "_CHUNK", chunk)
+    monkeypatch.setattr(surface_io, "_CHUNK", chunk)
     surf = octahedron()
-    doc, (t, z) = manifold_io._read_rows(_octahedron_text(layout))
-    assert doc == {"surface": {"vertices": 6, "triangles": manifold_io._SENTINEL + "triangles",
-                               "z_edges": manifold_io._SENTINEL + "z_edges"}}
+    doc, (t, z) = surface_io._read_rows(_octahedron_text(layout))
+    assert doc == {"surface": {"vertices": 6, "triangles": surface_io._SENTINEL + "triangles",
+                               "z_edges": surface_io._SENTINEL + "z_edges"}}
     assert t.dtype == z.dtype == np.int64
     assert t.tolist() == [list(r) for r in surf.triangles]
     assert z.tolist() == [list(e) for e in surf.z_edges]
     # the longest entry it reads
     rows = _with_vertex("triangles", 7, 2, "999999999999999999")
-    assert manifold_io._read_rows(_octahedron_text(layout, rows))[1][0][7, 2] == 10**18 - 1
+    assert surface_io._read_rows(_octahedron_text(layout, rows))[1][0][7, 2] == 10**18 - 1
 
 
 def test_reader_declines_what_it_cannot_be_sure_of(tmp_path):
     compact = _octahedron_text("compact")
-    sentinel = json.dumps(manifold_io._SENTINEL + "triangles")
+    sentinel = json.dumps(surface_io._SENTINEL + "triangles")
     # an escaped key and an escaped sentinel: json.loads keeps the later key,
     # whose value is the sentinel's string and no row array
     escaped = sentinel.replace("b", "\\u0062", 1)
@@ -201,5 +202,5 @@ def test_reader_declines_what_it_cannot_be_sure_of(tmp_path):
                  compact.replace('"triangles":[', '"triangles" :['),
                  json.dumps({"graph": json.loads(compact)["surface"]}),
                  _octahedron_text("indented")):
-        assert manifold_io._read_rows(text) is None, text
+        assert surface_io._read_rows(text) is None, text
         _check(tmp_path, text)

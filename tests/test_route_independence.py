@@ -14,7 +14,7 @@ import sys
 import types
 
 import corpus
-from btangent import bgraph, obstructions, spheremap
+from btangent import obstructions, spheremap, surface
 
 # the registry.  answer: (its two routes, the only code both may reach)
 ROUTE_PAIRS = {
@@ -96,7 +96,7 @@ def test_the_walk_follows_calls_methods_and_nested_code():
     assert {"Coloring.__post_init__", "_sign"} <= _reached(obstructions.two_color)
     assert "Coloring.__post_init__" not in _reached(obstructions.two_color, {"Coloring"})
     assert "UnionFind.find" in _reached(corpus.region_count_oracle)
-    assert KERNEL <= _reached(bgraph.build_graph_from_surface)
+    assert KERNEL <= _reached(surface.build_graph_from_surface)
 
 
 def test_graph_oracles_never_read_the_columns():
@@ -115,7 +115,7 @@ def test_surface_oracles_stay_apart_from_the_kernel():
     """
     for oracle in ORACLES:
         assert not _reached(oracle) & KERNEL, oracle.__name__
-    for func in (bgraph._cover_regions, bgraph._z_cycles):
+    for func in (surface._cover_regions, surface._z_cycles):
         code = func.__code__
         assert "_components" in code.co_names
         assert not {"queue", "append", "popleft"} & set(code.co_names + code.co_varnames)

@@ -21,6 +21,7 @@ from btangent import (
     b_frame_index,
     default_center,
     default_radius,
+    field_index,
     named_b_field,
     named_field,
     sphere_height_example,
@@ -28,6 +29,7 @@ from btangent import (
     verify_poincare_hopf,
     winding_index,
 )
+from btangent.cli import main
 from corpus import crossing_winding, empty_z_sphere_graph
 
 
@@ -339,3 +341,54 @@ def test_empty_z_radial_from_poles():
     report = verify_poincare_hopf(zeros, g, coloring, fields)
     assert report.colored_sum == 2 == b_euler_number(g, coloring)
     assert report.passed
+
+
+def test_field_index_refuses_an_x_delta_radius_that_reaches_the_origin():
+    # winding_index on the same contour returns index 0 with no error: the
+    # contour encloses the second zero at the origin too
+    center = default_center("x_delta", 0.5)
+    assert winding_index(named_field("x_delta", 0.5), center, 0.6).index == 0
+    with pytest.raises(InvalidArgumentError) as exc:
+        field_index("x_delta", 0.5, 0.6)
+    assert str(exc.value) == ("radius 0.6 around (0.5, 0.0) reaches the critical line x = 0 and "
+                              "the zero of x_delta at the origin: it must be below |delta| = 0.5")
+    assert field_index("x_delta", 0.5, 0.4).index == 1
+
+
+@pytest.mark.parametrize("frame", ["north", None, "B"])
+def test_field_index_refuses_an_unknown_frame(frame):
+    with pytest.raises(InvalidArgumentError, match="unknown frame"):
+        field_index("saddle", frame=frame)
+
+
+def _contour_by_parts(name: str, frame: str, delta: float = 0.0):
+    """The default contour's index, composed from the public pieces."""
+    center, radius = default_center(name, delta), default_radius(name, delta)
+    if frame == "b":
+        return b_frame_index(named_b_field(name, delta), center, radius)
+    return winding_index(named_field(name, delta), center, radius)
+
+
+@pytest.mark.parametrize("frame", ["honest", "b"])
+@pytest.mark.parametrize("name, delta", [
+    ("x_delta", 0.0), ("x_delta", 0.5), ("x_delta", -0.05), ("radial", 0.0), ("saddle", 0.0),
+    ("x0_degenerate", 0.0), ("sphere_height_b", 0.0),
+])
+def test_field_index_is_the_index_subcommand(capsys, name, delta, frame):
+    """Every (field, frame) pair at its default contour: field_index gives the
+    composed index, and the CLI's JSON is that index with its inputs."""
+    code = main(["index", name, "--delta", repr(delta), "--frame", frame])
+    out, err = capsys.readouterr()
+    try:
+        expected = _contour_by_parts(name, frame, delta)
+    except InvalidArgumentError as exc:  # sphere_height_b has no rescaled frame
+        with pytest.raises(InvalidArgumentError) as refused:
+            field_index(name, delta, frame=frame)
+        assert str(refused.value) == str(exc)
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
+        return
+    assert field_index(name, delta, frame=frame) == expected
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"field": name, "frame": frame, "delta": delta,
+                               "center": list(default_center(name, delta)),
+                               **expected.to_json_dict()}
