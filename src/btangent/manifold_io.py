@@ -21,13 +21,16 @@ arrays straight into int64 arrays, so that ``json.loads`` never builds
 their rows as Python lists.  It reads only rows of plain non-negative
 integers, written compactly (``[[0,1,2],[0,2,3]]`` without the space) or
 with ``json.dumps``' default separators (``[[0, 1, 2], [0, 2, 3]]``),
-under keys that occur once in the text as ``"triangles":[`` or
-``"triangles": [``.  Its arrays are used only when the
-rest of the document, parsed with each array replaced by a sentinel
-string, holds those sentinels at ``/surface/triangles`` and
-``/surface/z_edges``.  On any other input it declines, never raising, and
-the text is parsed by ``json.loads`` as a whole, so every error has one
-source: ``parse_manifold``, which the reader's arrays must equal.
+under keys written ``"triangles":[`` or ``"triangles": [`` that occur once
+outside the arrays.  It finds each key at its first occurrence, checks the
+rows, folding ``", "`` to ``","`` only in a chunk that holds a space, and
+then checks the rest of the document, each array replaced by a sentinel
+string: each key once, no backslash and no sentinel but its own.  The
+arrays are used only when that rest, parsed, holds the sentinels at
+``/surface/triangles`` and ``/surface/z_edges``.  On any other input it
+declines, never raising, and the text is parsed by ``json.loads`` as a
+whole, so every error has one source: ``parse_manifold``, which the
+reader's arrays must equal.
 """
 from __future__ import annotations
 

@@ -238,7 +238,10 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     are cover nodes, marked edges or region sheets, at most 2F, which
     ``_half_edges`` keeps there.  The edge ends u and v may be int32 or
     int64.  Every gather is an ``np.take``: a fancy index would cast int32
-    indices to intp each time.
+    indices to intp each time.  Each jump pass takes all n pointers, roots
+    included: jumping only the nodes not yet at a root was 1.8 to 2.2 times
+    slower on grid covers, since scattering them back costs more than the
+    whole-array ``take`` it saves.
     """
     import numpy as np
 
@@ -397,11 +400,17 @@ def _cover_regions(faces: np.ndarray, same: np.ndarray,
     return region, orientable, bool((f[0::2] != f[1::2]).all())
 
 
-def _closure_eulers(tris: np.ndarray, faces: np.ndarray, n: int, region: np.ndarray,
-                    count: int) -> List[int]:
+def _closure_eulers(tris: np.ndarray, n: int, region: np.ndarray, count: int,
+                    ends: np.ndarray) -> List[int]:
     """Euler characteristic of each region's closure: corners - edges + faces,
-    on a surface given by its sorted triangle rows ``tris`` and the
-    ``faces`` of its edge table (see ``_half_edges``).
+    on a closed surface given by its sorted triangle rows ``tris``, with
+    ``ends`` the regions on the two sides of each marked edge, L x 2.
+
+    The edges are counted from the F_r triangles of region r and the marked
+    edges alone: each of the 3 F_r triangle sides in r lies on an edge, an
+    unmarked one with both its sides in r and a marked one with one, so
+    region r's closure has (3 F_r - s_r) / 2 + t_r edges, with s_r the
+    marked-edge sides in r and t_r the marked edges touching r.
 
     A corner is a distinct (region, vertex) pair.  A scatter gives every
     vertex one of its regions, which makes one corner each; only the corners
@@ -409,9 +418,10 @@ def _closure_eulers(tris: np.ndarray, faces: np.ndarray, n: int, region: np.ndar
     """
     import numpy as np
 
-    sides = region.take(faces)  # the regions on the two sides of each edge
-    edges = np.concatenate((sides[:, 0], sides[sides[:, 0] != sides[:, 1], 1]))
-    del sides
+    triangles = np.bincount(region, minlength=count)
+    a, b = ends.T
+    edges = (3 * triangles - np.bincount(ends.ravel(), minlength=count)) // 2
+    edges += np.bincount(a, minlength=count) + np.bincount(b[a != b], minlength=count)
     home = np.empty(n, dtype=np.int64)  # every vertex is in use
     home[tris] = region[:, None]
     away = np.flatnonzero(home.take(tris) != region[:, None])
@@ -422,8 +432,7 @@ def _closure_eulers(tris: np.ndarray, faces: np.ndarray, n: int, region: np.ndar
     corners.sort()
     first = np.ones(len(corners), dtype=bool)
     first[1:] = corners[1:] != corners[:-1]
-    chi = (np.bincount(region, minlength=count) - np.bincount(edges, minlength=count)
-           + np.bincount(home, minlength=count)
+    chi = (triangles - edges + np.bincount(home, minlength=count)
            + np.bincount(corners[first] // n, minlength=count))
     return chi.tolist()
 
@@ -465,8 +474,10 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     region, region_orientable, orientable = _cover_regions(faces, same, edge)
     del same
     count = len(region_orientable)
+    ends = region.take(faces[edge])  # the regions on the two sides of each marked edge
+    del faces, edge
     labels = [f"R{r}" for r in range(count)]
-    chis = _closure_eulers(t, faces, n, region, count)
+    chis = _closure_eulers(t, n, region, count, ends)
     regions = tuple(_records_of(Region, zip(labels, chis)))
 
     # the distinct (cycle, region) pairs across every marked edge, by cycle;
@@ -474,8 +485,8 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     # (8 ms of a cold start)
     sides = np.repeat(cycle, 2)  # int64 keys cycle * count + region
     sides *= count
-    sides += region.take(faces[edge]).ravel()
-    del region, edge
+    sides += ends.ravel()
+    del region, ends
     sides.sort()
     first = np.ones(len(sides), dtype=bool)
     first[1:] = sides[1:] != sides[:-1]
@@ -509,26 +520,36 @@ _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 _SENTINEL = "btangent:numeric-reader:"
 
 
-def _span(text: str, key: str):
-    """(a, b), with text[a:b] the array under key, when key occurs once in
-    text, as "key":[ or "key": [; () when it does not occur; else None.
+def _span(text: str, key: str, skip: Tuple[int, int] = (0, 0)):
+    """(a, b), with text[a:b] the array under the first "key" of text outside
+    text[skip[0]:skip[1]], when it is written "key":[ or "key": [; () when
+    key does not occur there; else None.
 
     The array is taken to end at its first "]]", or to be "[]"; what it
-    holds is checked by ``_row_pieces``.
+    holds is checked by ``_row_pieces``.  Whether the key occurs more than
+    once is left to ``_read_rows``, which asks it of the text outside the
+    arrays only.
     """
     quoted = f'"{key}"'
-    i = text.find(quoted)
+    i = text.find(quoted, 0, skip[0])
+    if i < 0:
+        i = text.find(quoted, skip[1])
     if i < 0:
         return ()
     a = i + len(quoted)
-    if text.find(quoted, a) >= 0:
-        return None
     colon = ":[" if text.startswith(":[", a) else ": [" if text.startswith(": [", a) else None
     if colon is None:
         return None
     a += len(colon) - 1
     b = a + 2 if text.startswith("[]", a) else text.find("]]", a) + 2
     return (a, b) if b > a else None
+
+
+def _compact(piece: str) -> bytes:
+    """The piece of row text as ASCII bytes, with its ", " folded to ",";
+    a compact piece holds no space, and a one-byte search skips the fold."""
+    data = piece.encode("ascii")
+    return data.replace(b", ", b",") if b" " in data else data
 
 
 def _row_pieces(text: str, a: int, b: int, k: int) -> Optional[List[Tuple[int, int, int]]]:
@@ -548,7 +569,7 @@ def _row_pieces(text: str, a: int, b: int, k: int) -> Optional[List[Tuple[int, i
         piece = text[p:q]
         if not piece.isascii():
             return None
-        skeleton = piece.encode("ascii").replace(b", ", b",").translate(None, _DIGITS)
+        skeleton = _compact(piece).translate(None, _DIGITS)
         count = (len(skeleton) + 1) // len(row)
         if skeleton + b"," != row * count:
             return None
@@ -573,7 +594,7 @@ def _rows_array(text: str, pieces: List[Tuple[int, int, int]], k: int):
     flat = out.reshape(-1)
     at = 0
     for p, q, count in pieces:
-        piece = text[p:q].encode("ascii").replace(b", ", b",")
+        piece = _compact(text[p:q])
         u = np.frombuffer(piece, dtype=np.uint8)
         # the brackets and commas, k + 2 to a row: "[", k - 1 commas, "]" and
         # the "," after it (past the end for the last row); the digits after
@@ -597,14 +618,20 @@ def _read_rows(text: str) -> Optional[Tuple[Any, tuple]]:
     row arrays replaced by sentinels, and those arrays, F x 3 and L x 2
     int64; None when it declines (see ``manifold_io``'s module docstring).
 
-    Text with a backslash is declined, so that no key and no sentinel in it
-    can be written with escapes.
+    The checks run in this order: each array's key, first occurrence only
+    (``z_edges`` is looked for outside the triangles array); the arrays'
+    pieces; then, on the document with its arrays cut out, that each key
+    occurs once, that no backslash occurs, so that no key and no sentinel
+    can be written with escapes, and that no sentinel occurs.  Once the
+    pieces hold only digits, brackets, commas and spaces, every key,
+    backslash or sentinel of the text lies outside the arrays, so these
+    three searches cross only the rest of the document, not its rows.
     """
-    spans = {"triangles": _span(text, "triangles")}
-    if not spans["triangles"]:  # absent, as from a graph document, or not an array
+    triangles = _span(text, "triangles")
+    if not triangles:  # absent, as from a graph document, or not an array
         return None
-    spans["z_edges"] = _span(text, "z_edges")
-    if spans["z_edges"] is None or "\\" in text or _SENTINEL in text:
+    spans = {"triangles": triangles, "z_edges": _span(text, "z_edges", triangles)}
+    if spans["z_edges"] is None:
         return None
     spans = {key: span for key, span in spans.items() if span}  # z_edges may be absent
     pieces = {key: _row_pieces(text, a, b, _WIDTHS[key]) for key, (a, b) in spans.items()}
@@ -615,8 +642,14 @@ def _read_rows(text: str) -> Optional[Tuple[Any, tuple]]:
         parts += text[at:a], f'"{_SENTINEL}{key}"'
         at = b
     parts.append(text[at:])
+    rest = "".join(parts)
+    # every match in the text outside the arrays is one here too; each array's
+    # stand-in adds one sentinel (which holds no quote) and no backslash
+    if ("\\" in rest or rest.count(_SENTINEL) != len(spans)
+            or any(rest.count(f'"{key}"') != 1 for key in spans)):
+        return None
     try:
-        doc = json.loads("".join(parts))
+        doc = json.loads(rest)
     except (ValueError, RecursionError):
         return None
     surface = doc.get("surface") if isinstance(doc, dict) else None

@@ -253,6 +253,29 @@ def region_count_oracle(surf: TriangulatedSurface) -> int:
     return uf.count()
 
 
+def closure_chi_oracle(surf: TriangulatedSurface) -> List[int]:
+    """V - E + F of each region's closure, counted from its sets of vertices,
+    edges and triangles; the regions are found by union-find over triangle
+    adjacency off the marked edges and listed in the order of their smallest
+    triangle."""
+    inc = defaultdict(list)
+    for i, (a, b, c) in enumerate(surf.triangles):
+        for e in ((a, b), (b, c), (a, c)):
+            inc[min(e), max(e)].append(i)
+    uf = UnionFind(len(surf.triangles))
+    zset = {(min(e), max(e)) for e in surf.z_edges}
+    for e, ts in inc.items():
+        if e not in zset:
+            uf.union(ts[0], ts[1])
+    closures: Dict[int, Tuple[set, set, set]] = {}
+    for i, (a, b, c) in enumerate(surf.triangles):
+        vertices, edges, faces = closures.setdefault(uf.find(i), (set(), set(), set()))
+        vertices.update((a, b, c))
+        edges.update((min(e), max(e)) for e in ((a, b), (b, c), (a, c)))
+        faces.add(i)
+    return [len(v) - len(e) + len(f) for v, e, f in closures.values()]
+
+
 def orientable_oracle(surf: TriangulatedSurface) -> bool:
     """Orientability via union-find on the orientation double cover.
 

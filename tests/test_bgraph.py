@@ -36,6 +36,7 @@ from btangent.surface import _components, _cover_regions, _half_edges, _vertex_a
 from corpus import (
     UnionFind,
     circle_graph,
+    closure_chi_oracle,
     edge_table_oracle,
     genus2,
     grid_surface,
@@ -585,6 +586,46 @@ def test_edge_table_matches_its_oracle(kind, data):
     assert keys.tolist() == [u * n + w for u, w in edges]
     assert [set(pair) for pair in faces.tolist()] == [{i for i, _ in table[e]} for e in edges]
     assert same.tolist() == [up_i == up_j for (_, up_i), (_, up_j) in map(table.get, edges)]
+
+
+def _disk(n: int, star: bool, i: int, j: int):
+    """The vertices and the boundary edges of a disk on a grid of n columns:
+    the star of vertex (i, j), bounded by its six neighbours, or else the
+    triangle (i, j), (i + 1, j), (i + 1, j + 1); with its rows of vertices."""
+    ring = ([(i + 1, j), (i + 1, j + 1), (i, j + 1), (i - 1, j), (i - 1, j - 1), (i, j - 1)]
+            if star else [(i, j), (i + 1, j), (i + 1, j + 1)])
+    ring = [a % n + n * b for a, b in ring]
+    vertices = set(ring) | ({i % n + n * j} if star else set())
+    rows = set(range(j - 1 if star else j, j + 2))
+    return vertices, list(zip(ring, ring[1:] + ring[:1])), rows
+
+
+# 1 to 3 disks, each a star or a triangle, and 0 to 3 loops clear of them;
+# a single loop leaves one region, which meets both sides of it
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_closure_chis_match_their_oracle(data):
+    klein = data.draw(st.booleans(), label="klein")
+    n, m = data.draw(st.integers(6, 9), label="n"), data.draw(st.integers(6, 9), label="m")
+    disks, used, busy = [], set(), set()
+    for _ in range(data.draw(st.integers(1, 3), label="disks")):
+        star = data.draw(st.booleans(), label="star")
+        vertices, edges, rows = _disk(n, star, data.draw(st.integers(0, n - 1), label="i"),
+                                      data.draw(st.integers(1, m - 2), label="j"))
+        if not vertices & used:
+            disks.append(edges)
+            used |= vertices
+            busy |= rows
+    free = sorted(set(range(m)) - busy)
+    k = data.draw(st.integers(0, min(3, len(free))), label="loop count")
+    loops = sorted(data.draw(st.sets(st.sampled_from(free), min_size=k, max_size=k), label="loops")
+                   if k else ())
+    grid = grid_surface(n, m, klein, loops)
+    surf = _shuffled(TriangulatedSurface(grid.vertex_count, grid.triangles,
+                                         grid.z_edges + tuple(e for d in disks for e in d)), data)
+    chis = [r.euler_char for r in build_graph_from_surface(surf).regions]
+    assert len(chis) == max(len(loops), 1) + len(disks)
+    assert sorted(chis) == sorted(closure_chi_oracle(surf))
 
 
 def _first_row_defect(n: int, rows) -> str:

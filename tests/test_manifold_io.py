@@ -38,6 +38,12 @@ _BAD_JOINS = ("", " ", "] [", "]7,", ",7", "]", "[", " ,", ",,", ",\n", ",  ")
 _DEFECTS = ("vertex", "join", "wrong width", "duplicate triangles", "duplicate surface",
             "escaped key", "key in a string", "sentinel", "empty triangles", "empty z_edges",
             "trailing comma")
+# what the reader checks once, on the text outside the row arrays: a key
+# written twice, in a string or as a sentinel, each placed before or after
+# the triangles array; and a space in one piece of a compact document, the
+# only piece whose ", " is folded
+_OUTSIDE_DEFECTS = ("duplicate z_edges", "z_edges in a string", "z_edges sentinel",
+                    "stray space")
 
 
 def _array(rows, item: str) -> str:
@@ -74,16 +80,18 @@ def _with_vertex(key: str, i: int, j: int, token: str):
 
 
 @st.composite
-def _documents(draw):
-    """The text of a surface document, valid or with one defect, and whether
-    the reader must read it."""
+def _documents(draw, defects=st.one_of(st.none(), st.sampled_from(_DEFECTS + _OUTSIDE_DEFECTS))):
+    """The text of a surface document, valid or with one defect drawn from
+    defects, and whether the reader must read it."""
     surf = draw(st.sampled_from(_SURFACES))
     layout = draw(st.sampled_from(sorted(_LAYOUTS)))
-    item, colon = _LAYOUTS[layout]
     rows = _rows(surf)
     keys = {"triangles": '"triangles"', "z_edges": '"z_edges"'}
-    defect = draw(st.one_of(st.none(), st.sampled_from(_DEFECTS)))
-    extra = []
+    defect = draw(defects)
+    if defect == "stray space":
+        layout = "compact"
+    item, colon = _LAYOUTS[layout]
+    extra, anywhere = [], None
     target = draw(st.sampled_from(["triangles", "z_edges"] if rows["z_edges"] else ["triangles"]))
     row = rows[target][draw(st.integers(0, len(rows[target]) - 1))]
     if defect == "vertex":
@@ -105,11 +113,23 @@ def _documents(draw):
         extra.append(('"note"', json.dumps(surface_io._SENTINEL + "triangles")))
     elif defect == "duplicate triangles":
         extra.append(('"triangles"', _array(rows["triangles"][:2], item)))
+    elif defect == "duplicate z_edges":
+        anywhere = ('"z_edges"', _array(rows["z_edges"][:2], item))
+    elif defect == "z_edges in a string":
+        anywhere = ('"note"', draw(st.sampled_from(
+            ['"z_edges"', '["z_edges",[[0,1]]]', json.dumps('"z_edges":[[0,1]]')])))
+    elif defect == "z_edges sentinel":
+        anywhere = ('"note"', json.dumps(surface_io._SENTINEL + "z_edges"))
+    elif defect == "stray space":
+        row[draw(st.sampled_from([0, -1]))] += " "  # [0 ,1,2] or [0,1,2 ]
     pairs = [('"vertices"', str(surf.vertex_count + draw(st.sampled_from([0, 0, 0, 1, -1])))),
              (keys["triangles"], _array(rows["triangles"], item))]
-    if rows["z_edges"] or draw(st.booleans()):  # an empty z_edges may be absent
+    # an empty z_edges may be absent, unless it is to be listed twice
+    if rows["z_edges"] or defect == "duplicate z_edges" or draw(st.booleans()):
         pairs.append((keys["z_edges"], _array(rows["z_edges"], item)))
     pairs = draw(st.permutations(pairs)) + extra
+    if anywhere:
+        pairs.insert(draw(st.integers(0, len(pairs))), anywhere)
     surface = _object(pairs, item, colon)
     if defect == "trailing comma":
         at = surface.index("]]")
@@ -155,6 +175,18 @@ def test_load_manifold_matches_the_reference_path(tmp_path, monkeypatch, documen
     _check(tmp_path, text)
     if readable:
         assert surface_io._read_rows(text) is not None
+
+
+@pytest.mark.parametrize("chunk", [1, 40, surface_io._CHUNK])
+@pytest.mark.parametrize("defect", _OUTSIDE_DEFECTS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_each_outside_defect_is_declined(tmp_path, monkeypatch, defect, chunk, data):
+    text, _ = data.draw(_documents(st.just(defect)), label="document")
+    monkeypatch.setattr(surface_io, "_CHUNK", chunk)
+    assert surface_io._read_rows(text) is None
+    _check(tmp_path, text)
 
 
 # every bad entry in a triangle and in a marked edge, and every bad join

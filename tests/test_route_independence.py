@@ -25,7 +25,7 @@ ROUTE_PAIRS = {
 }
 # the oracles in tests/corpus.py, and the surface kernel none of them may reach
 ORACLES = (corpus.region_count_oracle, corpus.orientable_oracle,
-           corpus.region_orientable_oracle, corpus.edge_table_oracle)
+           corpus.region_orientable_oracle, corpus.edge_table_oracle, corpus.closure_chi_oracle)
 KERNEL = {"_half_edges", "_components", "_z_cycles", "_numbered", "_cover_regions",
           "_closure_eulers", "_surface_graph"}
 
@@ -109,9 +109,10 @@ def test_graph_oracles_never_read_the_columns():
 def test_surface_oracles_stay_apart_from_the_kernel():
     """The test oracles share nothing with the components kernel.
 
-    The region count, orientability and per-region orientability oracles
-    in tests/corpus.py use their own union-finds, and the edge table oracle
-    its own dict; the kernel's callers keep no Python search queue.
+    The region count, orientability, per-region orientability and closure
+    chi oracles in tests/corpus.py use their own union-finds, and the edge
+    table oracle its own dict; the kernel's callers keep no Python search
+    queue.
     """
     for oracle in ORACLES:
         assert not _reached(oracle) & KERNEL, oracle.__name__

@@ -176,6 +176,21 @@ def test_degree_integral_is_the_mean_of_the_closed_form_density(n):
             assert abs(degree_integral(n, samples, seed) - total / samples) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_degree_integral_draws_what_rng_normal_draws(n):
+    # the reused buffer of standard normal draws against a fresh rng.normal
+    # array per chunk, with the same arithmetic after it: equal to the bit
+    for samples in (10_000, 20_000, 200_000):
+        for seed in (0, 5):
+            rng = np.random.Generator(np.random.Philox(seed))
+            total = 0.0
+            for start in range(0, samples, 8192):
+                q = rng.normal(size=(min(8192, samples - start), n))
+                q *= (1.0 / np.sqrt(np.einsum("ij,ij->i", q, q)))[:, None]
+                total += float(np.sum(spheremap._pullback_density(q)))
+            assert degree_integral(n, samples, seed) == total / samples
+
+
 def _density_matrices(q):
     # A = 2t(qq^T - I) - 2q e_n^T + e_n q^T, assembled term by term from its definition
     n = q.shape[1]
