@@ -18,19 +18,13 @@ message is reported at the defect's pointer.
 ``load_manifold`` first tries a numeric reader on the file's text,
 ``surface._read_rows``, which reads the ``triangles`` and ``z_edges``
 arrays straight into int64 arrays, so that ``json.loads`` never builds
-their rows as Python lists.  It reads only rows of plain non-negative
-integers, written compactly (``[[0,1,2],[0,2,3]]`` without the space) or
-with ``json.dumps``' default separators (``[[0, 1, 2], [0, 2, 3]]``),
-under keys written ``"triangles":[`` or ``"triangles": [`` that occur once
-outside the arrays.  It finds each key at its first occurrence, checks the
-rows, folding ``", "`` to ``","`` only in a chunk that holds a space, and
-then checks the rest of the document, each array replaced by a sentinel
-string: each key once, no backslash and no sentinel but its own.  The
-arrays are used only when that rest, parsed, holds the sentinels at
-``/surface/triangles`` and ``/surface/z_edges``.  On any other input it
-declines, never raising, and the text is parsed by ``json.loads`` as a
-whole, so every error has one source: ``parse_manifold``, which the
-reader's arrays must equal.
+their rows as Python lists.  It reads rows of plain non-negative integers
+written compactly (``[[0,1,2],[0,2,3]]``) or with ``json.dumps``' default
+separators (``[[0, 1, 2], [0, 2, 3]]``); on any other text it declines and
+the whole text is parsed by ``json.loads``.  Either way every result and
+every error is that of ``parse_manifold(json.loads(text))``.  What it
+reads is stated once, in ``_read_rows``' docstring, and why that holds
+beside its checks.
 """
 from __future__ import annotations
 
@@ -115,19 +109,19 @@ def _located(pointer: str, check, *args):
 def _read_surface(doc: dict, pointer: str, rows: Optional[tuple] = None
                   ) -> Tuple[Callable[..., BGraph], tuple]:
     """The surface kernel, and a surface document's vertex count, triangles
-    and marked edges: one F x 3 and one L x 2 int64 array, the ``rows``
-    that the numeric reader read from the text, or else read straight from
-    the JSON lists."""
+    and marked edges: one F x 3 and one L x 2 int64 array, converted from
+    the JSON lists, or the ``rows`` that the numeric reader read from the
+    text, whose lists in doc are its ``[]`` stand-ins."""
     from .surface import _check_vertex_rows, _surface_graph, _vertex_array
 
     vertices = _need(doc, "vertices", int, pointer)
-    if rows is not None:
-        return _surface_graph, (vertices, *rows)
     triangles_raw = _need(doc, "triangles", list, pointer)
     z_raw = _need(doc, "z_edges", list, pointer) if "z_edges" in doc else []
     _located(f"{pointer}/triangles", _check_vertex_rows, triangles_raw, 3, "triangle")
     _located(f"{pointer}/z_edges", _check_vertex_rows, z_raw, 2, "marked edge")
-    return _surface_graph, (vertices, _vertex_array(triangles_raw, 3), _vertex_array(z_raw, 2))
+    if rows is None:
+        rows = _vertex_array(triangles_raw, 3), _vertex_array(z_raw, 2)
+    return _surface_graph, (vertices, *rows)
 
 
 def _read(doc: Any, rows: Optional[tuple] = None) -> Tuple[Callable[..., BGraph], tuple]:
@@ -136,7 +130,7 @@ def _read(doc: Any, rows: Optional[tuple] = None) -> Tuple[Callable[..., BGraph]
     that the builder does not keep, so that a caller can let the document
     go before the graph is built.  The document is not changed.  ``rows``
     are the surface's triangles and marked edges when ``_read_rows`` read
-    them; the document then holds its sentinels in their place."""
+    them, and stand in for its lists."""
     if not isinstance(doc, dict):
         raise ManifoldFormatError("document must be a JSON object", "/")
     keys = set(doc) & {"graph", "surface"}
@@ -164,9 +158,9 @@ def load_manifold(path) -> BGraph:
     A surface's ``triangles`` and ``z_edges`` are read by the numeric
     reader straight from the text into the kernel's int64 arrays, when they
     are rows of plain non-negative integers written compactly or with
-    ``json.dumps``' default separators (see the module docstring).  On any
-    other text the reader declines and the whole text is parsed by
-    ``json.loads``, so the result and every error are those of
+    ``json.dumps``' default separators (see ``surface._read_rows``).  On
+    any other text the whole text is parsed by ``json.loads``.  Either way
+    the result and every error are those of
     ``parse_manifold(json.loads(text))``.  The text and the parsed document
     are let go before the graph is built, so the document and the surface
     kernel's arrays are never held at once.

@@ -6,8 +6,8 @@ cycle makes one edge.  Only surface inputs run this module, so a graph
 document's cold start neither compiles nor loads it; numpy loads inside
 the functions that use it.
 
-The numeric reader at the end reads a surface document's row arrays
-straight from its text (see ``manifold_io``'s module docstring).
+The numeric reader ``_read_rows`` at the end reads a surface document's
+row arrays straight from its text, as its docstring states.
 """
 from __future__ import annotations
 
@@ -451,7 +451,8 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
             stray pieces, or the closure Euler characteristics do not add up
             to the surface's (a pinched vertex, whose link is not one cycle).
         InvalidZError: the marked edges repeat or do not form disjoint
-            embedded cycles.
+            embedded cycles, or a marked cycle touches more than two regions
+            (at a pinched vertex; this is reported first).
     """
     n = surf.vertex_count
     return _surface_graph(n, _vertex_array(surf.triangles, 3), _vertex_array(surf.z_edges, 2))
@@ -479,27 +480,22 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     labels = [f"R{r}" for r in range(count)]
     chis = _closure_eulers(t, n, region, count, ends)
     regions = tuple(_records_of(Region, zip(labels, chis)))
+    del region
 
-    # the distinct (cycle, region) pairs across every marked edge, by cycle;
-    # not np.unique, whose first call without an inverse imports numpy.ma
-    # (8 ms of a cold start)
-    sides = np.repeat(cycle, 2)  # int64 keys cycle * count + region
-    sides *= count
-    sides += ends.ravel()
-    del region, ends
-    sides.sort()
-    first = np.ones(len(sides), dtype=bool)
-    first[1:] = sides[1:] != sides[:-1]
-    touching: List[List[str]] = [[] for _ in range(int(cycle.max(initial=-1)) + 1)]
-    for k, r in zip(*(x.tolist() for x in np.divmod(sides[first], count))):
-        touching[k].append(labels[r])
-    del cycle, sides, first
-    edges = []
-    for k, near in enumerate(touching):
-        if len(near) > 2:
-            raise InvalidZError(f"marked cycle {k} touches {len(near)} regions; at most 2 possible")
-        a, b = sorted(near) if len(near) == 2 else near * 2
-        edges.append(HypersurfaceComponent(f"Z{k}", a, b))
+    # each marked cycle's two sides are the smallest and the largest region
+    # across its edges, and no edge may touch a third
+    cycles = int(cycle.max(initial=-1)) + 1
+    lo, hi = np.full(cycles, count, dtype=np.int64), np.zeros(cycles, dtype=np.int64)
+    np.minimum.at(lo, cycle, ends.min(axis=1))
+    np.maximum.at(hi, cycle, ends.max(axis=1))
+    stray = ((ends != lo.take(cycle)[:, None]) & (ends != hi.take(cycle)[:, None])).any(axis=1)
+    if stray.any():
+        k = int(cycle[stray].min())
+        near = len(set(ends[cycle == k].ravel().tolist()))
+        raise InvalidZError(f"marked cycle {k} touches {near} regions; at most 2 possible")
+    a, b = ([labels[r] for r in x.tolist()] for x in (lo, hi))
+    edges = tuple(_records_of(HypersurfaceComponent, zip(
+        (f"Z{k}" for k in range(cycles)), map(min, a, b), map(max, a, b))))
 
     if sum(chis) != euler:
         raise NonClosedSurfaceError("closure Euler characteristics do not sum to the "
@@ -508,16 +504,13 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     return BGraph(regions, edges, ambient_dim=2, orientable=orientable)
 
 
-# the numeric reader (see manifold_io's module docstring): rows are checked and
-# converted about this many characters at a time, so that its peak memory
-# stays a small multiple of the chunk whatever the document's size
+# the numeric reader (see _read_rows): rows are checked and converted about
+# this many characters at a time, so that its peak memory stays a small
+# multiple of the chunk whatever the document's size
 _CHUNK = 1 << 16
 _WIDTHS = {"triangles": 3, "z_edges": 2}
 _DIGITS = b"0123456789"
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
-# a row array's stand-in while the rest of the document is parsed, followed
-# by the array's key
-_SENTINEL = "btangent:numeric-reader:"
 
 
 def _span(text: str, key: str, skip: Tuple[int, int] = (0, 0)):
@@ -615,17 +608,16 @@ def _rows_array(text: str, pieces: List[Tuple[int, int, int]], k: int):
 
 def _read_rows(text: str) -> Optional[Tuple[Any, tuple]]:
     """The numeric reader: the document in text, parsed with its surface's
-    row arrays replaced by sentinels, and those arrays, F x 3 and L x 2
-    int64; None when it declines (see ``manifold_io``'s module docstring).
+    row arrays replaced by ``[]``, and those arrays, F x 3 and L x 2 int64;
+    None when it declines, which it does without raising.
 
-    The checks run in this order: each array's key, first occurrence only
-    (``z_edges`` is looked for outside the triangles array); the arrays'
-    pieces; then, on the document with its arrays cut out, that each key
-    occurs once, that no backslash occurs, so that no key and no sentinel
-    can be written with escapes, and that no sentinel occurs.  Once the
-    pieces hold only digits, brackets, commas and spaces, every key,
-    backslash or sentinel of the text lies outside the arrays, so these
-    three searches cross only the rest of the document, not its rows.
+    It reads rows of plain non-negative integers of 1 to 18 digits, with no
+    leading zero, written compactly (``[[0,1,2],[0,2,3]]``) or with
+    ``json.dumps``' default separators (``[[0, 1, 2], [0, 2, 3]]``), under
+    keys written ``"triangles":[`` or ``"triangles": [`` that occur once
+    outside the arrays, in a document with no backslash outside them.
+    ``_read`` then gives what it gives on ``json.loads(text)``: the same
+    graph, or the same error at the same pointer.
     """
     triangles = _span(text, "triangles")
     if not triangles:  # absent, as from a graph document, or not an array
@@ -634,26 +626,29 @@ def _read_rows(text: str) -> Optional[Tuple[Any, tuple]]:
     if spans["z_edges"] is None:
         return None
     spans = {key: span for key, span in spans.items() if span}  # z_edges may be absent
+    # on the stdlib alone, so that a row declined here is reported before numpy loads
     pieces = {key: _row_pieces(text, a, b, _WIDTHS[key]) for key, (a, b) in spans.items()}
     if None in pieces.values():
         return None
     parts, at = [], 0
-    for a, b, key in sorted((a, b, key) for key, (a, b) in spans.items()):
-        parts += text[at:a], f'"{_SENTINEL}{key}"'
+    for a, b in sorted(spans.values()):
+        parts += text[at:a], "[]"
         at = b
     parts.append(text[at:])
     rest = "".join(parts)
-    # every match in the text outside the arrays is one here too; each array's
-    # stand-in adds one sentinel (which holds no quote) and no backslash
-    if ("\\" in rest or rest.count(_SENTINEL) != len(spans)
-            or any(rest.count(f'"{key}"') != 1 for key in spans)):
+    # the pieces hold only digits, brackets, commas and spaces, so every key or
+    # backslash of the text is one of the rest's, and the stand-ins add none
+    if "\\" in rest or any(rest.count(f'"{key}"') != 1 for key in spans):
         return None
     try:
         doc = json.loads(rest)
     except (ValueError, RecursionError):
         return None
+    # with no backslash no key is escaped and every quote opens or closes a
+    # string, so each key's one occurrence is the one before its array, and a
+    # [] under it in the surface is its stand-in
     surface = doc.get("surface") if isinstance(doc, dict) else None
-    if not isinstance(surface, dict) or any(surface.get(key) != _SENTINEL + key for key in spans):
+    if not isinstance(surface, dict) or any(key not in surface for key in spans):
         return None
     rows = tuple(_rows_array(text, pieces.get(key, []), k) for key, k in _WIDTHS.items())
     return None if any(r is None for r in rows) else (doc, rows)

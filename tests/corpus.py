@@ -41,6 +41,24 @@ def pinched_octahedra() -> TriangulatedSurface:
     return TriangulatedSurface(11, first.triangles + second, first.z_edges)
 
 
+def pinched_octahedra_ring(count: int = 3) -> TriangulatedSurface:
+    """count >= 3 octahedra pinched in a ring at their poles, octahedron k at
+    poles k and k + 1 (mod count), with one marked cycle through them all:
+    0-3-1-7-2-11-0 for three.
+
+    The cycle crosses each octahedron from pole to pole, which cuts it
+    nowhere, so each octahedron is one region and the cycle touches them all.
+    """
+    triangles, z_edges = [], []
+    for k in range(count):
+        top, bottom = k, (k + 1) % count
+        ring = [count + 4 * k + i for i in range(4)]
+        for i in range(4):
+            triangles += [(top, ring[i], ring[i - 1]), (bottom, ring[i - 1], ring[i])]
+        z_edges += [(top, ring[0]), (ring[0], bottom)]
+    return TriangulatedSurface(5 * count, tuple(triangles), tuple(z_edges))
+
+
 def torus7(z_edges: Tuple[Tuple[int, int], ...] = ((0, 1), (1, 2), (0, 2))) -> TriangulatedSurface:
     """The 7-vertex torus; the default marked 3-cycle does not separate."""
     tris = [tuple(sorted((i % 7, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]

@@ -43,6 +43,7 @@ from corpus import (
     octahedron,
     orientable_oracle,
     pinched_octahedra,
+    pinched_octahedra_ring,
     projective_plane,
     random_bgraph,
     region_count_oracle,
@@ -274,6 +275,14 @@ def test_non_closed_surface_rejected():
             surface_euler(broken)
 
 
+def test_a_marked_cycle_lists_its_sides_in_label_order():
+    # twelve bands of a grid torus: the cycle between bands 9 and 10 lists
+    # "R10" first, as the labels sort as strings
+    g = build_graph_from_surface(grid_surface(3, 12, loop_rows=range(12)))
+    assert [(e.label, e.side_a, e.side_b) for e in g.edges][9:] == [
+        ("Z9", "R8", "R9"), ("Z10", "R10", "R9"), ("Z11", "R10", "R11")]
+
+
 def test_pinched_surface_is_structured_error():
     # vertex 0 lies off Z in the closures of two regions, so their chi overcount
     with pytest.raises(NonClosedSurfaceError, match="not a surface at some vertex"):
@@ -292,7 +301,10 @@ def _bad_complexes():
     column = tuple((2 + 6 * j, 2 + 6 * (j + 1) % 36) for j in range(6))
     swap = [19] + list(range(1, 19)) + [0] + list(range(20, 36))
     crossed = relabel(TriangulatedSurface(36, grid_6x6.triangles, grid_6x6.z_edges + column), swap)
-    pinched = pinched_octahedra()
+    pinched, ring, ring4 = pinched_octahedra(), pinched_octahedra_ring(), pinched_octahedra_ring(4)
+    # the ring of four on vertices 0-19, then the ring of three on 20-34
+    ring3 = relabel(ring, range(20, 35))
+    two_rings = (35, ring4.triangles + ring3.triangles, ring4.z_edges + ring3.z_edges)
     return [
         ("open", (6, tris[:-1], ()), NonClosedSurfaceError,
          "edge (1, 4) lies in 1 triangle(s); a closed surface needs 2"),
@@ -356,6 +368,11 @@ def _bad_complexes():
         ("pinched octahedra", (pinched.vertex_count, pinched.triangles, pinched.z_edges),
          NonClosedSurfaceError, "closure Euler characteristics do not sum to the surface's: "
          "the complex is not a surface at some vertex"),
+        # reported before the closure Euler characteristics are summed
+        ("marked cycle through three regions", (ring.vertex_count, ring.triangles, ring.z_edges),
+         InvalidZError, "marked cycle 0 touches 3 regions; at most 2 possible"),
+        ("first of two marked cycles through more than two regions", two_rings,
+         InvalidZError, "marked cycle 0 touches 4 regions; at most 2 possible"),
     ]
 
 

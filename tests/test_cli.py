@@ -15,7 +15,7 @@ from btangent import cli, windex
 from btangent.cli import build_parser, main, run
 from btangent.manifold_io import BUNDLED_NAMES, bundled_path, load_manifold
 
-from corpus import octahedron, pinched_octahedra, torus_loop_graph
+from corpus import octahedron, pinched_octahedra, pinched_octahedra_ring, torus_loop_graph
 
 
 def _cold_cli(*argv: str, **kwargs) -> subprocess.CompletedProcess:
@@ -442,6 +442,10 @@ _OCTAHEDRON = [list(t) for t in octahedron().triangles]
     pytest.param(b"\xff\xfe" + json.dumps({"surface": {"vertices": 6}}).encode(),
                  "not UTF-8 text", id="doc3-not UTF-8 text"),
     pytest.param(b"[" * 100_000, "not valid JSON", id="doc4-not valid JSON"),
+    pytest.param({"surface": {"vertices": 15, "triangles": pinched_octahedra_ring().triangles,
+                              "z_edges": pinched_octahedra_ring().z_edges}},
+                 "error: marked cycle 0 touches 3 regions; at most 2 possible\n",
+                 id="doc5-marked cycle through three regions"),
 ])
 def test_invalid_documents_are_structured_errors(tmp_path, doc, message):
     path = tmp_path / "bad.json"

@@ -13,10 +13,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from btangent import parse_manifold
 from btangent import surface as surface_io
-from btangent.errors import BTangentError, ManifoldFormatError
+from btangent.errors import BTangentError, InvalidZError, ManifoldFormatError
 from btangent.manifold_io import load_manifold
 
-from corpus import genus2, grid_surface, octahedron, pinched_octahedra, projective_plane, torus7
+from corpus import (genus2, grid_surface, octahedron, pinched_octahedra, pinched_octahedra_ring,
+                    projective_plane, torus7)
 
 _SURFACES = (octahedron(), octahedron(False), torus7(), genus2(), projective_plane(),
              pinched_octahedra(), grid_surface(4, 4, loop_rows=(0, 2)),
@@ -35,15 +36,22 @@ _BAD_VERTICES = ("-1", "-0", "01", "00", "1000000000000000000", "999999999999999
 # what may join two rows in place of the separator
 _BAD_JOINS = ("", " ", "] [", "]7,", ",7", "]", "[", " ,", ",,", ",\n", ",  ")
 
+# "old stand-in" is no defect: a string that spells what once stood in for
+# a row array is read like any other
 _DEFECTS = ("vertex", "join", "wrong width", "duplicate triangles", "duplicate surface",
-            "escaped key", "key in a string", "sentinel", "empty triangles", "empty z_edges",
-            "trailing comma")
+            "escaped key", "key in a string", "old stand-in", "empty triangles",
+            "empty z_edges", "trailing comma")
 # what the reader checks once, on the text outside the row arrays: a key
-# written twice, in a string or as a sentinel, each placed before or after
-# the triangles array; and a space in one piece of a compact document, the
-# only piece whose ", " is folded
-_OUTSIDE_DEFECTS = ("duplicate z_edges", "z_edges in a string", "z_edges sentinel",
-                    "stray space")
+# written twice or in a string, each placed before or after the triangles
+# array; a key written with an escape after its real array, with a [] that
+# json.loads keeps in the array's place; the marked edges in an object inside
+# the surface, where they mark nothing; and a space in one piece of a compact
+# document, the only piece whose ", " is folded
+_OUTSIDE_DEFECTS = ("duplicate z_edges", "z_edges in a string", "escaped duplicate",
+                    "nested z_edges", "stray space")
+# each key written with an escape, which only the backslash check tells from
+# the key itself
+_ESCAPED = {"triangles": '"tri\\u0061ngles"', "z_edges": '"z_\\u0065dges"'}
 
 
 def _array(rows, item: str) -> str:
@@ -104,13 +112,13 @@ def _documents(draw, defects=st.one_of(st.none(), st.sampled_from(_DEFECTS + _OU
     elif defect in ("empty triangles", "empty z_edges"):
         rows[defect.split()[1]] = []
     elif defect == "escaped key":
-        keys["triangles"] = '"tri\\u0061ngles"'
+        keys["triangles"] = _ESCAPED["triangles"]
     elif defect == "key in a string":
         extra.append(('"note"', json.dumps('"triangles":[[0,1,2]]')))
         if draw(st.booleans()):
             extra.append(('"note2"', '"triangles:[[0,1,2]]"'))
-    elif defect == "sentinel":
-        extra.append(('"note"', json.dumps(surface_io._SENTINEL + "triangles")))
+    elif defect == "old stand-in":
+        extra.append(('"note"', json.dumps("btangent:numeric-reader:" + target)))
     elif defect == "duplicate triangles":
         extra.append(('"triangles"', _array(rows["triangles"][:2], item)))
     elif defect == "duplicate z_edges":
@@ -118,14 +126,20 @@ def _documents(draw, defects=st.one_of(st.none(), st.sampled_from(_DEFECTS + _OU
     elif defect == "z_edges in a string":
         anywhere = ('"note"', draw(st.sampled_from(
             ['"z_edges"', '["z_edges",[[0,1]]]', json.dumps('"z_edges":[[0,1]]')])))
-    elif defect == "z_edges sentinel":
-        anywhere = ('"note"', json.dumps(surface_io._SENTINEL + "z_edges"))
+    elif defect == "escaped duplicate":
+        extra.append((_ESCAPED[draw(st.sampled_from(sorted(_ESCAPED)))], "[]"))
+    elif defect == "nested z_edges":
+        anywhere = ('"note"', _object([(keys["z_edges"], _array(rows["z_edges"], item))],
+                                      item, colon))
     elif defect == "stray space":
         row[draw(st.sampled_from([0, -1]))] += " "  # [0 ,1,2] or [0,1,2 ]
     pairs = [('"vertices"', str(surf.vertex_count + draw(st.sampled_from([0, 0, 0, 1, -1])))),
              (keys["triangles"], _array(rows["triangles"], item))]
-    # an empty z_edges may be absent, unless it is to be listed twice
-    if rows["z_edges"] or defect == "duplicate z_edges" or draw(st.booleans()):
+    # an empty z_edges may be absent, unless it is to be listed twice; a nested
+    # one is listed only in its note
+    if defect != "nested z_edges" and (
+            rows["z_edges"] or defect in ("duplicate z_edges", "escaped duplicate")
+            or draw(st.booleans())):
         pairs.append((keys["z_edges"], _array(rows["z_edges"], item)))
     pairs = draw(st.permutations(pairs)) + extra
     if anywhere:
@@ -140,7 +154,8 @@ def _documents(draw, defects=st.one_of(st.none(), st.sampled_from(_DEFECTS + _OU
     outer = [('"surface"', surface)]
     if defect == "duplicate surface":
         outer.insert(draw(st.integers(0, 1)), ('"surface"', _object(pairs[:1], item, colon)))
-    readable = defect in (None, "empty triangles", "empty z_edges") and layout != "indented"
+    readable = (defect in (None, "old stand-in", "empty triangles", "empty z_edges")
+                and layout != "indented")
     return _object(outer, item, colon), readable
 
 
@@ -211,8 +226,7 @@ def test_reader_reads_compact_and_default_documents(monkeypatch, chunk, layout):
     monkeypatch.setattr(surface_io, "_CHUNK", chunk)
     surf = octahedron()
     doc, (t, z) = surface_io._read_rows(_octahedron_text(layout))
-    assert doc == {"surface": {"vertices": 6, "triangles": surface_io._SENTINEL + "triangles",
-                               "z_edges": surface_io._SENTINEL + "z_edges"}}
+    assert doc == {"surface": {"vertices": 6, "triangles": [], "z_edges": []}}
     assert t.dtype == z.dtype == np.int64
     assert t.tolist() == [list(r) for r in surf.triangles]
     assert z.tolist() == [list(e) for e in surf.z_edges]
@@ -223,16 +237,29 @@ def test_reader_reads_compact_and_default_documents(monkeypatch, chunk, layout):
 
 def test_reader_declines_what_it_cannot_be_sure_of(tmp_path):
     compact = _octahedron_text("compact")
-    sentinel = json.dumps(surface_io._SENTINEL + "triangles")
-    # an escaped key and an escaped sentinel: json.loads keeps the later key,
-    # whose value is the sentinel's string and no row array
-    escaped = sentinel.replace("b", "\\u0062", 1)
-    for text in (compact[:-2] + ',"tri\\u0061ngles":' + escaped + "}}",
-                 compact.replace('"triangles"', '"tri\\u0061ngles"'),
+    # an escaped key after the real array: json.loads keeps the later key,
+    # whose [] is no stand-in, and makes the triangles or the marked edges empty
+    for text in (compact[:-2] + "," + _ESCAPED["triangles"] + ":[]}}",
+                 compact[:-2] + "," + _ESCAPED["z_edges"] + ":[]}}",
+                 compact.replace('"triangles"', _ESCAPED["triangles"]),
+                 # the marked edges in an object inside the surface: none is marked
+                 compact.replace('"z_edges":', '"note":{"z_edges":')[:-2] + "}}}",
                  compact[:-1] + ',"label":"triangles"}',  # the key twice in the text
-                 compact[:-1] + ',"label":' + sentinel + "}",
                  compact.replace('"triangles":[', '"triangles" :['),
                  json.dumps({"graph": json.loads(compact)["surface"]}),
                  _octahedron_text("indented")):
         assert surface_io._read_rows(text) is None, text
         _check(tmp_path, text)
+
+
+def test_the_reader_path_reports_a_marked_cycle_through_three_regions(tmp_path):
+    ring = pinched_octahedra_ring()
+    text = json.dumps({"surface": {"vertices": ring.vertex_count, "triangles": ring.triangles,
+                                   "z_edges": ring.z_edges}}, separators=(",", ":"))
+    assert surface_io._read_rows(text) is not None
+    path = tmp_path / "ring.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidZError) as exc:
+        load_manifold(path)
+    assert type(exc.value) is InvalidZError
+    assert str(exc.value) == "marked cycle 0 touches 3 regions; at most 2 possible"
