@@ -11,6 +11,12 @@ Graphs can be written down directly or derived from a triangulated closed
 surface with a marked cycle system (``surface``).  This module holds only
 graph code, so that a graph document's cold start compiles no surface
 kernel.
+
+A graph's state is its columns: region labels, Euler characteristics and
+edge labels, and the sorted integer form the analyses read.  A graph read
+from a document or built from a surface builds its ``regions`` and
+``edges`` records on their first read; ``dataclasses.replace``, ``asdict``
+and pickle work on it as on any dataclass.
 """
 from __future__ import annotations
 
@@ -18,9 +24,9 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, ne
 from types import MappingProxyType
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import InvalidArgumentError, _is_int
 
@@ -58,7 +64,7 @@ class HypersurfaceComponent(NamedTuple):
         return self.side_a == self.side_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BGraph:
     """Region graph of a pair (M, Z), with ambient metadata.
 
@@ -74,9 +80,17 @@ class BGraph:
     edge labels and sides are str, edge labels are unique, and every edge
     side names a region.
 
-    The check builds the graph's integer form ``_columns`` (see
-    ``_graph_columns``), kept outside the graph's dataclass fields, so
-    equality, hashing, repr and JSON never see it.
+    A graph's state is its columns: the region labels, the Euler
+    characteristics and the edge labels in record order, and the integer
+    form ``_columns`` that the check builds (see ``_graph_columns``).  A
+    graph built from records keeps the records it was given.  One that a
+    document or a surface builds from columns (``_of_columns``) builds its
+    ``regions`` and ``edges`` records on the first read of either, both at
+    once, and keeps them.  They are the dataclass fields all the same, so
+    ``dataclasses.replace``, ``fields`` and ``asdict``, repr, pickle and
+    deepcopy work as on any dataclass.  Equality and hashing read the
+    columns, ambient_dim and orientable, so comparing graphs builds no
+    record.
 
     Raises:
         InvalidArgumentError: naming the first defect.
@@ -89,23 +103,65 @@ class BGraph:
 
     def __post_init__(self):
         # an iterable becomes a tuple; anything else, a lone record included,
-        # stays as given, for _graph_columns to name
+        # stays as given, for _record_columns to name
         regions, edges = (tuple(x) if isinstance(x, Iterable)
                           and not isinstance(x, (Region, HypersurfaceComponent)) else x
                           for x in (self.regions, self.edges))
-        columns = _graph_columns(regions, edges, self.ambient_dim, self.orientable)
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "ambient_dim", int(self.ambient_dim))
-        object.__setattr__(self, "_columns", columns)
+        self._store(*_record_columns(regions, edges), self.ambient_dim, self.orientable)
+
+    @classmethod
+    def _of_columns(cls, label, chi, edge_label, side_a, side_b, ambient_dim,
+                    orientable) -> "BGraph":
+        """The graph of the record-order columns of its regions and edges,
+        checked as the constructor checks the same records, with no record
+        built."""
+        g = object.__new__(cls)
+        g._store(label, chi, edge_label, side_a, side_b, ambient_dim, orientable)
+        return g
+
+    def _store(self, label, chi, edge_label, side_a, side_b, ambient_dim, orientable) -> None:
+        columns = _graph_columns(label, chi, edge_label, side_a, side_b, ambient_dim, orientable)
+        vars(self).update(ambient_dim=int(ambient_dim), orientable=orientable, _label=tuple(label),
+                          _chi=tuple(chi), _edge_label=tuple(edge_label), _columns=columns)
+
+    def __getattr__(self, name: str):
+        # runs only for a name the instance lacks; any name but the records'
+        # is missing, as unpickling's look-up of __setstate__ must find
+        if name != "regions" and name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        labels, a, b = self._columns
+        state = vars(self)
+        state["regions"] = tuple(_records_of(Region, zip(self._label, self._chi)))
+        state["edges"] = tuple(_records_of(HypersurfaceComponent, zip(
+            self._edge_label, map(labels.__getitem__, a), map(labels.__getitem__, b))))
+        return state[name]
+
+    def _key(self) -> tuple:
+        # the fields' values: labels equal, sides are equal when their
+        # positions among the sorted labels are
+        _, a, b = self._columns
+        return self._label, self._chi, self._edge_label, a, b, self.ambient_dim, self.orientable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def region_labels(self) -> Tuple[str, ...]:
-        return tuple(map(itemgetter(0), self.regions))
+        return self._label
 
     def to_json_dict(self) -> dict:
+        labels, a, b = self._columns
         return {
-            "regions": [{"label": label, "chi": chi} for label, chi in self.regions],
-            "edges": [{"label": label, "a": a, "b": b} for label, a, b in self.edges],
+            "regions": [{"label": label, "chi": chi} for label, chi in zip(self._label, self._chi)],
+            "edges": [{"label": label, "a": labels[u], "b": labels[w]}
+                      for label, u, w in zip(self._edge_label, a, b)],
             "ambient_dim": self.ambient_dim,
             "orientable": self.orientable,
         }
@@ -125,15 +181,10 @@ def _defect(path: str, message: str) -> InvalidArgumentError:
     return exc
 
 
-def _graph_columns(regions, edges, ambient_dim, orientable) -> Tuple[tuple, tuple, tuple]:
-    """Check a region graph; return the region labels in sorted order and,
-    for every edge, the positions of side_a and side_b among them.
-
-    Once the rows are known to be records, each side is split into its
-    field columns, and every later condition of the BGraph docstring is
-    one pass over a column or a set of its types, in C, in that order.
-    Only a pass that fails walks the rows, to raise at the first bad one
-    (see ``_defect``; paths are in ``to_json_dict`` form)."""
+def _record_columns(regions, edges) -> List[tuple]:
+    """The record-order columns of a graph's records: region label and
+    euler_char, then edge label, side_a and side_b; checked first to be
+    tuples of records of their type's width (see ``_graph_columns``)."""
     columns = []
     for key, rows, kind in (("regions", regions, Region), ("edges", edges, HypersurfaceComponent)):
         if type(rows) is not tuple:  # a lone record is a tuple subclass, not rows
@@ -150,8 +201,21 @@ def _graph_columns(regions, edges, ambient_dim, orientable) -> Tuple[tuple, tupl
         # one itemgetter pass per field, in C; zip(*rows) would make an
         # iterator per record, and on 10**5 records the garbage collector's
         # passes over those cost about five times the columns themselves
-        columns.append([tuple(map(itemgetter(k), rows)) for k in range(width)])
-    (label, chi), (edge_label, a, b) = columns
+        columns += (tuple(map(itemgetter(k), rows)) for k in range(width))
+    return columns
+
+
+def _graph_columns(label, chi, edge_label, side_a, side_b, ambient_dim,
+                   orientable) -> Tuple[tuple, tuple, tuple]:
+    """Check a region graph given as the record-order columns of its regions
+    (label, euler_char) and edges (label, side_a, side_b); return the region
+    labels in sorted order and, for every edge, the positions of side_a and
+    side_b among them.
+
+    Every condition of the BGraph docstring after the records' own is one
+    pass over a column or a set of its types, in C, in that order.  Only a
+    pass that fails walks the rows, to raise at the first bad one (see
+    ``_defect``; paths are in ``to_json_dict`` form)."""
     if not _is_int(type(ambient_dim)):
         raise _defect("/ambient_dim", f"ambient_dim must be an integer, got {ambient_dim!r}")
     if ambient_dim < 1:
@@ -159,34 +223,35 @@ def _graph_columns(regions, edges, ambient_dim, orientable) -> Tuple[tuple, tupl
                       f"invalid region graph: ambient_dim must be >= 1, got {ambient_dim}")
     if not isinstance(orientable, bool):
         raise _defect("/orientable", f"orientable must be a bool, got {orientable!r}")
-    if not regions:
+    if not label:
         raise _defect("/regions", "invalid region graph: graph has no regions")
     if not (_all_of(str, label) and all(map(_is_int, set(map(type, chi))))):
-        for i, r in enumerate(regions):
-            if not isinstance(r.label, str):
+        for i, (name, value) in enumerate(zip(label, chi)):
+            if not isinstance(name, str):
                 raise _defect(f"/regions/{i}/label",
-                              f"label of region {i} must be a str, got {r.label!r}")
-            if not _is_int(type(r.euler_char)):
-                raise _defect(f"/regions/{i}/chi", f"euler_char of region {r.label!r} "
-                                                   f"must be an integer, got {r.euler_char!r}")
+                              f"label of region {i} must be a str, got {name!r}")
+            if not _is_int(type(value)):
+                raise _defect(f"/regions/{i}/chi", f"euler_char of region {name!r} "
+                                                   f"must be an integer, got {value!r}")
     labels = tuple(sorted(label))
     position = dict(zip(labels, range(len(labels))))
     if len(position) != len(labels):
-        _raise_duplicate("regions", regions)
-    if not _all_of(str, chain(edge_label, a, b)):
-        for i, e in enumerate(edges):
-            for field, attr in (("label", "label"), ("a", "side_a"), ("b", "side_b")):
-                if not isinstance(getattr(e, attr), str):
+        _raise_duplicate("regions", label)
+    if not _all_of(str, chain(edge_label, side_a, side_b)):
+        for i, row in enumerate(zip(edge_label, side_a, side_b)):
+            for field, attr, value in zip(("label", "a", "b"), HypersurfaceComponent._fields, row):
+                if not isinstance(value, str):
                     raise _defect(f"/edges/{i}/{field}",
-                                  f"{attr} of edge {i} must be a str, got {getattr(e, attr)!r}")
-    if len(set(edge_label)) != len(edges):
-        _raise_duplicate("edges", edges)
+                                  f"{attr} of edge {i} must be a str, got {value!r}")
+    if len(set(edge_label)) != len(edge_label):
+        _raise_duplicate("edges", edge_label)
     try:
-        return (labels, tuple(map(position.__getitem__, a)), tuple(map(position.__getitem__, b)))
+        return (labels, tuple(map(position.__getitem__, side_a)),
+                tuple(map(position.__getitem__, side_b)))
     except KeyError:  # a side that names no region
-        i, field, side = next((i, f, s) for i, e in enumerate(edges)
-                              for f, s in (("a", e.side_a), ("b", e.side_b)) if s not in position)
-        raise _defect(f"/edges/{i}/{field}", f"invalid region graph: edge {edges[i].label!r} "
+        i, field, side = next((i, f, s) for i, sides in enumerate(zip(side_a, side_b))
+                              for f, s in zip("ab", sides) if s not in position)
+        raise _defect(f"/edges/{i}/{field}", f"invalid region graph: edge {edge_label[i]!r} "
                       f"references missing region {side!r}") from None
 
 
@@ -199,14 +264,14 @@ def _records_of(kind: type, rows):
     return map(partial(tuple.__new__, kind), rows)
 
 
-def _raise_duplicate(key: str, rows: tuple) -> None:
-    """Raise at the first row of rows whose label an earlier row has."""
+def _raise_duplicate(key: str, labels) -> None:
+    """Raise at the first of the labels of key's rows that an earlier row has."""
     seen = set()
-    for i, row in enumerate(rows):
-        if row.label in seen:
+    for i, label in enumerate(labels):
+        if label in seen:
             raise _defect(f"/{key}/{i}/label",
-                          f"invalid region graph: duplicate {key[:-1]} label {row.label!r}")
-        seen.add(row.label)
+                          f"invalid region graph: duplicate {key[:-1]} label {label!r}")
+        seen.add(label)
 
 
 @dataclass(frozen=True)
@@ -248,8 +313,12 @@ class Coloring:
         """True when it colors exactly the regions of g, and every edge
         (loops included) joins opposite colors."""
         signs = self.assignment
-        return (set(signs) == set(g.region_labels())
-                and all(signs[a] * signs[b] == -1 for _, a, b in g.edges))
+        labels, a, b = g._columns
+        if set(signs) != set(labels):
+            return False
+        # signs are +1 and -1, so opposite colors are different signs
+        sign = list(map(signs.__getitem__, labels))
+        return all(map(ne, map(sign.__getitem__, a), map(sign.__getitem__, b)))
 
     def to_json_dict(self) -> dict:
         return dict(sorted(self.assignment.items()))

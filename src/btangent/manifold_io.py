@@ -15,6 +15,10 @@ element.  Only the JSON shape of a document is checked here.  The graph and
 the surface rows are checked by the constructors' own checks, and their
 message is reported at the defect's pointer.
 
+A graph document is read as columns, one pass per key across the entries
+(``_key_columns``), and its graph is built from them with no record; the
+entries are walked only to name one that is not an object or lacks a key.
+
 ``load_manifold`` first tries a numeric reader on the file's text,
 ``surface._read_rows``, which reads the ``triangles`` and ``z_edges``
 arrays straight into int64 arrays, so that ``json.loads`` never builds
@@ -32,9 +36,9 @@ import json
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from .bgraph import BGraph, HypersurfaceComponent, Region, _records_of
+from .bgraph import BGraph
 from .errors import InvalidArgumentError, ManifoldFormatError, _is_int
 
 __all__ = ["BUNDLED_NAMES", "bundled_path", "load_manifold", "parse_manifold"]
@@ -68,13 +72,12 @@ def _need(obj: dict, key: str, kind: type, pointer: str) -> Any:
     raise ManifoldFormatError(f"{key!r} must be {name}", f"{pointer}/{key}")
 
 
-def _records(raw: list, record: type, keys: Tuple[str, ...], pointer: str, what: str) -> tuple:
-    """One record per entry of raw, from the values under keys: one itemgetter
-    pass, whose tuples become the records, all in C (see ``_records_of``;
-    keys are the record's fields in order).  The entries are walked only to
-    name an entry that is not an object or lacks a key."""
+def _key_columns(raw: list, keys: Tuple[str, ...], pointer: str, what: str) -> List[tuple]:
+    """The values under each of keys, one column per key across the entries
+    of raw: one itemgetter pass per key, in C.  The entries are walked only
+    to name the first that is not an object or lacks a key."""
     try:
-        return tuple(_records_of(record, map(itemgetter(*keys), raw)))
+        return [tuple(map(itemgetter(key), raw)) for key in keys]
     except (KeyError, TypeError):  # an entry without a key, or not an object
         for i, entry in enumerate(raw):
             if not isinstance(entry, dict):
@@ -85,16 +88,15 @@ def _records(raw: list, record: type, keys: Tuple[str, ...], pointer: str, what:
 
 
 def _read_graph(doc: dict, pointer: str) -> Tuple[Callable[..., BGraph], tuple]:
-    """The builder of a graph document's region graph, and its records;
-    only the document's JSON shape is checked here."""
+    """The builder of a graph document's region graph, and its record-order
+    columns; only the document's JSON shape is checked here."""
     regions_raw = _need(doc, "regions", list, pointer)
     edges_raw = _need(doc, "edges", list, pointer)
     ambient = _need(doc, "ambient_dim", object, pointer)
     orientable = _need(doc, "orientable", object, pointer)
-    regions = _records(regions_raw, Region, ("label", "chi"), f"{pointer}/regions", "region")
-    edges = _records(edges_raw, HypersurfaceComponent, ("label", "a", "b"),
-                     f"{pointer}/edges", "edge")
-    return partial(_located, pointer, BGraph), (regions, edges, ambient, orientable)
+    columns = (*_key_columns(regions_raw, ("label", "chi"), f"{pointer}/regions", "region"),
+               *_key_columns(edges_raw, ("label", "a", "b"), f"{pointer}/edges", "edge"))
+    return partial(_located, pointer, BGraph._of_columns), (*columns, ambient, orientable)
 
 
 def _located(pointer: str, check, *args):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from operator import mul
 from typing import TYPE_CHECKING, Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .bgraph import BGraph, Coloring, sphere_equator_graph
@@ -273,7 +274,7 @@ def b_euler_number(g: BGraph, coloring: Coloring) -> int:
         )
     if not coloring.is_proper(g):
         raise ImproperColoringError("coloring is not a proper sign coloring of the graph")
-    return sum(coloring[label] * chi for label, chi in g.regions)
+    return sum(map(mul, map(coloring.assignment.__getitem__, g._label), g._chi))
 
 
 def classical_euler_number(g: BGraph) -> int:
@@ -292,7 +293,7 @@ def classical_euler_number(g: BGraph) -> int:
         raise OddDimensionError(
             f"classical Euler number needs even ambient dimension, got {g.ambient_dim}"
         )
-    return sum(chi for _, chi in g.regions)
+    return sum(g._chi)
 
 
 def euler_report(g: BGraph) -> EulerReport:

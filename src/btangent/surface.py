@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from .bgraph import BGraph, HypersurfaceComponent, Region, _defect, _records_of
+from .bgraph import BGraph, _defect
 from .errors import InvalidArgumentError, InvalidZError, NonClosedSurfaceError, _as_int, _is_int
 
 __all__ = ["TriangulatedSurface", "build_graph_from_surface", "surface_euler", "surface_orientable"]
@@ -479,7 +479,6 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     del faces, edge
     labels = [f"R{r}" for r in range(count)]
     chis = _closure_eulers(t, n, region, count, ends)
-    regions = tuple(_records_of(Region, zip(labels, chis)))
     del region
 
     # each marked cycle's two sides are the smallest and the largest region
@@ -494,14 +493,13 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
         near = len(set(ends[cycle == k].ravel().tolist()))
         raise InvalidZError(f"marked cycle {k} touches {near} regions; at most 2 possible")
     a, b = ([labels[r] for r in x.tolist()] for x in (lo, hi))
-    edges = tuple(_records_of(HypersurfaceComponent, zip(
-        (f"Z{k}" for k in range(cycles)), map(min, a, b), map(max, a, b))))
 
     if sum(chis) != euler:
         raise NonClosedSurfaceError("closure Euler characteristics do not sum to the "
                                     "surface's: the complex is not a surface at some vertex")
 
-    return BGraph(regions, edges, ambient_dim=2, orientable=orientable)
+    return BGraph._of_columns(labels, chis, [f"Z{k}" for k in range(cycles)],
+                              list(map(min, a, b)), list(map(max, a, b)), 2, orientable)
 
 
 # the numeric reader (see _read_rows): rows are checked and converted about
@@ -514,14 +512,14 @@ _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
 
 def _span(text: str, key: str, skip: Tuple[int, int] = (0, 0)):
-    """(a, b), with text[a:b] the array under the first "key" of text outside
-    text[skip[0]:skip[1]], when it is written "key":[ or "key": [; () when
-    key does not occur there; else None.
+    """((a, b), pieces), with text[a:b] the array under the first "key" of
+    text outside text[skip[0]:skip[1]], when it is written "key":[ or
+    "key": [, and pieces its rows as ``_row_pieces`` cuts them; () when key
+    does not occur there; else None.
 
-    The array is taken to end at its first "]]", or to be "[]"; what it
-    holds is checked by ``_row_pieces``.  Whether the key occurs more than
-    once is left to ``_read_rows``, which asks it of the text outside the
-    arrays only.
+    The array is taken to end at its first "]]", or to be "[]".  Whether
+    the key occurs more than once is left to ``_read_rows``, which asks it
+    of the text outside the arrays only.
     """
     quoted = f'"{key}"'
     i = text.find(quoted, 0, skip[0])
@@ -534,8 +532,10 @@ def _span(text: str, key: str, skip: Tuple[int, int] = (0, 0)):
     if colon is None:
         return None
     a += len(colon) - 1
-    b = a + 2 if text.startswith("[]", a) else text.find("]]", a) + 2
-    return (a, b) if b > a else None
+    if text.startswith("[]", a):
+        return (a, a + 2), []
+    cut = _row_pieces(text, a, _WIDTHS[key])
+    return None if cut is None else ((a, cut[1]), cut[0])
 
 
 def _compact(piece: str) -> bytes:
@@ -545,35 +545,47 @@ def _compact(piece: str) -> bytes:
     return data.replace(b", ", b",") if b" " in data else data
 
 
-def _row_pieces(text: str, a: int, b: int, k: int) -> Optional[List[Tuple[int, int, int]]]:
-    """The pieces (p, q, rows) of the array text[a:b]: whole rows text[p:q],
-    about _CHUNK characters each, joined by "," or ", ".  None unless each
-    piece, with its ", " folded to "," and its digits deleted, is the
-    skeleton of its rows, "[,,],[,,],...,[,,]" for k = 3.
-
-    Runs on the stdlib alone, so that a float, sign, exponent, literal,
-    stray space or row of the wrong width is declined before numpy loads.
-    The digit runs are checked by ``_rows_array``.
-    """
+def _skeleton_rows(piece: str, k: int) -> Optional[int]:
+    """The number of rows in the piece; None unless the piece, with its ", "
+    folded to "," and its digits deleted, is the skeleton of its rows,
+    "[,,],[,,],...,[,,]" for k = 3.  Such a piece holds no "]]"."""
+    if not piece.isascii():
+        return None
     row = b"[" + b"," * (k - 1) + b"],"
-    pieces, p, end = [], a + 1, b - 1  # text[end] is the closing bracket
-    while p < end:
-        q = text.find("]", p + _CHUNK, end) + 1 or end
-        piece = text[p:q]
-        if not piece.isascii():
-            return None
-        skeleton = _compact(piece).translate(None, _DIGITS)
-        count = (len(skeleton) + 1) // len(row)
-        if skeleton + b"," != row * count:
-            return None
+    skeleton = _compact(piece).translate(None, _DIGITS)
+    count = (len(skeleton) + 1) // len(row)
+    return count if skeleton + b"," == row * count else None
+
+
+def _row_pieces(text: str, a: int, k: int) -> Optional[Tuple[List[Tuple[int, int, int]], int]]:
+    """The pieces (p, q, rows) of the array of rows that opens at text[a]
+    and ends at its first "]]": whole rows text[p:q], about _CHUNK
+    characters each, joined by "," or ", "; and b, the index just past the
+    array.  None unless every piece passes ``_skeleton_rows``.
+
+    The walk steps through the array by "]" searches and finds its end on
+    the way: a piece that ends at the array's last row is followed by "]",
+    and one that runs past it fails its check and is cut at the first "]]"
+    within it.  So only that piece is searched for "]]".  Runs on the
+    stdlib alone, so that a float, sign, exponent, literal, stray space or
+    row of the wrong width is declined before numpy loads.  The digit runs
+    are checked by ``_rows_array``.
+    """
+    pieces, p = [], a + 1
+    while True:
+        q = text.find("]", p + _CHUNK) + 1 or len(text)
+        count = _skeleton_rows(text[p:q], k)
+        if count is None:
+            q = text.find("]]", p, q) + 1
+            count = _skeleton_rows(text[p:q], k) if q else None
+            if count is None:
+                return None
         pieces.append((p, q, count))
-        if q == end:
-            break
-        if text[q] != ",":
+        if text.startswith("]", q):  # the array's closing bracket
+            return pieces, q + 1
+        if not text.startswith(",", q):
             return None
-        # text[end - 1] is "]", so a row starts before end
-        p = q + 2 if text[q + 1] == " " else q + 1
-    return pieces
+        p = q + 2 if text.startswith(" ", q + 1) else q + 1
 
 
 def _rows_array(text: str, pieces: List[Tuple[int, int, int]], k: int):
@@ -619,17 +631,16 @@ def _read_rows(text: str) -> Optional[Tuple[Any, tuple]]:
     ``_read`` then gives what it gives on ``json.loads(text)``: the same
     graph, or the same error at the same pointer.
     """
+    # on the stdlib alone, so that a row declined here is reported before numpy loads
     triangles = _span(text, "triangles")
     if not triangles:  # absent, as from a graph document, or not an array
         return None
-    spans = {"triangles": triangles, "z_edges": _span(text, "z_edges", triangles)}
-    if spans["z_edges"] is None:
+    z_edges = _span(text, "z_edges", triangles[0])
+    if z_edges is None:
         return None
-    spans = {key: span for key, span in spans.items() if span}  # z_edges may be absent
-    # on the stdlib alone, so that a row declined here is reported before numpy loads
-    pieces = {key: _row_pieces(text, a, b, _WIDTHS[key]) for key, (a, b) in spans.items()}
-    if None in pieces.values():
-        return None
+    arrays = {"triangles": triangles, "z_edges": z_edges}
+    spans = {key: x[0] for key, x in arrays.items() if x}  # z_edges may be absent
+    pieces = {key: x[1] for key, x in arrays.items() if x}
     parts, at = [], 0
     for a, b in sorted(spans.values()):
         parts += text[at:a], "[]"

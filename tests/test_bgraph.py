@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import pickle
 import resource
@@ -21,8 +22,14 @@ from btangent import (
     ManifoldFormatError,
     NonClosedSurfaceError,
     Region,
+    SignGluing,
     TriangulatedSurface,
     build_graph_from_surface,
+    edge_obstruction,
+    equivalence_report,
+    euler_report,
+    gauge_solvable,
+    load_manifold,
     named_field,
     parse_manifold,
     sphere_equator_graph,
@@ -1188,7 +1195,10 @@ def test_graph_constructor_checks_every_defect(planted):
 @given(_graph_parts())
 def test_valid_graph_round_trips_through_its_document(parts):
     g = BGraph(*parts)
-    labels, a, b = _graph_columns(g.regions, g.edges, g.ambient_dim, g.orientable)
+    labels, a, b = _graph_columns(
+        [r.label for r in g.regions], [r.euler_char for r in g.regions],
+        [e.label for e in g.edges], [e.side_a for e in g.edges], [e.side_b for e in g.edges],
+        g.ambient_dim, g.orientable)
     assert labels == tuple(sorted(g.region_labels())) and g._columns == (labels, a, b)
     assert [(labels[u], labels[w]) for u, w in zip(a, b)] == [(e.side_a, e.side_b) for e in g.edges]
     assert parse_manifold({"graph": g.to_json_dict()}) == g
@@ -1245,6 +1255,44 @@ def _planted_defect(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_planted_defect())
 def test_malformed_graph_document_reports_its_defect(planted):
+    doc, pointer, message = planted
+    with pytest.raises(ManifoldFormatError) as exc:
+        parse_manifold(doc)
+    assert exc.value.pointer == pointer
+    assert str(exc.value) == f"{message} (at {pointer})"
+
+
+@st.composite
+def _broken_entries(draw):
+    """A valid graph document with one to three entries made shapeless, each
+    not an object or without one of its keys, and the pointer and message of
+    the first of them in document order, regions before edges."""
+    regions, edges, dim, orientable = draw(_graph_parts())
+    doc = _graph_document(regions, edges, dim, orientable)
+    graph = doc["graph"]
+    order = [("regions", i) for i in range(len(graph["regions"]))] + [
+        ("edges", i) for i in range(len(graph["edges"]))]
+    places = sorted(draw(st.sets(st.sampled_from(order), min_size=1, max_size=3)), key=order.index)
+    first = None
+    for where, i in places:
+        entry = graph[where][i]
+        if draw(st.booleans()):
+            graph[where][i] = draw(st.sampled_from((None, 1, "R", [], [entry])))
+            message = f"{where[:-1]} must be an object"
+        else:
+            key = draw(st.sampled_from(sorted(entry)))
+            del entry[key]
+            message = f"missing required key {key!r}"
+        first = first or (f"/graph/{where}/{i}", message)
+    return (doc, *first)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_broken_entries())
+def test_the_first_shapeless_entry_is_reported(planted):
+    # each key is read as one column across the entries, and a region may
+    # lack its chi before another lacks its label: the report is still the
+    # first shapeless entry, regions before edges
     doc, pointer, message = planted
     with pytest.raises(ManifoldFormatError) as exc:
         parse_manifold(doc)
@@ -1326,3 +1374,78 @@ def test_record_order_leaves_the_columns_in_step():
         assert BGraph(regions, g.edges)._columns == g._columns
         assert BGraph(regions, [g.edges[k] for k in order])._columns == (
             labels, tuple(a[k] for k in order), tuple(b[k] for k in order))
+
+
+def _unbuilt(g: BGraph) -> bool:
+    return "regions" not in vars(g) and "edges" not in vars(g)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+def test_a_loaded_graph_equals_the_graph_of_its_records(seed, dim, orientable):
+    doc = {"graph": {**random_bgraph(np.random.default_rng(seed)).to_json_dict(),
+                     "ambient_dim": dim, "orientable": orientable}}
+    graph = doc["graph"]
+    built = BGraph(tuple(Region(r["label"], r["chi"]) for r in graph["regions"]),
+                   tuple(HypersurfaceComponent(e["label"], e["a"], e["b"]) for e in graph["edges"]),
+                   dim, orientable)
+    loaded = parse_manifold(doc)
+    twins = (pickle.loads(pickle.dumps(loaded)), copy.deepcopy(loaded))
+    assert loaded == built and built == loaded and not (loaded != built or built != loaded)
+    assert hash(loaded) == hash(built) and loaded.to_json_dict() == built.to_json_dict() == graph
+    assert loaded.region_labels() == built.region_labels()
+    assert all(twin == built and hash(twin) == hash(built) for twin in twins)
+    assert all(map(_unbuilt, (loaded, *twins)))  # none of that built a record
+    assert not hasattr(loaded, "side_a") and _unbuilt(loaded)
+    assert repr(loaded) == repr(built) and not _unbuilt(loaded)
+    assert dataclasses.asdict(loaded) == dataclasses.asdict(built)
+    assert (loaded.regions, loaded.edges) == (built.regions, built.edges)
+    assert [type(x) for x in loaded.regions + loaded.edges] == [
+        type(x) for x in built.regions + built.edges]
+    for twin in (*twins, pickle.loads(pickle.dumps(loaded)), copy.deepcopy(loaded)):
+        assert twin == built and repr(twin) == repr(built)
+    flipped = dataclasses.replace(parse_manifold(doc), orientable=not orientable)
+    assert flipped == dataclasses.replace(built, orientable=not orientable) != built
+
+
+def _field_values(g: BGraph) -> tuple:
+    return tuple(getattr(g, f.name) for f in dataclasses.fields(g))
+
+
+def test_graph_equality_is_that_of_the_field_values():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        g = random_bgraph(rng)
+        doc = {"graph": g.to_json_dict()}
+        regions, edges = list(g.regions), list(g.edges)
+        first = regions[0]
+        variants = [
+            g, parse_manifold(doc),
+            dataclasses.replace(g, ambient_dim=4), dataclasses.replace(g, orientable=False),
+            BGraph(regions[::-1], edges), BGraph(regions, edges[::-1]),
+            BGraph([first._replace(euler_char=first.euler_char + 1)] + regions[1:], edges),
+        ]
+        if edges:
+            e = edges[0]
+            variants += [BGraph(regions, [e._replace(side_a=e.side_b, side_b=e.side_a)] + edges[1:]),
+                         BGraph(regions, [e._replace(label="Q")] + edges[1:])]
+        for x in variants:
+            for y in variants:
+                assert (x == y) == (_field_values(x) == _field_values(y))
+                assert (x != y) == (_field_values(x) != _field_values(y))
+                assert x != y or hash(x) == hash(y)
+
+
+def test_analyses_of_a_loaded_graph_build_no_record(tmp_path):
+    surface_doc = tmp_path / "octahedron.json"
+    surface_doc.write_text(json.dumps(_document(octahedron())))
+    for path in (manifold_io.bundled_path("genus2_separating"), surface_doc):
+        g = load_manifold(path)
+        equivalence_report(g)
+        gauge_solvable(SignGluing.canonical(g), g)
+        edge_obstruction(g, 3, 2)
+        edge_obstruction(g, 4, 2)
+        euler_report(g)
+        assert _unbuilt(g), path
+        regions = g.regions  # one read builds both
+        assert vars(g)["regions"] is regions and vars(g)["edges"] is g.edges
