@@ -73,7 +73,33 @@ def _load_input(name: str) -> BGraph:
 
 
 def _render_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _indented(obj, "") + "\n"
+
+
+def _indented(x, pad: str) -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` for a JSON value x whose
+    objects have string keys, with every line after the first indented by
+    pad.
+
+    Any indent sends ``json.dumps`` to the stdlib's pure-Python encoder,
+    which takes a sizable share of a cold ``analyze`` on a large graph.  So
+    a container with no container among its members is written by one call
+    of the C encoder, whose item separator carries the newline and indent;
+    only containers of containers are walked here.
+    """
+    if not isinstance(x, (dict, list, tuple)) or not x:
+        return json.dumps(x)
+    inner = pad + "  "
+    comma = ",\n" + inner
+    members = x.values() if isinstance(x, dict) else x
+    if not any(isinstance(v, (dict, list, tuple)) for v in members):
+        text = json.dumps(x, sort_keys=True, separators=(comma, ": "))
+    elif isinstance(x, dict):
+        items = (f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in sorted(x.items()))
+        text = "{" + comma.join(items) + "}"
+    else:
+        text = "[" + comma.join(_indented(v, inner) for v in x) + "]"
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
 
 
 def _render_markdown(title: str, obj: dict) -> str:

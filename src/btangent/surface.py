@@ -143,8 +143,12 @@ def _half_edges(n: int, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     i for s = 0, 1, 2, the first two along their edge and the third against
     it, in int32, which refusing more than ``_MAX_TRIANGLES`` triangles
     makes room for.  The 3F keys are computed in one F x 3 array and sorted
-    once; the complex is closed exactly when every run of equal keys has
-    length two.  The defects are reported in a fixed order: more than
+    once by ``_sorted_keys``: each key, below V**2, is packed with its
+    half-edge number, below 3F, into one int64 and sorted in place, which
+    fits in its 63 bits up to about 2.1 million triangles (V = F / 2 + chi);
+    a larger surface takes a stable ``argsort``, with the same result.  The
+    complex is closed exactly when every run of equal keys has length two.
+    The defects are reported in a fixed order: more than
     ``_MAX_TRIANGLES`` triangles (before any row is read), degenerate or
     out-of-range triangles, duplicates, isolated vertices, edges not in two
     triangles.
@@ -190,11 +194,7 @@ def _half_edges(n: int, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     for s, (u, w) in enumerate(((a, b), (b, c), (a, c))):
         np.multiply(u, n, out=keys[:, s])
         keys[:, s] += w
-    keys = keys.ravel()
-    # stable only for speed: on triangles listed in grid order it is faster
-    # than the default sort, which wins on shuffled ones
-    order = np.argsort(keys, kind="stable").astype(np.int32)
-    keys = keys.take(order)
+    keys, order = _sorted_keys(keys.ravel(), n * n)
     # closed: 3F is even, and every key equals its partner in its pair and
     # differs from the next pair's
     if f % 2 or not ((keys[0::2] == keys[1::2]).all() and (keys[1:-1:2] != keys[2::2]).all()):
@@ -211,16 +211,56 @@ def _half_edges(n: int, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarr
         )
     keys = keys[::2].copy()  # not a view, which would keep all 3F keys alive
     pairs = order.reshape(-1, 2)  # the two half-edges of each edge
-    # every edge lies in exactly two triangles, so a repeated triangle meets
-    # its copy across an edge: the two triangles there share their third
-    # vertex, which for half-edge 3i + s is vertex (s + 2) % 3 of triangle i
-    third = t.ravel().take(pairs - pairs % 3 + (pairs + 2) % 3)
-    if (third[:, 0] == third[:, 1]).any():
-        raise NonClosedSurfaceError("duplicate triangle in complex")
-    del third
-    along = pairs % 3 < 2  # sides 0 and 1 run along their edge, side 2 against it
+    # side s of half-edge 3i + s, as 3i + s - 3i in one temporary: a % would
+    # take several times as long as the division by 3
+    side = pairs // 3
+    side *= 3
+    np.subtract(pairs, side, out=side)
+    along = side < 2  # sides 0 and 1 run along their edge, side 2 against it
+    del side
     pairs //= 3  # in place: the two triangles of each edge
+    # every edge lies in exactly two triangles, so a repeated triangle meets
+    # its copy across an edge; the two triangles there share the edge's two
+    # vertices, so they share the third exactly when their vertex sums agree
+    total = a + b
+    total += c
+    if (total.take(pairs[:, 0]) == total.take(pairs[:, 1])).any():
+        raise NonClosedSurfaceError("duplicate triangle in complex")
     return keys, pairs, along[:, 0] == along[:, 1]
+
+
+# the bits a packed sort key may use (see _sorted_keys): a key and its index
+# share one non-negative int64
+_PACK_BITS = 63
+
+
+def _sorted_keys(keys: np.ndarray, top: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The int64 keys, each in 0 .. top - 1, sorted, and the int32 order that
+    sorts them stably: key i of the result is keys[order[i]].
+
+    The sort is one in-place ``sort`` of ``key << b | i``, with b the bit
+    length of the last index: the packed values are distinct, so they sort
+    as the keys do with equal keys in index order, and a mask and a shift
+    read the order and the keys back.  The bits of top - 1 and b must fit
+    in ``_PACK_BITS`` together, which is decided from top and the length
+    alone; past that, a stable ``argsort`` gives the same result.  Besides
+    the keys, the packed sort makes only the int32 order, where the
+    ``argsort`` also makes an int64 order and a sorted copy of the keys; on
+    shuffled keys it is several times faster.  keys is overwritten.
+    """
+    import numpy as np
+
+    bits = (len(keys) - 1).bit_length()
+    if (top - 1).bit_length() + bits > _PACK_BITS:
+        order = np.argsort(keys, kind="stable").astype(np.int32)
+        return keys.take(order), order
+    keys <<= bits
+    keys |= np.arange(len(keys))
+    keys.sort()
+    order = np.empty(len(keys), dtype=np.int32)
+    np.bitwise_and(keys, (1 << bits) - 1, out=order, casting="unsafe")
+    keys >>= bits
+    return keys, order
 
 
 def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -230,9 +270,12 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     larger root of every edge whose ends still have different roots onto the
     smaller one, then jumps pointers until every node points at a root.
     Roots only ever hook onto smaller roots, so the smallest node of each
-    component ends as its root.  Hooking an edge inside one tree changes
-    nothing; such edges are dropped after the round.  Each round replaces
-    u and v by the edges left, so arrays the caller does not keep are freed.
+    component ends as its root.  In the first round every node is its own
+    root, so that round hooks the larger end of every edge onto the smaller
+    straight from u and v, with no gather.  Hooking an edge inside one tree
+    changes nothing; such edges are dropped after each later round, which
+    replaces u and v by the edges left, so arrays the caller does not keep
+    are freed.
 
     The labels are int32, so n must be below 2**31; every caller's nodes
     are cover nodes, marked edges or region sheets, at most 2F, which
@@ -246,7 +289,11 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     import numpy as np
 
     f = np.arange(n, dtype=np.int32)
+    np.minimum.at(f, np.maximum(u, v), np.minimum(u, v))
     while True:
+        jumped = f.take(f)
+        while (jumped != f).any():
+            f, jumped = jumped, jumped.take(jumped)
         fu, fv = f.take(u), f.take(v)
         live = fu != fv
         if not live.any():
@@ -256,9 +303,6 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         del fu, fv, hi
         u, v = u[live], v[live]
         del live
-        jumped = f.take(f)
-        while (jumped != f).any():
-            f, jumped = jumped, jumped.take(jumped)
 
 
 def _z_cycles(n: int, z: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -302,7 +346,7 @@ def _z_cycles(n: int, z: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.n
             f"vertex {v} has degree {degree[v]} in the marked edge set; cycles need 2"
         )
     # every vertex ends two marked edges: sorted by vertex, the ends pair up
-    at = np.argsort(ends, kind="stable").astype(np.int32)
+    at = _sorted_keys(ends, n)[1]
     at //= 2
     del ends
     cycle, _ = _numbered(_components(len(z), at[0::2], at[1::2]))

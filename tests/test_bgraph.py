@@ -39,7 +39,8 @@ from btangent import (
 )
 from btangent import manifold_io, surface
 from btangent.bgraph import _graph_columns
-from btangent.surface import _components, _cover_regions, _half_edges, _vertex_array, _z_cycles
+from btangent.surface import (_components, _cover_regions, _half_edges, _sorted_keys, _vertex_array,
+                              _z_cycles)
 from corpus import (
     UnionFind,
     circle_graph,
@@ -212,10 +213,57 @@ def test_components_match_union_find(data):
     n = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)), label="nodes")
     edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                max_size=3 * n), label="edges")
-    u = np.array([a for a, _ in edges], dtype=np.int64)
-    v = np.array([b for _, b in edges], dtype=np.int64)
+    # the marked edges and the double cover pass int32 ends, the parity cover int64
+    dtype = data.draw(st.sampled_from([np.int64, np.int32]), label="dtype")
+    u = np.array([a for a, _ in edges], dtype=dtype)
+    v = np.array([b for _, b in edges], dtype=dtype)
     # equal labels exactly on the union-find's classes, each its class's smallest node
     assert _components(n, u, v).tolist() == _smallest_in_component(n, u.tolist(), v.tolist())
+
+
+def _grid_keys(n: int, m: int) -> np.ndarray:
+    """The 3F edge keys of an n x m grid torus, side by side in the order in
+    which its triangles are listed, as ``_half_edges`` computes them."""
+    t = np.sort(np.array(grid_surface(n, m).triangles, dtype=np.int64), axis=1)
+    a, b, c = t.T
+    return np.stack((a * (n * m) + b, b * (n * m) + c, a * (n * m) + c), axis=1).ravel()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_key_sort_is_the_stable_argsort(data):
+    # keys with many ties: a few distinct values, or the key pairs of a grid
+    # torus, listed in grid order or shuffled
+    if data.draw(st.booleans(), label="grid"):
+        n, m = data.draw(st.integers(3, 12), label="n"), data.draw(st.integers(3, 12), label="m")
+        keys, top = _grid_keys(n, m), (n * m) ** 2
+    else:
+        top = data.draw(st.integers(1, 20), label="top")
+        keys = np.array(data.draw(st.lists(st.integers(0, top - 1), max_size=200), label="keys"),
+                        dtype=np.int64)
+    if data.draw(st.booleans(), label="shuffled"):
+        keys = keys[data.draw(st.permutations(range(len(keys))), label="order")]
+    order = np.argsort(keys, kind="stable")
+    for budget in (surface._PACK_BITS, 0):  # the packed sort, then the stable argsort
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surface, "_PACK_BITS", budget)
+            got_keys, got_order = _sorted_keys(keys.copy(), top)
+        assert got_order.dtype == np.int32 and got_order.tolist() == order.tolist()
+        assert got_keys.dtype == np.int64 and got_keys.tolist() == keys[order].tolist()
+
+
+def test_the_packed_sort_fills_its_63_bits(monkeypatch):
+    # four keys take two bits of index: keys below 2**61 fill the other 61,
+    # so the largest packed value is 2**63 - 1; one more key value does not fit
+    keys = np.array([2**61 - 1, 0, 2**61 - 1, 5], dtype=np.int64)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(k) or argsort(*a, **k))
+    for top, sorts in ((2**61, []), (2**61 + 1, [{"kind": "stable"}])):
+        got_keys, got_order = _sorted_keys(keys.copy(), top)
+        assert calls == sorts
+        assert got_keys.tolist() == [0, 5, 2**61 - 1, 2**61 - 1]
+        assert got_order.tolist() == [1, 3, 0, 2]
 
 
 def _lexsorted_cycles(n, z, keys):
@@ -385,23 +433,25 @@ def _bad_complexes():
 
 @pytest.mark.parametrize("name, parts, error, message", _bad_complexes(),
                          ids=[case[0] for case in _bad_complexes()])
-def test_bad_complex_gives_its_exact_error(name, parts, error, message):
-    with pytest.raises(error) as exc:
-        build_graph_from_surface(TriangulatedSurface(*parts))
-    assert type(exc.value) is error and str(exc.value) == message
-    if error is NonClosedSurfaceError and name != "pinched octahedra":
-        # the checks on the complex come first and are shared by every reader
-        for reader in (surface_euler, surface_orientable):
-            with pytest.raises(error) as exc:
-                reader(TriangulatedSurface(*parts))
-            assert str(exc.value) == message
-    n, tris, z = parts
-    if all(len(t) == 3 and all(type(v) is int for v in t) for t in tris):
-        # a document reaches the same checks through its own front door
+def test_bad_complex_gives_its_exact_error(monkeypatch, name, parts, error, message):
+    for budget in (surface._PACK_BITS, 0):  # the packed key sort, then the stable argsort
+        monkeypatch.setattr(surface, "_PACK_BITS", budget)
         with pytest.raises(error) as exc:
-            parse_manifold({"surface": {"vertices": n, "triangles": [list(t) for t in tris],
-                                        "z_edges": [list(e) for e in z]}})
+            build_graph_from_surface(TriangulatedSurface(*parts))
         assert type(exc.value) is error and str(exc.value) == message
+        if error is NonClosedSurfaceError and name != "pinched octahedra":
+            # the checks on the complex come first and are shared by every reader
+            for reader in (surface_euler, surface_orientable):
+                with pytest.raises(error) as exc:
+                    reader(TriangulatedSurface(*parts))
+                assert str(exc.value) == message
+        n, tris, z = parts
+        if all(len(t) == 3 and all(type(v) is int for v in t) for t in tris):
+            # a document reaches the same checks through its own front door
+            with pytest.raises(error) as exc:
+                parse_manifold({"surface": {"vertices": n, "triangles": [list(t) for t in tris],
+                                            "z_edges": [list(e) for e in z]}})
+            assert type(exc.value) is error and str(exc.value) == message
 
 
 def _tie_break_cases():
@@ -417,7 +467,9 @@ def _tie_break_cases():
                          ids=[case[0] for case in _tie_break_cases()])
 def test_results_do_not_depend_on_how_the_sort_breaks_ties(monkeypatch, name, parts):
     """Every result and every error is the same when 1-D argsort puts equal
-    keys in reverse index order, as an unstable sort may."""
+    keys in reverse index order, as an unstable sort may, and when the key
+    sorts take the stable argsort that replaces the packed sort past its
+    bit budget."""
     def outcomes():
         out = []
         for reader in (build_graph_from_surface, surface_euler, surface_orientable):
@@ -435,9 +487,13 @@ def test_results_do_not_depend_on_how_the_sort_breaks_ties(monkeypatch, name, pa
             return argsort(a, *args, **kwargs)
         return np.lexsort((-np.arange(len(a)), a))
 
-    expected = outcomes()
+    expected, packed = outcomes(), surface._PACK_BITS
+    monkeypatch.setattr(surface, "_PACK_BITS", 0)
+    assert outcomes() == expected
     monkeypatch.setattr(np, "argsort", reversed_ties)
     assert np.argsort(np.zeros(3)).tolist() == [2, 1, 0]
+    assert outcomes() == expected
+    monkeypatch.setattr(surface, "_PACK_BITS", packed)
     assert outcomes() == expected
 
 
@@ -692,10 +748,13 @@ def test_first_row_defect_is_named_in_document_order(data):
     for row in data.draw(_BAD_ROWS, label="bad rows"):
         rows.insert(data.draw(st.integers(0, len(rows)), label="at"), list(row))
     message = _first_row_defect(16, rows)
-    for reader in (build_graph_from_surface, surface_euler, surface_orientable):
-        with pytest.raises(NonClosedSurfaceError) as exc:
-            reader(TriangulatedSurface(16, rows, ()))
-        assert str(exc.value) == message
+    for budget in (surface._PACK_BITS, 0):  # the packed key sort, then the stable argsort
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surface, "_PACK_BITS", budget)
+            for reader in (build_graph_from_surface, surface_euler, surface_orientable):
+                with pytest.raises(NonClosedSurfaceError) as exc:
+                    reader(TriangulatedSurface(16, rows, ()))
+                assert str(exc.value) == message
     # a row of integers reaches the same check from a document, and its
     # defect is not a format error, so it has no pointer
     with pytest.raises(NonClosedSurfaceError) as exc:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import btangent
 from btangent import (BGraph, HypersurfaceComponent, ManifoldFormatError, Region, obstructions,
@@ -60,6 +61,21 @@ def test_identical_invocations_are_byte_identical():
     second = run(args)
     assert first == second
     assert first[0] == 0
+
+
+# nested JSON values: empty containers, tuples (as ``dataclasses.asdict``
+# leaves them), floats with NaN and the infinities, and strings that need escapes
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_JSON_VALUES)
+def test_json_reports_are_the_stdlib_indented_form(value):
+    assert cli._indented(value, "") == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_index_subcommand_values(capsys):

@@ -26,7 +26,7 @@ ROUTE_PAIRS = {
 # the oracles in tests/corpus.py, and the surface kernel none of them may reach
 ORACLES = (corpus.region_count_oracle, corpus.orientable_oracle,
            corpus.region_orientable_oracle, corpus.edge_table_oracle, corpus.closure_chi_oracle)
-KERNEL = {"_half_edges", "_components", "_z_cycles", "_numbered", "_cover_regions",
+KERNEL = {"_half_edges", "_sorted_keys", "_components", "_z_cycles", "_numbered", "_cover_regions",
           "_closure_eulers", "_surface_graph"}
 
 
