@@ -303,6 +303,10 @@ class Coloring:
         # a mappingproxy cannot be pickled or deep-copied; its dict can
         return Coloring, (dict(self.assignment),)
 
+    def __hash__(self):
+        # a mappingproxy has no hash; equal colorings have equal items
+        return hash(frozenset(self.assignment.items()))
+
     def __getitem__(self, label: str) -> int:
         return self.assignment[label]
 

@@ -319,13 +319,13 @@ def _z_cycles(n: int, z: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.n
 
     z.sort(axis=1)
     u, v = z.T
-    # -1 for a pair that names no edge: out of range or a loop
-    named = (0 <= u) & (u < v) & (v < n)
-    zkeys = np.where(named, u * n + v, -1).astype(np.int64)
-    # the keys of pairs in range sort as the pairs do; only a pair that names
-    # no edge needs the pairs' own order, so that the first defect is the same
-    order = np.argsort(zkeys) if named.all() else np.lexsort(z.T[::-1])
-    zkeys = zkeys[order]
+    named = (0 <= u) & (u < v) & (v < n)  # else out of range or a loop, keyed -1
+    # named pairs' keys sort as the pairs do; else the pairs' own order names the first defect
+    if named.all():
+        zkeys, order = _sorted_keys(u * n + v, n * n)
+    else:
+        order = np.lexsort(z.T[::-1])
+        zkeys = np.where(named, u * n + v, -1).astype(np.int64).take(order)
     edge = np.searchsorted(keys, zkeys).clip(max=len(keys) - 1)
     off = keys[edge] != zkeys
     repeat = np.zeros(len(z), dtype=bool)  # sorted above: a repeat is a neighbour
@@ -337,7 +337,7 @@ def _z_cycles(n: int, z: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.n
             raise InvalidZError(f"marked edge {pair} is not an edge of the complex")
         raise InvalidZError(f"marked edge {pair} is listed twice")
 
-    ends = np.stack((zkeys // n, zkeys % n), axis=1).ravel()  # end s of marked edge k at 2k + s
+    ends = z.take(order, axis=0).ravel()  # end s of marked edge k at 2k + s
     degree = np.bincount(ends)
     bad = np.flatnonzero((degree != 0) & (degree != 2))
     if bad.size:
@@ -384,19 +384,19 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
     traverse their shared edge in opposite directions.  This is the cover
     pass of ``build_graph_from_surface`` with no edge marked: each connected
     piece of the surface is one region, and the surface is orientable
-    exactly when the two sheets of every piece stay apart.
+    exactly when every piece is, that is when its two sheets stay apart.
     """
     import numpy as np
 
     _, faces, same = _half_edges(surf.vertex_count, _vertex_array(surf.triangles, 3))
-    return _cover_regions(faces, same, np.empty(0, dtype=np.int64))[2]
+    return bool(_cover_regions(faces, same, np.empty(0, dtype=np.int64))[2].all())
 
 
 def _cover_regions(faces: np.ndarray, same: np.ndarray,
-                   edge: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Regions, the orientability of each and that of the surface, from one
-    components pass over the orientation double cover cut along the marked
-    edges.
+                   edge: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regions, each triangle's sheet and the orientability of each region,
+    from one components pass over the orientation double cover cut along
+    the marked edges.
 
     ``faces`` and ``same`` are the edge table of a closed surface (see
     ``_half_edges``), and ``edge`` holds the edge numbers of the marked edges.
@@ -409,14 +409,9 @@ def _cover_regions(faces: np.ndarray, same: np.ndarray,
     2j + 1 only on the sheet that 2j is not on: so triangle i lies in
     region f[2i] // 2, and its sheet 0 in sheet f[2i] & 1 of the region.
 
-    The surface is orientable exactly when every region is and the regions'
-    sheets can be matched across the marked edges: on the parity cover,
-    with node 2r + x for sheet x of region r, the two sheets of every
-    region stay apart.
-
     Returns the int64 region number of every triangle, regions numbered in
-    the order of their smallest triangle; whether each region is
-    orientable; and whether the surface is.
+    the order of their smallest triangle; the int32 sheet bit f[2i] & 1 of
+    every triangle; and whether each region is orientable.
     """
     import numpy as np
 
@@ -433,22 +428,14 @@ def _cover_regions(faces: np.ndarray, same: np.ndarray,
     region, count = _numbered(sheet0 // 2)
     orientable = np.ones(count, dtype=bool)
     orientable[region[sheet0 == f[1::2]]] = False
-    if not orientable.all():
-        return region, orientable, False
-    # a marked edge joins sheet x of one side's region to sheet x ^ p of the
-    # other's, where p is the two triangles' sheet bits and same
-    h, k = h.take(edge), k.take(edge)
-    p = (sheet0.take(h) ^ sheet0.take(k) ^ same.take(edge)) & 1
-    f = _components(2 * count, (2 * region.take(h) + sheet).ravel(),
-                    (2 * region.take(k) + (sheet ^ p)).ravel())
-    return region, orientable, bool((f[0::2] != f[1::2]).all())
+    return region, sheet0 & 1, orientable
 
 
 def _closure_eulers(tris: np.ndarray, n: int, region: np.ndarray, count: int,
-                    ends: np.ndarray) -> List[int]:
+                    a: np.ndarray, b: np.ndarray) -> List[int]:
     """Euler characteristic of each region's closure: corners - edges + faces,
     on a closed surface given by its sorted triangle rows ``tris``, with
-    ``ends`` the regions on the two sides of each marked edge, L x 2.
+    ``a`` and ``b`` the regions on the two sides of each marked edge.
 
     The edges are counted from the F_r triangles of region r and the marked
     edges alone: each of the 3 F_r triangle sides in r lies on an edge, an
@@ -463,9 +450,8 @@ def _closure_eulers(tris: np.ndarray, n: int, region: np.ndarray, count: int,
     import numpy as np
 
     triangles = np.bincount(region, minlength=count)
-    a, b = ends.T
-    edges = (3 * triangles - np.bincount(ends.ravel(), minlength=count)) // 2
-    edges += np.bincount(a, minlength=count) + np.bincount(b[a != b], minlength=count)
+    on_a, on_b = np.bincount(a, minlength=count), np.bincount(b, minlength=count)
+    edges = (3 * triangles - on_a - on_b) // 2 + on_a + np.bincount(b[a != b], minlength=count)
     home = np.empty(n, dtype=np.int64)  # every vertex is in use
     home[tris] = region[:, None]
     away = np.flatnonzero(home.take(tris) != region[:, None])
@@ -507,7 +493,10 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
 
     ``t`` holds the triangles and ``z`` the marked edges, as
     ``_vertex_array`` or the numeric reader ``_read_rows`` returns
-    them; the rows of both are sorted in place.
+    them; the rows of both are sorted in place.  Each marked edge's two
+    triangles h, k and their regions a, b are gathered once, and every
+    marked-edge fact is read from them: M's orientability, the closure
+    Euler characteristics, and each cycle's two sides and stray regions.
     """
     import numpy as np
 
@@ -516,34 +505,44 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     euler = n - len(keys) + len(t)
     del keys  # not read again
 
-    region, region_orientable, orientable = _cover_regions(faces, same, edge)
-    del same
+    region, sheet, region_orientable = _cover_regions(faces, same, edge)
     count = len(region_orientable)
-    ends = region.take(faces[edge])  # the regions on the two sides of each marked edge
-    del faces, edge
+    h, k = (side.take(edge) for side in faces.T)
+    del faces
+    a, b = region.take(h), region.take(k)
+    orientable = bool(region_orientable.all())
+    if orientable:
+        # M is orientable exactly when no region's sheets meet on the parity cover,
+        # where a marked edge joins sheet x of region a to sheet x ^ p of region b
+        p = sheet.take(h) ^ sheet.take(k) ^ same.take(edge)
+        x = np.arange(2, dtype=np.int32)[:, None]
+        f = _components(2 * count, (2 * a + x).ravel(), (2 * b + (x ^ p)).ravel())
+        orientable = bool((f[0::2] != f[1::2]).all())
+    del same, sheet, edge, h, k
     labels = [f"R{r}" for r in range(count)]
-    chis = _closure_eulers(t, n, region, count, ends)
+    chis = _closure_eulers(t, n, region, count, a, b)
     del region
 
     # each marked cycle's two sides are the smallest and the largest region
     # across its edges, and no edge may touch a third
     cycles = int(cycle.max(initial=-1)) + 1
     lo, hi = np.full(cycles, count, dtype=np.int64), np.zeros(cycles, dtype=np.int64)
-    np.minimum.at(lo, cycle, ends.min(axis=1))
-    np.maximum.at(hi, cycle, ends.max(axis=1))
-    stray = ((ends != lo.take(cycle)[:, None]) & (ends != hi.take(cycle)[:, None])).any(axis=1)
+    np.minimum.at(lo, cycle, np.minimum(a, b))
+    np.maximum.at(hi, cycle, np.maximum(a, b))
+    at_lo, at_hi = lo.take(cycle), hi.take(cycle)
+    stray = ((a != at_lo) & (a != at_hi)) | ((b != at_lo) & (b != at_hi))
     if stray.any():
         k = int(cycle[stray].min())
-        near = len(set(ends[cycle == k].ravel().tolist()))
+        near = np.union1d(a[cycle == k], b[cycle == k]).size
         raise InvalidZError(f"marked cycle {k} touches {near} regions; at most 2 possible")
-    a, b = ([labels[r] for r in x.tolist()] for x in (lo, hi))
+    lo, hi = ([labels[r] for r in x.tolist()] for x in (lo, hi))
 
     if sum(chis) != euler:
         raise NonClosedSurfaceError("closure Euler characteristics do not sum to the "
                                     "surface's: the complex is not a surface at some vertex")
 
     return BGraph._of_columns(labels, chis, [f"Z{k}" for k in range(cycles)],
-                              list(map(min, a, b)), list(map(max, a, b)), 2, orientable)
+                              list(map(min, lo, hi)), list(map(max, lo, hi)), 2, orientable)
 
 
 # the numeric reader (see _read_rows): rows are checked and converted about

@@ -634,11 +634,22 @@ def test_cover_pass_matches_the_parity_oracle(kind, data):
     n = surf.vertex_count
     keys, faces, same = _half_edges(n, _vertex_array(surf.triangles, 3))
     _, edge = _z_cycles(n, _vertex_array(surf.z_edges, 2), keys)
-    region, region_orientable, orientable = _cover_regions(faces, same, edge)
-    assert region.dtype == np.int64
+    region, sheet, region_orientable = _cover_regions(faces, same, edge)
+    assert (region.dtype, sheet.dtype) == (np.int64, np.int32) and set(sheet.tolist()) <= {0, 1}
     assert [(r, bool(region_orientable[r])) for r in region.tolist()] == \
         region_orientable_oracle(surf)
-    assert orientable == orientable_oracle(surf)
+    # inside an orientable region the sheet bits orient the triangles: two
+    # that meet across an unmarked edge differ in it exactly when they run
+    # the same way along the edge
+    unmarked = np.ones(len(faces), dtype=bool)
+    unmarked[edge] = False
+    h, k = faces[unmarked].T
+    inside = region_orientable[region[h]]
+    assert ((sheet[h] ^ sheet[k])[inside] == same[unmarked][inside]).all()
+    # M's orientability, from the parity pass across the marked edges, and
+    # from the cover pass alone with no edge marked
+    orientable = build_graph_from_surface(surf).orientable
+    assert orientable == surface_orientable(surf) == orientable_oracle(surf)
     if kind == "torus":
         assert orientable and region_orientable.all()
     elif kind == "klein bottle, no loop":
@@ -862,14 +873,14 @@ def test_kernel_dtypes_past_int32(monkeypatch):
 
     for name in ("_half_edges", "_z_cycles", "_cover_regions", "_components"):
         spy(name)
-    build_graph_from_surface(_torus_of_disks(320))
+    g = build_graph_from_surface(_torus_of_disks(320))
     ((_, t), (keys, faces, same)), = seen["_half_edges"]
     assert (t.dtype, keys.dtype, faces.dtype, same.dtype) == (np.int64, np.int64, np.int32, bool)
     assert int(keys[-1]) > 2**31
     (_, (cycle, _)), = seen["_z_cycles"]
-    (_, (region, region_orientable, orientable)), = seen["_cover_regions"]
+    (_, (region, sheet, region_orientable)), = seen["_cover_regions"]
     assert cycle.dtype == region.dtype == np.int64 and int(region.max()) * 320**2 > 2**31
-    assert region_orientable.all() and orientable
+    assert sheet.dtype == np.int32 and region_orientable.all() and g.orientable
     # the marked edges' cycles, the double cover and the parity cover
     marked, cover, parity = seen["_components"]
     assert [args[0] for args, _ in (marked, cover, parity)] == [
@@ -950,6 +961,17 @@ def test_coloring_signs_are_integers_not_bools():
     c = Coloring({"B+": np.int64(1), "B-": np.int8(-1)})
     assert c.is_proper(sphere_equator_graph())
     assert c == Coloring({"B+": 1, "B-": -1}) and {type(v) for v in c.assignment.values()} == {int}
+
+
+def test_equal_colorings_hash_equal():
+    # a frozen dataclass advertises a hash, so it must agree with equality
+    c = Coloring({"B+": np.int64(1), "B-": -1})
+    twin = Coloring(dict(reversed(list(c.assignment.items()))))
+    assert c == twin and hash(c) == hash(twin) and len({c, twin, c.negate()}) == 2
+    assert hash(Coloring({"A": 1})) == hash(Coloring({"A": 1}))
+    g = load_manifold(manifold_io.bundled_path("genus2_separating"))
+    for report in (equivalence_report, euler_report):
+        assert hash(report(g)) == hash(report(g))
 
 
 # a bool or a float, whole or not, planted at (row, column) of each field
