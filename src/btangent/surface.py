@@ -100,7 +100,8 @@ def _check_vertex_rows(rows, k: int, what: str) -> None:
                 raise _defect(f"/{i}/{j}", f"{what} {i} has a vertex that is not an integer: {v!r}")
 
 
-# the most triangles a surface may have: its 3F half-edges are numbered in int32
+# the most triangles a surface may have: its 3F half-edges are numbered in
+# int32, and so are the labels 2 * root + parity of _components
 _MAX_TRIANGLES = (2**31 - 1) // 3
 
 
@@ -263,46 +264,81 @@ def _sorted_keys(keys: np.ndarray, top: int) -> Tuple[np.ndarray, np.ndarray]:
     return keys, order
 
 
-def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Label every node 0 .. n-1 with the smallest node of its component.
+def _components(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Label every node 0 .. n-1 with the smallest node of its component and
+    its parity there: node x gets 2r + b, with r that smallest node and b
+    the parity of a path of edges from r to x.
+
+    Edge i joins u[i] to v[i] with parity w[i], 0 or 1, and a path's parity
+    is the sum of its edges' mod 2.  The bits are those of a spanning forest
+    of the edges.  They are every path's when each cycle of the component
+    has even parity, which the caller checks: an edge is consistent exactly
+    when the labels of its two ends and its parity xor to 0, as their roots
+    cancel.
 
     Hook and shortcut, as in Shiloach & Vishkin (1982): each round hooks the
     larger root of every edge whose ends still have different roots onto the
-    smaller one, then jumps pointers until every node points at a root.
-    Roots only ever hook onto smaller roots, so the smallest node of each
-    component ends as its root.  In the first round every node is its own
-    root, so that round hooks the larger end of every edge onto the smaller
-    straight from u and v, with no gather.  Hooking an edge inside one tree
-    changes nothing; such edges are dropped after each later round, which
-    replaces u and v by the edges left, so arrays the caller does not keep
-    are freed.
+    smaller one, then jumps pointers until every node points at a root.  A
+    label is a pointer with the parity to it, so a jump is
+    ``p.take(p >> 1) ^ (p & 1)``, and a hook takes the parity that makes its
+    edge consistent.  Roots only ever hook onto smaller roots, so the
+    smallest node of each component ends as its root.  In the first round
+    every node is its own root, so that round hooks the larger end of every
+    edge onto the smaller straight from u, v and w, with no gather.  Hooking
+    an edge inside one tree changes nothing, so a later round hooks only
+    the live edges, whose ends have different roots, and then replaces u, v
+    and w by them; so arrays the caller does not keep are freed.  The live
+    edges are picked by index, with ``np.flatnonzero`` and ``take``: on a
+    shuffled 10**6-triangle torus the first later round took half as long
+    as with boolean masks.
 
-    The labels are int32, so n must be below 2**31; every caller's nodes
-    are cover nodes, marked edges or region sheets, at most 2F, which
-    ``_half_edges`` keeps there.  The edge ends u and v may be int32 or
-    int64.  Every gather is an ``np.take``: a fancy index would cast int32
-    indices to intp each time.  Each jump pass takes all n pointers, roots
-    included: jumping only the nodes not yet at a root was 1.8 to 2.2 times
-    slower on grid covers, since scattering them back costs more than the
-    whole-array ``take`` it saves.
+    The labels are int32, so 2n must be below 2**31; every caller's nodes
+    are triangles, marked edges or regions, at most 3F / 2 of them, which
+    ``_half_edges`` keeps there.  The ends u and v may be int32 or int64,
+    and w bool or an integer type.  Every gather is an ``np.take``: a fancy
+    index would cast int32 indices to intp each time.  Each jump pass takes
+    all n pointers, roots included: jumping only the nodes not yet at a root
+    was 1.8 to 2.2 times slower on grid covers, since scattering them back
+    costs more than the whole-array ``take`` it saves.
     """
     import numpy as np
 
-    f = np.arange(n, dtype=np.int32)
-    np.minimum.at(f, np.maximum(u, v), np.minimum(u, v))
+    p = np.arange(0, 2 * n, 2, dtype=np.int32)
+    hook = np.minimum(u, v).astype(np.int32, copy=False)
+    hook <<= 1
+    hook |= w
+    np.minimum.at(p, np.maximum(u, v), hook)
+    del hook
     while True:
-        jumped = f.take(f)
-        while (jumped != f).any():
-            f, jumped = jumped, jumped.take(jumped)
-        fu, fv = f.take(u), f.take(v)
-        live = fu != fv
-        if not live.any():
-            return f
-        hi = np.maximum(fu, fv)
-        np.minimum.at(f, hi, np.minimum(fu, fv, out=fu))
-        del fu, fv, hi
-        u, v = u[live], v[live]
+        jumped = _jumped(p)
+        while (jumped != p).any():
+            p, jumped = jumped, _jumped(jumped)
+        pu, pv = p.take(u), p.take(v)
+        odd = pu ^ pv  # 2 or more exactly where the roots differ
+        live = np.flatnonzero(odd > 1)
+        if not live.size:
+            return p
+        odd ^= w
+        odd &= 1  # the parity of the larger root from the smaller
+        hi = np.maximum(pu, pv)
+        hi >>= 1
+        hook = np.minimum(pu, pv, out=pu)
+        del pv
+        hook &= -2
+        hook |= odd
+        del odd
+        np.minimum.at(p, hi.take(live), hook.take(live))
+        del hi, hook
+        u, v, w = u.take(live), v.take(live), w.take(live)
         del live
+
+
+def _jumped(p: np.ndarray) -> np.ndarray:
+    """The labels of ``_components`` after one pointer jump: each node
+    points at its pointer's pointer, with the parities of both steps."""
+    jumped = p.take(p >> 1)
+    jumped ^= p & 1
+    return jumped
 
 
 def _z_cycles(n: int, z: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -349,7 +385,8 @@ def _z_cycles(n: int, z: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.n
     at = _sorted_keys(ends, n)[1]
     at //= 2
     del ends
-    cycle, _ = _numbered(_components(len(z), at[0::2], at[1::2]))
+    even = np.zeros(len(z), dtype=bool)  # the cycles' labels alone are read, not their parities
+    cycle, _ = _numbered(_components(len(z), at[0::2], at[1::2], even) >> 1)
     return cycle, edge
 
 
@@ -378,13 +415,14 @@ def surface_euler(surf: TriangulatedSurface) -> int:
 
 
 def surface_orientable(surf: TriangulatedSurface) -> bool:
-    """Decide orientability on the orientation double cover.
+    """Decide orientability from one parity components pass.
 
     Neighboring triangles are consistently oriented exactly when they
-    traverse their shared edge in opposite directions.  This is the cover
-    pass of ``build_graph_from_surface`` with no edge marked: each connected
-    piece of the surface is one region, and the surface is orientable
-    exactly when every piece is, that is when its two sheets stay apart.
+    traverse their shared edge in opposite directions.  This is the
+    components pass of ``build_graph_from_surface`` with no edge marked:
+    each connected piece of the surface is one region, and the surface is
+    orientable exactly when every piece is, that is when no edge breaks the
+    orientation that the pass gives its triangles.
     """
     import numpy as np
 
@@ -395,40 +433,43 @@ def surface_orientable(surf: TriangulatedSurface) -> bool:
 def _cover_regions(faces: np.ndarray, same: np.ndarray,
                    edge: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regions, each triangle's sheet and the orientability of each region,
-    from one components pass over the orientation double cover cut along
-    the marked edges.
+    from one parity components pass over the triangles glued across the
+    unmarked edges.
 
     ``faces`` and ``same`` are the edge table of a closed surface (see
-    ``_half_edges``), and ``edge`` holds the edge numbers of the marked edges.
-    Node 2i + s of the cover is triangle i with its orientation by its
-    sorted vertices (s = 0) or the reverse (s = 1).  Across an
-    unmarked edge, sheet s meets sheet s of the neighbor, or sheet 1 - s
-    when both run the same way along the edge.  A region is orientable
-    exactly when its two sheets stay apart.  Either way, for j the smallest
-    triangle of the region, every node of it is labelled 2j or 2j + 1, and
-    2j + 1 only on the sheet that 2j is not on: so triangle i lies in
-    region f[2i] // 2, and its sheet 0 in sheet f[2i] & 1 of the region.
+    ``_half_edges``), and ``edge`` holds the edge numbers of the marked
+    edges.  Triangle i is oriented by its sorted vertices, and its sheet
+    bit says whether to keep that orientation (0) or reverse it (1).  Two
+    triangles glued across an unmarked edge are oriented alike exactly when
+    they run the edge opposite ways, so the edge takes parity ``same``.  For
+    j the smallest triangle of a region, ``_components`` labels every
+    triangle i of it 2j + s: i lies in region j and takes sheet bit s.  A
+    region is orientable exactly when these bits orient it, that is when no
+    unmarked edge inside it has sheet(h) ^ sheet(k) ^ same = 1 for its
+    triangles h and k; only there are the bits read.
 
     Returns the int64 region number of every triangle, regions numbered in
-    the order of their smallest triangle; the int32 sheet bit f[2i] & 1 of
-    every triangle; and whether each region is orientable.
+    the order of their smallest triangle; the int32 sheet bit of every
+    triangle; and whether each region is orientable.
     """
     import numpy as np
 
     h, k = faces.T
     unmarked = np.ones(len(faces), dtype=bool)
     unmarked[edge] = False
-    sheet = np.arange(2, dtype=np.int32)[:, None]  # int64 here would widen every node
-    # 2F nodes, since a closed surface has E = 3F / 2 edges; the ends are
+    # F nodes, since a closed surface has E = 3F / 2 edges; the ends are
     # passed, not kept, so that _components frees them
-    f = _components(4 * len(faces) // 3, (2 * h[unmarked] + sheet).ravel(),
-                    (2 * k[unmarked] + (sheet ^ same[unmarked])).ravel())
-    del unmarked
-    sheet0 = f[0::2]  # the label of every triangle's sheet 0
-    region, count = _numbered(sheet0 // 2)
+    f = _components(2 * len(faces) // 3, h[unmarked], k[unmarked], same[unmarked])
+    odd = f.take(h)
+    odd ^= f.take(k)
+    odd ^= same  # 0 on every consistent unmarked edge, where the roots cancel
+    unmarked &= odd != 0
+    del odd
+    region, count = _numbered(f >> 1)
     orientable = np.ones(count, dtype=bool)
-    orientable[region[sheet0 == f[1::2]]] = False
-    return region, sheet0 & 1, orientable
+    orientable[region.take(h[unmarked])] = False
+    f &= 1
+    return region, f, orientable
 
 
 def _closure_eulers(tris: np.ndarray, n: int, region: np.ndarray, count: int,
@@ -512,12 +553,13 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     a, b = region.take(h), region.take(k)
     orientable = bool(region_orientable.all())
     if orientable:
-        # M is orientable exactly when no region's sheets meet on the parity cover,
-        # where a marked edge joins sheet x of region a to sheet x ^ p of region b
+        # M is orientable exactly when the regions' orientations by their
+        # sheet bits can be kept or reversed, each region as a whole, so that
+        # they agree across every marked edge: a parity pass over the regions,
+        # where a marked edge flips the region across it exactly when p is 1
         p = sheet.take(h) ^ sheet.take(k) ^ same.take(edge)
-        x = np.arange(2, dtype=np.int32)[:, None]
-        f = _components(2 * count, (2 * a + x).ravel(), (2 * b + (x ^ p)).ravel())
-        orientable = bool((f[0::2] != f[1::2]).all())
+        f = _components(count, a, b, p)
+        orientable = not (f.take(a) ^ f.take(b) ^ p).any()
     del same, sheet, edge, h, k
     labels = [f"R{r}" for r in range(count)]
     chis = _closure_eulers(t, n, region, count, a, b)

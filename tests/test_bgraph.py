@@ -42,6 +42,7 @@ from btangent.bgraph import _graph_columns
 from btangent.surface import (_components, _cover_regions, _half_edges, _sorted_keys, _vertex_array,
                               _z_cycles)
 from corpus import (
+    ParityUnionFind,
     UnionFind,
     circle_graph,
     closure_chi_oracle,
@@ -189,36 +190,52 @@ def test_grid_surfaces_match_construction_and_oracles(n, m, klein, data):
     assert [(e.label, e.side_a, e.side_b) for e in g.edges] == edges
 
 
-def _smallest_in_component(n, u, v):
-    """The smallest node of each node's component, by a plain union-find."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for a, b in zip(u, v):
-        parent[find(a)] = find(b)
+def _parity_classes(n, edges):
+    """Each node's smallest node in its class, its parity from that node, and
+    whether the class is untwisted, by a plain parity union-find."""
+    uf = ParityUnionFind(n)
+    for a, b, bit in edges:
+        uf.union(a, b, bit)
+    found = [uf.find(x) for x in range(n)]
     smallest = {}
-    for x in range(n):  # ascending: the first node met in a class is its smallest
-        smallest.setdefault(find(x), x)
-    return [smallest[find(x)] for x in range(n)]
+    for x, (r, _) in enumerate(found):  # ascending: the first node met in a class is its smallest
+        smallest.setdefault(r, x)
+    root = [smallest[r] for r, _ in found]
+    return (root, [bit ^ found[s][1] for (_, bit), s in zip(found, root)],
+            [not uf.twisted[r] for r, _ in found])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_components_match_union_find(data):
-    # small n meets self-loops, repeated edges and isolated nodes often
+    # small n meets self-loops, repeated edges and isolated nodes often; the
+    # repeats are drawn with either parity, and either way round
     n = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)), label="nodes")
-    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                               max_size=3 * n), label="edges")
-    # the marked edges and the double cover pass int32 ends, the parity cover int64
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                         st.integers(0, 1)), max_size=3 * n), label="edges")
+    if edges:
+        repeats = data.draw(st.lists(st.tuples(st.sampled_from(edges), st.integers(0, 1),
+                                               st.booleans()), max_size=n), label="repeats")
+        edges += [(b, a, bit) if swap else (a, b, bit) for (a, b, _), bit, swap in repeats]
+    # the marked edges and the triangles pass int32 ends, the regions int64;
+    # the parities are bool from the edge table, int32 from the sheet bits
     dtype = data.draw(st.sampled_from([np.int64, np.int32]), label="dtype")
-    u = np.array([a for a, _ in edges], dtype=dtype)
-    v = np.array([b for _, b in edges], dtype=dtype)
-    # equal labels exactly on the union-find's classes, each its class's smallest node
-    assert _components(n, u, v).tolist() == _smallest_in_component(n, u.tolist(), v.tolist())
+    bits = data.draw(st.sampled_from([bool, np.int32]), label="parity dtype")
+    u, v = (np.array([e[s] for e in edges], dtype=dtype) for s in (0, 1))
+    w = np.array([bit for _, _, bit in edges], dtype=bits)
+    labels = _components(n, u, v, w)
+    assert labels.dtype == np.int32
+    root, parity, consistent = _parity_classes(n, edges)
+    # equal roots exactly on the union-find's classes, each its class's smallest node
+    assert (labels >> 1).tolist() == root
+    # a consistent class's parities are the union-find's, and the callers'
+    # check, the labels of an edge's ends and its parity xor to 0, finds
+    # exactly the classes that are not
+    assert [int(b) for b, ok in zip(labels & 1, consistent) if ok] == \
+        [b for b, ok in zip(parity, consistent) if ok]
+    odd = labels.take(u) ^ labels.take(v) ^ w
+    assert sorted({root[a] for (a, _, _), x in zip(edges, odd.tolist()) if x}) == \
+        sorted({r for r, ok in zip(root, consistent) if not ok})
 
 
 def _grid_keys(n: int, m: int) -> np.ndarray:
@@ -613,7 +630,7 @@ def test_document_and_surface_give_the_same_graph(data):
     assert parse_manifold(_document(surf)) == build_graph_from_surface(surf)
 
 
-# a Klein bottle without loops is one region whose two sheets join; cut along
+# a Klein bottle without loops is one non-orientable region; cut along
 # k >= 1 rows it falls into annuli, each orientable, while M is not
 @pytest.mark.parametrize("kind", ["torus", "klein bottle, no loop", "klein bottle, loops",
                                   "corpus"])
@@ -858,7 +875,7 @@ def test_keys_past_int32_give_the_constructed_graph():
 
 
 def test_kernel_dtypes_past_int32(monkeypatch):
-    # triangles, half-edges and cover nodes are numbered in int32; vertices,
+    # triangles, half-edges and component labels are int32; vertices,
     # edge keys and region and cycle numbers are int64, on a surface whose
     # keys pass 2**31; the edge table's direction bit is a bool
     seen = {}
@@ -881,12 +898,14 @@ def test_kernel_dtypes_past_int32(monkeypatch):
     (_, (region, sheet, region_orientable)), = seen["_cover_regions"]
     assert cycle.dtype == region.dtype == np.int64 and int(region.max()) * 320**2 > 2**31
     assert sheet.dtype == np.int32 and region_orientable.all() and g.orientable
-    # the marked edges' cycles, the double cover and the parity cover
-    marked, cover, parity = seen["_components"]
-    assert [args[0] for args, _ in (marked, cover, parity)] == [
-        len(cycle), 2 * len(t), 2 * len(region_orientable)]
-    assert {end.dtype for args, _ in (marked, cover) for end in args[1:]} == {np.dtype(np.int32)}
-    assert {labels.dtype for _, labels in (marked, cover, parity)} == {np.dtype(np.int32)}
+    # the marked edges' cycles, the triangles and the regions, each labelled
+    # 2 * root + parity in int32, which the refused triangle counts leave room for
+    marked, triangles, regions = seen["_components"]
+    assert [args[0] for args, _ in (marked, triangles, regions)] == [
+        len(cycle), len(t), len(region_orientable)]
+    assert 2 * surface._MAX_TRIANGLES < 2**31
+    assert {end.dtype for args, _ in (marked, triangles) for end in args[1:3]} == {np.dtype(np.int32)}
+    assert {labels.dtype for _, labels in (marked, triangles, regions)} == {np.dtype(np.int32)}
 
 
 def test_parse_manifold_leaves_the_document_as_it_was():
