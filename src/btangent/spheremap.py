@@ -12,6 +12,10 @@ This module holds the map, its differential and oriented tangent frames.
 It computes the degree two independent ways, side by side in
 sphere_map_report: a Monte Carlo change of variables, and a signed count at
 the poles, the only preimages of -p_n since |f(q) + p_n|^2 = 4(1 - q_n^2).
+The change of variables needs t = q_n alone: the pulled-back density is
+c^(n-2) det(cI_2 + V^T U) with c = -2t (see degree_integral), and
+det(cI_2 + V^T U) = 2 on the unit sphere, so it is 2 c^(n-2).  After the
+normal draws, each chunk of samples takes one n-wide pass, its row sums q.q.
 homotopy_endpoints checks the odd-dimensional null homotopy on a grid.
 """
 from __future__ import annotations
@@ -126,27 +130,21 @@ def tangent_frame(q) -> np.ndarray:
 
 
 def _pullback_density(q: np.ndarray) -> np.ndarray:
-    """Pulled-back density det A for each unit row q.
+    """Pulled-back density det A for each unit row q, from t = q_n alone.
 
     With t = q_n, A = 2t(qq^T - I) - 2q e_n^T + e_n q^T is dF + f q^T for
     the degree-0 extension F(x) = p_n - 2 x_n x / |x|^2, so Aq = f and
     Av = df(v) for tangent v; det[q | v_1 | ...] = 1, hence det A is the
-    density det[f(q) | df(v_1) | ... ].  It is evaluated as c^(n-2) det K
-    with K = cI_2 + V^T U (see degree_integral), whose entries need only
-    q.q and t.
+    density det[f(q) | df(v_1) | ... ].  It equals c^(n-2) det K with
+    K = cI_2 + V^T U (see degree_integral), and on the unit sphere, where
+    q.q = 1, det K = (-2t)(-t) - (2t^2 - 2) = 2.  So the density is
+    2 c^(n-2) with c = -2t: only the last column of q and its width are read.
     """
     import numpy as np
 
-    n = q.shape[1]
-    t = q[:, -1]
-    qq = np.einsum("ij,ij->i", q, q)
-    c = -2.0 * t
-    k11 = c + 2.0 * t * qq - 2.0 * t   # V_1 . U_1
-    k12 = 2.0 * t * t - 2.0            # V_1 . U_2
-    k21 = qq                           # V_2 . U_1
-    k22 = c + t                        # V_2 . U_2
-    density = k11 * k22 - k12 * k21
-    for _ in range(n - 2):             # c^(n-2) by multiplication: a float ** goes to pow()
+    c = -2.0 * q[:, -1]
+    density = np.full(c.shape, 2.0)    # det K = 2 on the unit sphere
+    for _ in range(q.shape[1] - 2):    # c^(n-2) by multiplication: a float ** goes to pow()
         density *= c
     return density
 
@@ -163,8 +161,11 @@ def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
 
         det(cI_n + UV^T) = c^(n-2) det(cI_2 + V^T U),
 
-    O(n) work per sample.  Uses a counter-based generator and fixed-size
-    chunks, so a given (n, samples, seed) always reproduces the same value.
+    and det(cI_2 + V^T U) = 2 on the unit sphere, so the density is
+    2 c^(n-2), a function of t alone.  After the draws each chunk makes one
+    n-wide pass, the row sums q.q; only the last column is scaled by
+    1/sqrt(q.q).  Uses a counter-based generator and fixed-size chunks, so
+    a given (n, samples, seed) always reproduces the same value.
 
     Raises:
         UnsupportedDimensionError: n outside 2..8.
@@ -194,9 +195,8 @@ def degree_integral(n: int, samples: int = 200_000, seed: int = 0) -> float:
     while done < samples:
         m = min(chunk, samples - done)
         q = rng.standard_normal(out=buf[:m])
-        q *= (1.0 / np.sqrt(np.einsum("ij,ij->i", q, q)))[:, None]
-        # det(cI_n + UV^T) = c^(n-2) det(cI_2 + V^T U), c = -2t,
-        # U = [q, e_n], V = [2tq - 2e_n, q]
+        # the density reads t = q_n alone, so only the last column is scaled
+        q[:, -1] *= 1.0 / np.sqrt(np.einsum("ij,ij->i", q, q))
         total += float(np.sum(_pullback_density(q)))
         done += m
     return total / samples
@@ -288,6 +288,22 @@ def _paired_rotation(v: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1), bit for bit, for a last axis of 1..7.
+
+    The squares are added column by column, in order, as add.reduce adds a
+    last axis shorter than 8; from 8 on numpy's pairwise sum unrolls into
+    eight partial sums, and the bits would differ.  Working on columns skips
+    the n-wide square array and the reduction over a short axis.
+    """
+    import numpy as np
+
+    total = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        total += x[..., k] * x[..., k]
+    return np.sqrt(total)
+
+
 def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
     """Evaluate the odd-dimensional null homotopy of pole_map on a grid.
 
@@ -321,7 +337,7 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
 
     rng = np.random.Generator(np.random.Philox(0))
     vs = rng.normal(size=(grid, n - 1))
-    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    vs /= _row_norms(vs)[:, None]
     xs = np.linspace(-1.0, 1.0, grid)
     ts = np.linspace(0.0, 1.0, grid)
 
@@ -344,14 +360,14 @@ def homotopy_endpoints(n: int, grid: int = 50) -> CheckReport:
     prev = None
     for k in range(grid):
         h = _collapse(_paired_rotation(v3, cos[:, k], sin[:, k]), heights[:, k])  # (V,X,n)
-        norm_devs.append(np.max(np.abs(np.linalg.norm(h, axis=-1) - 1.0)))
-        steps.append(np.max(np.linalg.norm(np.diff(h, axis=1), axis=-1)))
+        norm_devs.append(np.max(np.abs(_row_norms(h) - 1.0)))
+        steps.append(np.max(_row_norms(np.diff(h, axis=1))))
         if prev is None:
-            start_dev = float(np.max(np.linalg.norm(h - start, axis=-1)))
+            start_dev = float(np.max(_row_norms(h - start)))
         else:
-            steps.append(np.max(np.linalg.norm(h - prev, axis=-1)))
+            steps.append(np.max(_row_norms(h - prev)))
         prev = h
-    end_dev = float(np.max(np.linalg.norm(prev - south, axis=-1)))
+    end_dev = float(np.max(_row_norms(prev - south)))
 
     items = (
         CheckItem("time0_matches_pole_map", start_dev, 1e-9),

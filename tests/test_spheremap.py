@@ -216,6 +216,32 @@ def test_pullback_density_matches_the_full_determinant(n):
     assert np.all(np.abs(lemma - full) <= 1e-12 * np.maximum(1.0, np.abs(full)))
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pullback_density_from_t_alone_rounds_like_the_k_form(n):
+    # the density as c^(n-2) det K, K = cI_2 + V^T U, with each row's own rounded
+    # q.q in K's entries: on the unit sphere det K = 2, so 2 c^(n-2) from t alone
+    # may differ from it by rounding only
+    rng = np.random.Generator(np.random.Philox(100 + n))
+    q = rng.normal(size=(5000, n))
+    equator = rng.normal(size=(50, n))
+    equator[:, -1] = 0.0
+    q = np.vstack([q, equator, north_pole(n), -north_pole(n), np.eye(n), -np.eye(n)])
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    t = q[:, -1]
+    qq = np.einsum("ij,ij->i", q, q)
+    c = -2.0 * t
+    k11 = c + 2.0 * t * qq - 2.0 * t
+    k12 = 2.0 * t * t - 2.0
+    k21 = qq
+    k22 = c + t
+    k_form = k11 * k22 - k12 * k21
+    for _ in range(n - 2):
+        k_form *= c
+    density = spheremap._pullback_density(q)
+    ulp = np.spacing(1.0)
+    assert np.all(np.abs(density - k_form) <= 4.0 * ulp * np.maximum(1.0, np.abs(k_form)))
+
+
 def test_degree_integral_memory_stays_per_chunk():
     # a per-sample n x n tensor over one 8192-row chunk at n = 8 alone takes 4.2 MB
     tracemalloc.start()
@@ -365,6 +391,18 @@ def test_homotopy_memory_stays_per_slice():
     finally:
         tracemalloc.stop()
     assert peak < 16_000_000
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_row_norms_equal_numpy_norm_to_the_bit(d):
+    # add.reduce sums a last axis shorter than 8 one element after another, as
+    # _row_norms does; from 8 on numpy's pairwise sum unrolls into eight partial
+    # sums, which is why the helper is used only on last axes of at most 7
+    rng = np.random.Generator(np.random.Philox(d))
+    scaled = rng.normal(size=(300, 40, d)) * 10.0 ** rng.integers(-8, 8, size=(300, 40, d))
+    signs = rng.choice([-1.0, 0.0, 1.0], size=(500, d))
+    for x in (rng.normal(size=(1000, d)), scaled, signs, np.zeros((7, d)), -np.ones((3, 5, d))):
+        assert np.array_equal(spheremap._row_norms(x), np.linalg.norm(x, axis=-1))
 
 
 @pytest.mark.parametrize("grid", [2, 101, 10**6])
