@@ -10,13 +10,7 @@ neighborhood produce loop edges.
 Graphs can be written down directly or derived from a triangulated closed
 surface with a marked cycle system (``surface``).  This module holds only
 graph code, so that a graph document's cold start compiles no surface
-kernel.
-
-A graph's state is its columns: region labels, Euler characteristics and
-edge labels, and the sorted integer form the analyses read.  A graph read
-from a document or built from a surface builds its ``regions`` and
-``edges`` records on their first read; ``dataclasses.replace``, ``asdict``
-and pickle work on it as on any dataclass.
+kernel.  How a graph stores its state is stated in ``BGraph``'s docstring.
 """
 from __future__ import annotations
 
@@ -74,11 +68,10 @@ class BGraph:
     A graph checks itself when it is built, so every BGraph in existence is
     well formed.  In the order checked: its regions and edges are Region and
     HypersurfaceComponent records (a plain tuple is not one), each as wide
-    as its type has fields, ambient_dim
-    is an integer >= 1, orientable is a bool, it has a region, region labels
-    are str and Euler characteristics integers, region labels are unique,
-    edge labels and sides are str, edge labels are unique, and every edge
-    side names a region.
+    as its type has fields, ambient_dim is an integer >= 1, orientable is a
+    bool, it has a region, region labels are str and Euler characteristics
+    integers, region labels are unique, edge labels and sides are str, edge
+    labels are unique, and every edge side names a region.
 
     A graph's state is its columns: the region labels, the Euler
     characteristics and the edge labels in record order, and the integer

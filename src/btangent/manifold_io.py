@@ -19,16 +19,10 @@ A graph document is read as columns, one pass per key across the entries
 (``_key_columns``), and its graph is built from them with no record; the
 entries are walked only to name one that is not an object or lacks a key.
 
-``load_manifold`` first tries a numeric reader on the file's text,
-``surface._read_rows``, which reads the ``triangles`` and ``z_edges``
-arrays straight into int64 arrays, so that ``json.loads`` never builds
-their rows as Python lists.  It reads rows of plain non-negative integers
-written compactly (``[[0,1,2],[0,2,3]]``) or with ``json.dumps``' default
-separators (``[[0, 1, 2], [0, 2, 3]]``); on any other text it declines and
-the whole text is parsed by ``json.loads``.  Either way every result and
-every error is that of ``parse_manifold(json.loads(text))``.  What it
-reads is stated once, in ``_read_rows``' docstring, and why that holds
-beside its checks.
+``load_manifold`` first tries the numeric reader ``surface._read_rows``,
+which reads a surface's row arrays straight from the text into int64
+arrays; what it reads, and why its result is that of
+``parse_manifold(json.loads(text))``, is stated once, in its docstring.
 """
 from __future__ import annotations
 
@@ -110,19 +104,17 @@ def _located(pointer: str, check, *args):
 
 def _read_surface(doc: dict, pointer: str, rows: Optional[tuple] = None
                   ) -> Tuple[Callable[..., BGraph], tuple]:
-    """The surface kernel, and a surface document's vertex count, triangles
-    and marked edges: one F x 3 and one L x 2 int64 array, converted from
-    the JSON lists, or the ``rows`` that the numeric reader read from the
-    text, whose lists in doc are its ``[]`` stand-ins."""
-    from .surface import _check_vertex_rows, _surface_graph, _vertex_array
+    """The surface kernel, and a surface document's vertex count and its
+    rows as F x 3 and L x 2 int64 arrays: the JSON lists' as
+    ``surface._vertex_arrays`` checks and converts them, or the ``rows``
+    that the numeric reader read, for which doc holds ``[]`` stand-ins."""
+    from .surface import _surface_graph, _vertex_arrays
 
     vertices = _need(doc, "vertices", int, pointer)
     triangles_raw = _need(doc, "triangles", list, pointer)
     z_raw = _need(doc, "z_edges", list, pointer) if "z_edges" in doc else []
-    _located(f"{pointer}/triangles", _check_vertex_rows, triangles_raw, 3, "triangle")
-    _located(f"{pointer}/z_edges", _check_vertex_rows, z_raw, 2, "marked edge")
     if rows is None:
-        rows = _vertex_array(triangles_raw, 3), _vertex_array(z_raw, 2)
+        rows = _located(pointer, _vertex_arrays, triangles_raw, z_raw)
     return _surface_graph, (vertices, *rows)
 
 
@@ -157,15 +149,11 @@ def parse_manifold(doc: Any) -> BGraph:
 def load_manifold(path) -> BGraph:
     """Load a manifold JSON file into a region graph.
 
-    A surface's ``triangles`` and ``z_edges`` are read by the numeric
-    reader straight from the text into the kernel's int64 arrays, when they
-    are rows of plain non-negative integers written compactly or with
-    ``json.dumps``' default separators (see ``surface._read_rows``).  On
-    any other text the whole text is parsed by ``json.loads``.  Either way
-    the result and every error are those of
-    ``parse_manifold(json.loads(text))``.  The text and the parsed document
-    are let go before the graph is built, so the document and the surface
-    kernel's arrays are never held at once.
+    The result and every error are those of
+    ``parse_manifold(json.loads(text))``, whether the numeric reader
+    ``surface._read_rows`` reads the text or declines it.  The text and the
+    parsed document are let go before the graph is built, so the document
+    and the surface kernel's arrays are never held at once.
 
     Raises:
         ManifoldFormatError: text that is not UTF-8, malformed or too deeply

@@ -12,6 +12,7 @@ row arrays straight from its text, as its docstring states.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
@@ -25,98 +26,124 @@ __all__ = ["TriangulatedSurface", "build_graph_from_surface", "surface_euler", "
 if TYPE_CHECKING:
     import numpy as np
 
-Edge2 = Tuple[int, int]
-Triangle = Tuple[int, int, int]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangulatedSurface:
     """A closed triangulated surface with a marked system of edge cycles.
 
     Attributes:
         vertex_count: vertices are the integers 0 .. vertex_count - 1.
-        triangles: faces as vertex triples, stored as given.  Each is
-            oriented by its sorted order: a triangle with vertices a < b < c
-            runs a -> b -> c -> a, along its two edges at the middle vertex b
-            and against the edge (a, c).
-        z_edges: marked edges as vertex pairs, stored as given.  Together
-            they must form a disjoint union of embedded cycles.
+        triangles: faces, a read-only F x 3 int64 array of the rows given,
+            in order.  Each is oriented by its sorted order: a triangle with
+            vertices a < b < c runs a -> b -> c -> a, along its two edges at
+            the middle vertex b and against the edge (a, c).
+        z_edges: marked edges, a read-only L x 2 int64 array, as given.
+            Together they must form a disjoint union of embedded cycles.
 
-    The vertex count and every vertex are Python or numpy integers, as in a
-    surface document; bools and floats, whole ones included, are not.
+    Rows are any iterable of rows, or an integer array.  The vertex count
+    and every vertex are Python or numpy integers, as in a surface document;
+    bools and floats, whole ones included, are not.  Surfaces are equal, and
+    hash alike, when their vertex counts and rows are.
 
     Raises:
         InvalidArgumentError: a vertex count that is not an integer, or
             naming the first triangle or marked edge that is not a row of
             3 or 2 integers.
+        NonClosedSurfaceError / InvalidZError: a vertex past int64, with
+            the error that ``build_graph_from_surface`` gives it.
     """
 
     vertex_count: int
-    triangles: Tuple[Triangle, ...]
-    z_edges: Tuple[Edge2, ...] = ()
+    triangles: np.ndarray
+    z_edges: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_count", _as_int(self.vertex_count, "vertex_count"))
-        object.__setattr__(self, "triangles", _vertex_rows(self.triangles, 3, "triangle"))
-        object.__setattr__(self, "z_edges", _vertex_rows(self.z_edges, 2, "marked edge"))
+        n = _as_int(self.vertex_count, "vertex_count")
+        t, z = _vertex_arrays(self.triangles, self.z_edges)
+        if object in (t.dtype, z.dtype):  # a vertex past int64, on which the kernel raises
+            _surface_graph(n, t, z)
+        t.flags.writeable = z.flags.writeable = False
+        for name, value in (("vertex_count", n), ("triangles", t), ("z_edges", z)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.vertex_count, self.triangles.tobytes(), self.z_edges.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, TriangulatedSurface):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # copies are made, read-only, by the constructor
+        return TriangulatedSurface, (self.vertex_count, self.triangles, self.z_edges)
 
 
-def _vertex_rows(rows, k: int, what: str) -> Tuple[tuple, ...]:
-    """rows as a tuple of tuples, once ``_check_vertex_rows`` has passed them.
+_ROWS = {"triangles": (3, "triangle"), "z_edges": (2, "marked edge")}  # key: width, row name
 
-    A row that is not iterable, or is a str, bytes or bytearray, stays as
-    given for the check to name at ``/i``, as a document's row is named.
-    """
+
+def _vertex_arrays(triangles, z_edges) -> Tuple[np.ndarray, np.ndarray]:
+    """A surface's rows as new F x 3 and L x 2 int64 arrays; numpy loads only
+    once ``_check_vertex_rows`` has passed both.  A vertex past int64 makes
+    an object array of Python ints, which the kernel refuses, quoting the
+    vertex exactly."""
+    checked = _check_vertex_rows(triangles, "triangles"), _check_vertex_rows(z_edges, "z_edges")
+    import numpy as np
+
+    arrays = []
+    for rows, (k, _) in zip(checked, _ROWS.values()):
+        try:  # an integer array is cast, and rows are read, into int64
+            flat = (np.array(rows, dtype=np.int64, order="C") if isinstance(rows, np.ndarray)
+                    else np.fromiter(chain.from_iterable(rows), np.int64, k * len(rows)))
+        except OverflowError:
+            flat = np.array(list(map(int, chain.from_iterable(rows))), dtype=object)
+        arrays.append(flat.reshape(-1, k))
+    return tuple(arrays)
+
+
+def _check_vertex_rows(rows, key: str):
+    """The rows under key, checked to be rows of k integers: an integer
+    array of width k that fits int64, else a list or tuple of rows; any
+    other array is read as its ``tolist()``, so errors quote plain values.
+
+    A list is checked by three C passes over sets of types and lengths, on
+    the stdlib alone; it is walked only to raise at the first defect (see
+    ``_defect``), at ``/key``, ``/key/i`` for row i of the wrong type or
+    length, quoted as a tuple, or ``/key/i/j`` for a non-integer entry j.
+    A str, bytes or bytearray is one row, as in a document."""
+    k, what = _ROWS[key]
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    if np is not None and isinstance(rows, np.ndarray):
+        if (rows.ndim == 2 and rows.shape[1] == k and rows.dtype.kind in "iu"
+                and np.can_cast(rows.dtype, np.int64)):
+            return rows
+        rows = rows.tolist()
     if not isinstance(rows, Iterable):
-        raise InvalidArgumentError(f"{what}s must be rows of {k} vertices, got {rows!r}")
-    rows = tuple(rows)  # rows is read twice below, and an iterator only once
-    if set(map(type, rows)) <= {list, tuple}:
-        rows = tuple(map(tuple, rows))
-    else:
-        rows = tuple(r if isinstance(r, (str, bytes, bytearray)) or not isinstance(r, Iterable)
-                     else tuple(r) for r in rows)
-    _check_vertex_rows(rows, k, what)
-    return rows
-
-
-def _check_vertex_rows(rows, k: int, what: str) -> None:
-    """Check that rows are lists or tuples of k integers.
-
-    The usual check is three passes over sets of types and lengths, which
-    run in C.  The rows are walked only to raise at the first defect, at
-    path ``/i`` for row i of the wrong type or length, or ``/i/j`` for its
-    entry j that is not an integer (see ``_defect``).  A row is quoted as a
-    tuple, as ``TriangulatedSurface`` stores it.
-    """
-    if (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {k}
+        raise _defect(f"/{key}", f"{what}s must be rows of {k} vertices, got {rows!r}")
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)  # read more than once
+    listed = set(map(type, rows)) <= {list, tuple}
+    if not listed:
+        rows = [r if isinstance(r, (str, bytes, bytearray)) or not isinstance(r, Iterable)
+                else tuple(r) for r in rows]
+    if (listed and set(map(len, rows)) <= {k}
             and all(map(_is_int, set(map(type, chain.from_iterable(rows)))))):
-        return
+        return rows
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or len(row) != k:
             shown = tuple(row) if isinstance(row, list) else row
-            raise _defect(f"/{i}", f"{what} {i} does not have {k} vertices: {shown!r}")
+            raise _defect(f"/{key}/{i}", f"{what} {i} does not have {k} vertices: {shown!r}")
         for j, v in enumerate(row):
             if not _is_int(type(v)):
-                raise _defect(f"/{i}/{j}", f"{what} {i} has a vertex that is not an integer: {v!r}")
+                raise _defect(f"/{key}/{i}/{j}",
+                              f"{what} {i} has a vertex that is not an integer: {v!r}")
+    return rows
 
 
 # the most triangles a surface may have: its 3F half-edges are numbered in
 # int32, and so are the labels 2 * root + parity of _components
 _MAX_TRIANGLES = (2**31 - 1) // 3
-
-
-def _vertex_array(rows, k: int) -> np.ndarray:
-    """The rows, k integers each, as an N x k int64 array.
-
-    A vertex past int64 makes it an array of the vertices as Python ints,
-    so that error messages quote them exactly.
-    """
-    import numpy as np
-
-    try:
-        return np.fromiter(chain.from_iterable(rows), np.int64, k * len(rows)).reshape(-1, k)
-    except OverflowError:
-        return np.array(list(map(int, chain.from_iterable(rows))), dtype=object).reshape(-1, k)
 
 
 def _check_distinct(t: np.ndarray) -> None:
@@ -131,10 +158,10 @@ def _check_distinct(t: np.ndarray) -> None:
 def _half_edges(n: int, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check that the complex is a closed surface and return its edge table.
 
-    ``t`` holds the triangles of a complex on the vertices 0 .. n-1, as
-    ``_vertex_array`` returns them; once its rows are known to be good they
-    are sorted in place, by three compare-exchanges on whole columns, which
-    orients triangle i as a -> b -> c -> a by its sorted row (a, b, c).
+    ``t`` holds the triangles of a complex on the vertices 0 .. n-1, an
+    F x 3 int64 array the caller owns; once its rows are known to be good
+    they are sorted in place, by three compare-exchanges on whole columns,
+    which orients triangle i as a -> b -> c -> a by its sorted row (a, b, c).
 
     The table has a row per edge, in ascending key order: ``keys``, the
     int64 keys u * V + w (u < w), which pass 2**31 from V = 46 341 on;
@@ -344,9 +371,9 @@ def _jumped(p: np.ndarray) -> np.ndarray:
 def _z_cycles(n: int, z: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Check that the marked edges are distinct and form disjoint cycles.
 
-    ``z`` holds them as ``_vertex_array`` returns them, in any order and
-    orientation; here each row is sorted in place to (min, max), and the
-    pairs are sorted.
+    ``z`` holds them as an L x 2 int64 array the caller owns, in any order
+    and orientation; here each row is sorted in place to (min, max), and
+    the pairs are sorted.
     Returns, for every marked edge in that order, its cycle number (cycles
     numbered in the order of their smallest edge) and its edge number
     (index into the edge ``keys`` of ``_half_edges``).
@@ -409,24 +436,18 @@ def _numbered(label: np.ndarray) -> Tuple[np.ndarray, int]:
 
 def surface_euler(surf: TriangulatedSurface) -> int:
     """Euler characteristic V - E + F of a valid closed surface."""
-    n, t = surf.vertex_count, _vertex_array(surf.triangles, 3)
-    keys, _, _ = _half_edges(n, t)
-    return n - len(keys) + len(t)
+    keys, _, _ = _half_edges(surf.vertex_count, surf.triangles.copy())
+    return surf.vertex_count - len(keys) + len(surf.triangles)
 
 
 def surface_orientable(surf: TriangulatedSurface) -> bool:
-    """Decide orientability from one parity components pass.
-
-    Neighboring triangles are consistently oriented exactly when they
-    traverse their shared edge in opposite directions.  This is the
-    components pass of ``build_graph_from_surface`` with no edge marked:
-    each connected piece of the surface is one region, and the surface is
-    orientable exactly when every piece is, that is when no edge breaks the
-    orientation that the pass gives its triangles.
+    """Decide orientability by the parity components pass of
+    ``_cover_regions`` with no edge marked: each connected piece of the
+    surface is one region, and the surface is orientable when every piece is.
     """
     import numpy as np
 
-    _, faces, same = _half_edges(surf.vertex_count, _vertex_array(surf.triangles, 3))
+    _, faces, same = _half_edges(surf.vertex_count, surf.triangles.copy())
     return bool(_cover_regions(faces, same, np.empty(0, dtype=np.int64))[2].all())
 
 
@@ -525,16 +546,15 @@ def build_graph_from_surface(surf: TriangulatedSurface) -> BGraph:
             embedded cycles, or a marked cycle touches more than two regions
             (at a pinched vertex; this is reported first).
     """
-    n = surf.vertex_count
-    return _surface_graph(n, _vertex_array(surf.triangles, 3), _vertex_array(surf.z_edges, 2))
+    return _surface_graph(surf.vertex_count, surf.triangles.copy(), surf.z_edges.copy())
 
 
 def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
     """``build_graph_from_surface`` on a complex given as its parts.
 
-    ``t`` holds the triangles and ``z`` the marked edges, as
-    ``_vertex_array`` or the numeric reader ``_read_rows`` returns
-    them; the rows of both are sorted in place.  Each marked edge's two
+    ``t`` holds the triangles and ``z`` the marked edges, F x 3 and L x 2
+    int64 arrays that the caller owns; the rows of both are sorted in
+    place.  Each marked edge's two
     triangles h, k and their regions a, b are gathered once, and every
     marked-edge fact is read from them: M's orientability, the closure
     Euler characteristics, and each cycle's two sides and stray regions.
@@ -591,7 +611,6 @@ def _surface_graph(n: int, t: np.ndarray, z: np.ndarray) -> BGraph:
 # this many characters at a time, so that its peak memory stays a small
 # multiple of the chunk whatever the document's size
 _CHUNK = 1 << 16
-_WIDTHS = {"triangles": 3, "z_edges": 2}
 _DIGITS = b"0123456789"
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
@@ -619,7 +638,7 @@ def _span(text: str, key: str, skip: Tuple[int, int] = (0, 0)):
     a += len(colon) - 1
     if text.startswith("[]", a):
         return (a, a + 2), []
-    cut = _row_pieces(text, a, _WIDTHS[key])
+    cut = _row_pieces(text, a, _ROWS[key][0])
     return None if cut is None else ((a, cut[1]), cut[0])
 
 
@@ -746,5 +765,5 @@ def _read_rows(text: str) -> Optional[Tuple[Any, tuple]]:
     surface = doc.get("surface") if isinstance(doc, dict) else None
     if not isinstance(surface, dict) or any(key not in surface for key in spans):
         return None
-    rows = tuple(_rows_array(text, pieces.get(key, []), k) for key, k in _WIDTHS.items())
+    rows = tuple(_rows_array(text, pieces.get(key, []), k) for key, (k, _) in _ROWS.items())
     return None if any(r is None for r in rows) else (doc, rows)

@@ -37,8 +37,8 @@ def pinched_octahedra() -> TriangulatedSurface:
     squares; every edge still lies in exactly two triangles.
     """
     first = octahedron()
-    second = tuple(tuple(0 if v == 0 else v + 5 for v in t) for t in octahedron(False).triangles)
-    return TriangulatedSurface(11, first.triangles + second, first.z_edges)
+    second = [[0 if v == 0 else v + 5 for v in t] for t in octahedron(False).triangles.tolist()]
+    return TriangulatedSurface(11, first.triangles.tolist() + second, first.z_edges)
 
 
 def pinched_octahedra_ring(count: int = 3) -> TriangulatedSurface:
@@ -68,8 +68,8 @@ def torus7(z_edges: Tuple[Tuple[int, int], ...] = ((0, 1), (1, 2), (0, 2))) -> T
 
 def genus2() -> TriangulatedSurface:
     """Two 7-vertex tori glued along the boundary of a removed face."""
-    base = torus7(()).triangles
-    removed = (0, 1, 3)
+    base = torus7(()).triangles.tolist()
+    removed = [0, 1, 3]
     first = [t for t in base if t != removed]
     relabel: Dict[int, int] = {}
     nxt = 7
@@ -80,7 +80,7 @@ def genus2() -> TriangulatedSurface:
             relabel[v] = nxt
             nxt += 1
     second = [tuple(sorted((relabel[a], relabel[b], relabel[c])))
-              for (a, b, c) in base if (a, b, c) != removed]
+              for (a, b, c) in base if [a, b, c] != removed]
     return TriangulatedSurface(nxt, tuple(first + second), ())
 
 
@@ -122,10 +122,10 @@ def subdivide(surf: TriangulatedSurface, faces: Sequence[int]) -> TriangulatedSu
     The surface, its marked curves, its regions and its orientability stay
     the same; each new vertex has degree 3, so the dual graph gets odd cycles.
     """
-    tris = list(surf.triangles)
+    tris = surf.triangles.tolist()
     n = surf.vertex_count
     for f in sorted(set(faces)):
-        a, b, c = surf.triangles[f]
+        a, b, c = tris[f]
         tris[f] = (a, b, n)
         tris += [(b, c, n), (a, c, n)]
         n += 1
@@ -136,8 +136,8 @@ def relabel(surf: TriangulatedSurface, perm: Sequence[int]) -> TriangulatedSurfa
     """The same surface with vertex v renamed perm[v]."""
     return TriangulatedSurface(
         surf.vertex_count,
-        tuple(tuple(perm[v] for v in t) for t in surf.triangles),
-        tuple(tuple(perm[v] for v in e) for e in surf.z_edges),
+        [[perm[v] for v in t] for t in surf.triangles.tolist()],
+        [[perm[v] for v in e] for e in surf.z_edges.tolist()],
     )
 
 
@@ -248,7 +248,7 @@ def edge_table_oracle(surf: TriangulatedSurface) -> Dict[Tuple[int, int], List[T
     it, each with whether it runs along the edge from the smaller vertex to
     the larger; a triangle with vertices a < b < c runs a -> b -> c -> a."""
     runs = defaultdict(list)
-    for i, t in enumerate(surf.triangles):
+    for i, t in enumerate(surf.triangles.tolist()):
         a, b, c = sorted(t)
         for x, y in ((a, b), (b, c), (c, a)):
             runs[min(x, y), max(x, y)].append((i, x < y))
@@ -258,12 +258,12 @@ def edge_table_oracle(surf: TriangulatedSurface) -> Dict[Tuple[int, int], List[T
 def region_count_oracle(surf: TriangulatedSurface) -> int:
     """Number of regions via union-find over triangle adjacency off the marked edges."""
     inc = defaultdict(list)
-    for i, t in enumerate(surf.triangles):
+    for i, t in enumerate(surf.triangles.tolist()):
         a, b, c = t
         for e in ((a, b), (b, c), (a, c)):
             inc[tuple(sorted(e))].append(i)
     uf = UnionFind(len(surf.triangles))
-    zset = {tuple(sorted(e)) for e in surf.z_edges}
+    zset = {tuple(sorted(e)) for e in surf.z_edges.tolist()}
     for e, ts in inc.items():
         if e in zset or len(ts) != 2:
             continue
@@ -277,16 +277,16 @@ def closure_chi_oracle(surf: TriangulatedSurface) -> List[int]:
     adjacency off the marked edges and listed in the order of their smallest
     triangle."""
     inc = defaultdict(list)
-    for i, (a, b, c) in enumerate(surf.triangles):
+    for i, (a, b, c) in enumerate(surf.triangles.tolist()):
         for e in ((a, b), (b, c), (a, c)):
             inc[min(e), max(e)].append(i)
     uf = UnionFind(len(surf.triangles))
-    zset = {(min(e), max(e)) for e in surf.z_edges}
+    zset = {(min(e), max(e)) for e in surf.z_edges.tolist()}
     for e, ts in inc.items():
         if e not in zset:
             uf.union(ts[0], ts[1])
     closures: Dict[int, Tuple[set, set, set]] = {}
-    for i, (a, b, c) in enumerate(surf.triangles):
+    for i, (a, b, c) in enumerate(surf.triangles.tolist()):
         vertices, edges, faces = closures.setdefault(uf.find(i), (set(), set(), set()))
         vertices.update((a, b, c))
         edges.update((min(e), max(e)) for e in ((a, b), (b, c), (a, c)))
@@ -304,7 +304,7 @@ def orientable_oracle(surf: TriangulatedSurface) -> bool:
     exactly when no triangle's two sheets end up in one class.
     """
     runs = defaultdict(list)  # directed edge -> triangles running along it
-    for i, (a, b, c) in enumerate(surf.triangles):
+    for i, (a, b, c) in enumerate(surf.triangles.tolist()):
         for x, y in ((a, b), (b, c), (c, a)):
             runs[x, y].append(i)
     uf = UnionFind(2 * len(surf.triangles))
@@ -365,10 +365,10 @@ def region_orientable_oracle(surf: TriangulatedSurface) -> List[Tuple[int, bool]
     numbered in the order of their smallest triangle.
     """
     runs = defaultdict(list)  # edge -> (triangle, whether it runs the edge upwards)
-    for i, (a, b, c) in enumerate(surf.triangles):
+    for i, (a, b, c) in enumerate(surf.triangles.tolist()):
         for x, y in ((a, b), (b, c), (c, a)):
             runs[min(x, y), max(x, y)].append((i, x < y))
-    zset = {tuple(sorted(e)) for e in surf.z_edges}
+    zset = {tuple(sorted(e)) for e in surf.z_edges.tolist()}
     uf = ParityUnionFind(len(surf.triangles))
     for e, sides in runs.items():
         if e in zset or len(sides) != 2:

@@ -39,8 +39,7 @@ from btangent import (
 )
 from btangent import manifold_io, surface
 from btangent.bgraph import _graph_columns
-from btangent.surface import (_components, _cover_regions, _half_edges, _sorted_keys, _vertex_array,
-                              _z_cycles)
+from btangent.surface import _components, _cover_regions, _half_edges, _sorted_keys, _z_cycles
 from corpus import (
     ParityUnionFind,
     UnionFind,
@@ -126,10 +125,10 @@ def _expected_graph(surf: TriangulatedSurface):
     components in the order of their smallest marked edge, each edge taken
     as (min, max), both found with a union-find.
     """
-    z = sorted(tuple(sorted(e)) for e in surf.z_edges)
+    z = sorted(tuple(sorted(e)) for e in surf.z_edges.tolist())
     zset = set(z)
     by_edge = {}
-    for i, t in enumerate(surf.triangles):
+    for i, t in enumerate(surf.triangles.tolist()):
         for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
             by_edge.setdefault(tuple(sorted(e)), []).append(i)
     faces = UnionFind(len(surf.triangles))
@@ -140,7 +139,7 @@ def _expected_graph(surf: TriangulatedSurface):
     region = [number.setdefault(faces.find(i), len(number)) for i in range(len(surf.triangles))]
     regions = []
     for r in range(len(number)):
-        tris = [t for i, t in enumerate(surf.triangles) if region[i] == r]
+        tris = [t for i, t in enumerate(surf.triangles.tolist()) if region[i] == r]
         edges = {tuple(sorted(e)) for t in tris for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
         regions.append((f"R{r}", len({v for t in tris for v in t}) - len(edges) + len(tris)))
 
@@ -176,7 +175,8 @@ def test_grid_surfaces_match_construction_and_oracles(n, m, klein, data):
     order = data.draw(st.permutations(range(len(surf.triangles))), label="triangle order")
     turns = data.draw(st.lists(st.integers(0, 5), min_size=len(order), max_size=len(order)),
                       label="row turns")
-    tris = [surf.triangles[i] for i in order]
+    tris = surf.triangles.tolist()
+    tris = [tris[i] for i in order]
     tris = [(t[s % 3:] + t[:s % 3])[::1 if s < 3 else -1] for t, s in zip(tris, turns)]
     surf = TriangulatedSurface(surf.vertex_count, tuple(tris), surf.z_edges)
     assert surface_orientable(surf) == (not klein) == orientable_oracle(surf)
@@ -307,9 +307,10 @@ def test_marked_edges_keep_the_lexicographic_order(n, m, data):
     order = data.draw(st.permutations(range(len(surf.z_edges))), label="marked edge order")
     flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)),
                       label="flips")
-    z = [surf.z_edges[i][::-1] if flip else surf.z_edges[i] for i, flip in zip(order, flips)]
-    keys, _, _ = _half_edges(n * m, _vertex_array(surf.triangles, 3))
-    cycle, edge = _z_cycles(n * m, _vertex_array(z, 2), keys)
+    z = surf.z_edges.tolist()
+    z = [z[i][::-1] if flip else z[i] for i, flip in zip(order, flips)]
+    keys, _, _ = _half_edges(n * m, surf.triangles.copy())
+    cycle, edge = _z_cycles(n * m, np.array(z, dtype=np.int64), keys)
     assert (cycle.tolist(), edge.tolist()) == _lexsorted_cycles(n * m, np.array(z), keys)
 
 
@@ -361,22 +362,29 @@ def test_pinched_surface_is_structured_error():
         build_graph_from_surface(pinched_octahedra())
 
 
+def _parts(surf: TriangulatedSurface):
+    """A surface's vertex count, triangles and marked edges, its rows as tuples of Python ints."""
+    return (surf.vertex_count,
+            *(tuple(map(tuple, rows.tolist())) for rows in (surf.triangles, surf.z_edges)))
+
+
 def _bad_complexes():
     """Each defect alone, as the parts of a surface, with the exact error it raises."""
-    oct_ = octahedron()
-    tris, z = oct_.triangles, oct_.z_edges
+    _, tris, z = _parts(octahedron())
     with_vertex = tris[:3] + ((0, 2, 6),) + tris[3:]
-    grid = grid_surface(10, 10)
+    _, grid, _ = _parts(grid_surface(10, 10))
     # rows 1 and 3 of a 6x6 grid cross column 2 at vertices 8 and 20;
     # swapping vertices 0 and 19 lists the marked edge (0, 20) first
     grid_6x6 = grid_surface(6, 6, loop_rows=(1, 3))
     column = tuple((2 + 6 * j, 2 + 6 * (j + 1) % 36) for j in range(6))
     swap = [19] + list(range(1, 19)) + [0] + list(range(20, 36))
-    crossed = relabel(TriangulatedSurface(36, grid_6x6.triangles, grid_6x6.z_edges + column), swap)
+    crossed = relabel(TriangulatedSurface(36, grid_6x6.triangles,
+                                          grid_6x6.z_edges.tolist() + list(column)), swap)
     pinched, ring, ring4 = pinched_octahedra(), pinched_octahedra_ring(), pinched_octahedra_ring(4)
     # the ring of four on vertices 0-19, then the ring of three on 20-34
     ring3 = relabel(ring, range(20, 35))
-    two_rings = (35, ring4.triangles + ring3.triangles, ring4.z_edges + ring3.z_edges)
+    (_, tris4, z4), (_, tris3, z3) = _parts(ring4), _parts(ring3)
+    two_rings = (35, tris4 + tris3, z4 + z3)
     return [
         ("open", (6, tris[:-1], ()), NonClosedSurfaceError,
          "edge (1, 4) lies in 1 triangle(s); a closed surface needs 2"),
@@ -415,8 +423,8 @@ def _bad_complexes():
          NonClosedSurfaceError, "edge (0, 1) lies in 3 triangle(s); a closed surface needs 2"),
         # three edges in 3 triangles each: the one met first in triangle order is named
         ("first of several edges in 3 triangles",
-         (103, grid.triangles + tuple(
-             (t[0], t[1], 100 + j) for j, t in enumerate(grid.triangles[i] for i in (98, 194, 107))
+         (103, grid + tuple(
+             (t[0], t[1], 100 + j) for j, t in enumerate(grid[i] for i in (98, 194, 107))
          ), ()),
          NonClosedSurfaceError, "edge (40, 49) lies in 3 triangle(s); a closed surface needs 2"),
         ("marked edge off the complex", (6, tris, ((1, 3), (3, 4), (4, 1))),
@@ -433,15 +441,15 @@ def _bad_complexes():
          (6, tris, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4))),
          InvalidZError, "vertex 0 has degree 4 in the marked edge set; cycles need 2"),
         ("smallest of two degree-4 marked vertices",
-         (crossed.vertex_count, crossed.triangles, crossed.z_edges), InvalidZError,
+         _parts(crossed), InvalidZError,
          "vertex 8 has degree 4 in the marked edge set; cycles need 2"),
         ("repeated marked edge", (6, tris, ((1, 2), (2, 1))),
          InvalidZError, "marked edge (1, 2) is listed twice"),
-        ("pinched octahedra", (pinched.vertex_count, pinched.triangles, pinched.z_edges),
+        ("pinched octahedra", _parts(pinched),
          NonClosedSurfaceError, "closure Euler characteristics do not sum to the surface's: "
          "the complex is not a surface at some vertex"),
         # reported before the closure Euler characteristics are summed
-        ("marked cycle through three regions", (ring.vertex_count, ring.triangles, ring.z_edges),
+        ("marked cycle through three regions", _parts(ring),
          InvalidZError, "marked cycle 0 touches 3 regions; at most 2 possible"),
         ("first of two marked cycles through more than two regions", two_rings,
          InvalidZError, "marked cycle 0 touches 4 regions; at most 2 possible"),
@@ -477,7 +485,7 @@ def _tie_break_cases():
                 "marked grid torus": grid_surface(8, 6, loop_rows=(1, 4)),
                 "marked grid Klein bottle": grid_surface(8, 6, klein=True, loop_rows=(2,))}
     return [(name, parts) for name, parts, _, _ in _bad_complexes()] + [
-        (name, (s.vertex_count, s.triangles, s.z_edges)) for name, s in surfaces.items()]
+        (name, _parts(s)) for name, s in surfaces.items()]
 
 
 @pytest.mark.parametrize("name, parts", _tie_break_cases(),
@@ -516,8 +524,8 @@ def test_results_do_not_depend_on_how_the_sort_breaks_ties(monkeypatch, name, pa
 
 def _document(surf: TriangulatedSurface) -> dict:
     return {"surface": {"vertices": surf.vertex_count,
-                        "triangles": [list(t) for t in surf.triangles],
-                        "z_edges": [list(e) for e in surf.z_edges]}}
+                        "triangles": surf.triangles.tolist(),
+                        "z_edges": surf.z_edges.tolist()}}
 
 
 # (key, row, column): the values at (3, 2), (0, 0) and z (0, 0) are 1, 0 and 1,
@@ -597,7 +605,7 @@ def test_row_defect_has_one_message_on_both_doors(key, i, row, path, message):
     with pytest.raises(InvalidArgumentError) as exc:
         TriangulatedSurface(6, surface["triangles"], surface["z_edges"])
     assert type(exc.value) is InvalidArgumentError
-    assert str(exc.value) == message and exc.value._path == path
+    assert str(exc.value) == message and exc.value._path == f"/{key}{path}"
     with pytest.raises(ManifoldFormatError) as exc:
         parse_manifold(doc)
     assert exc.value.pointer == f"/surface/{key}{path}"
@@ -615,9 +623,10 @@ def _shuffled(surf: TriangulatedSurface, data) -> TriangulatedSurface:
     order = data.draw(st.permutations(range(len(surf.triangles))), label="triangle order")
     turns = data.draw(st.lists(st.integers(0, 5), min_size=len(order), max_size=len(order)),
                       label="row turns")
-    tris = [surf.triangles[i] for i in order]
+    tris = surf.triangles.tolist()
+    tris = [tris[i] for i in order]
     tris = [(t[s % 3:] + t[:s % 3])[::1 if s < 3 else -1] for t, s in zip(tris, turns)]
-    z = data.draw(st.permutations(surf.z_edges), label="marked edge order")
+    z = data.draw(st.permutations(surf.z_edges.tolist()), label="marked edge order")
     flips = data.draw(st.lists(st.booleans(), min_size=len(z), max_size=len(z)), label="flips")
     return TriangulatedSurface(surf.vertex_count, tuple(tris),
                                tuple(e[::-1] if flip else e for e, flip in zip(z, flips)))
@@ -649,8 +658,8 @@ def test_cover_pass_matches_the_parity_oracle(kind, data):
         surf = subdivide(grid_surface(n, m, kind != "torus", sorted(rows)), faces)
     surf = _shuffled(surf, data)
     n = surf.vertex_count
-    keys, faces, same = _half_edges(n, _vertex_array(surf.triangles, 3))
-    _, edge = _z_cycles(n, _vertex_array(surf.z_edges, 2), keys)
+    keys, faces, same = _half_edges(n, surf.triangles.copy())
+    _, edge = _z_cycles(n, surf.z_edges.copy(), keys)
     region, sheet, region_orientable = _cover_regions(faces, same, edge)
     assert (region.dtype, sheet.dtype) == (np.int64, np.int32) and set(sheet.tolist()) <= {0, 1}
     assert [(r, bool(region_orientable[r])) for r in region.tolist()] == \
@@ -688,7 +697,7 @@ def test_edge_table_matches_its_oracle(kind, data):
                       label="coned faces")
     surf = _shuffled(subdivide(surf, faces), data)
     n = surf.vertex_count
-    keys, faces, same = _half_edges(n, _vertex_array(surf.triangles, 3))
+    keys, faces, same = _half_edges(n, surf.triangles.copy())
     table = edge_table_oracle(surf)
     edges = sorted(table)
     assert keys.tolist() == [u * n + w for u, w in edges]
@@ -730,7 +739,8 @@ def test_closure_chis_match_their_oracle(data):
                    if k else ())
     grid = grid_surface(n, m, klein, loops)
     surf = _shuffled(TriangulatedSurface(grid.vertex_count, grid.triangles,
-                                         grid.z_edges + tuple(e for d in disks for e in d)), data)
+                                         grid.z_edges.tolist() + [e for d in disks for e in d]),
+                     data)
     chis = [r.euler_char for r in build_graph_from_surface(surf).regions]
     assert len(chis) == max(len(loops), 1) + len(disks)
     assert sorted(chis) == sorted(closure_chi_oracle(surf))
@@ -772,7 +782,7 @@ _BAD_ROWS = st.one_of(
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_first_row_defect_is_named_in_document_order(data):
-    rows = [list(t) for t in grid_surface(4, 4).triangles]
+    rows = grid_surface(4, 4).triangles.tolist()
     for row in data.draw(_BAD_ROWS, label="bad rows"):
         rows.insert(data.draw(st.integers(0, len(rows)), label="at"), list(row))
     message = _first_row_defect(16, rows)
@@ -853,7 +863,7 @@ def _torus_of_disks(n: int) -> TriangulatedSurface:
     surf = grid_surface(n, n, loop_rows=(0,))
     disks = [(i + n * j, i + 1 + n * j, i + 1 + n * (j + 1))
              for j in range(2, n - 1, 2) for i in range(0, n, 2)]
-    z = surf.z_edges + tuple(e for a, b, d in disks for e in ((a, b), (b, d), (a, d)))
+    z = surf.z_edges.tolist() + [e for a, b, d in disks for e in ((a, b), (b, d), (a, d))]
     return TriangulatedSurface(surf.vertex_count, surf.triangles, z)
 
 
@@ -949,7 +959,7 @@ def test_surface_kernel_traced_peak_is_bounded():
     # int32 half-edges and cover nodes, keys computed in place and each array
     # dropped once read: 2.3 MB here, where int64 arrays kept to the end took 4.7
     surf = grid_surface(100, 100, loop_rows=(0, 50))
-    n, t, z = surf.vertex_count, _vertex_array(surf.triangles, 3), _vertex_array(surf.z_edges, 2)
+    n, t, z = surf.vertex_count, surf.triangles.copy(), surf.z_edges.copy()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -998,7 +1008,7 @@ def test_equal_colorings_hash_equal():
                                              ("z_edges", 2, 1), ("z_edges", 0, 0)])
 @pytest.mark.parametrize("value", [2.5, 2.0, True, False])
 def test_surface_vertices_are_integers(field, row, col, value):
-    parts = {"triangles": list(octahedron().triangles), "z_edges": list(octahedron().z_edges)}
+    parts = {"triangles": octahedron().triangles.tolist(), "z_edges": octahedron().z_edges.tolist()}
     entry = list(parts[field][row])
     entry[col] = value
     parts[field][row] = tuple(entry)
@@ -1006,6 +1016,37 @@ def test_surface_vertices_are_integers(field, row, col, value):
     with pytest.raises(InvalidArgumentError) as exc:
         TriangulatedSurface(6, parts["triangles"], parts["z_edges"])
     assert str(exc.value) == f"{what} {row} has a vertex that is not an integer: {value!r}"
+
+
+# an array that is no int64 array of the row width is read as its rows of
+# Python values, so its first bad row is quoted as a list's would be
+@pytest.mark.parametrize("field, rows, message", [
+    ("triangles", np.array(octahedron().triangles, dtype=np.float64),
+     "triangle 0 has a vertex that is not an integer: 0.0"),
+    ("triangles", np.array(octahedron().triangles, dtype=bool),
+     "triangle 0 has a vertex that is not an integer: False"),
+    ("triangles", np.arange(12).reshape(6, 2), "triangle 0 does not have 3 vertices: (0, 1)"),
+    ("z_edges", np.array(octahedron().z_edges, dtype=np.float32),
+     "marked edge 0 has a vertex that is not an integer: 1.0"),
+    ("z_edges", np.array(octahedron().z_edges, dtype=bool),
+     "marked edge 0 has a vertex that is not an integer: True"),
+    ("z_edges", np.arange(12).reshape(4, 3), "marked edge 0 does not have 2 vertices: (0, 1, 2)"),
+], ids=["float triangles", "bool triangles", "triangles of 2", "float marked edges",
+        "bool marked edges", "marked edges of 3"])
+def test_surface_array_vertices_are_quoted_as_plain_values(field, rows, message):
+    parts = {"triangles": octahedron().triangles, "z_edges": octahedron().z_edges, field: rows}
+    with pytest.raises(InvalidArgumentError) as exc:
+        TriangulatedSurface(6, parts["triangles"], parts["z_edges"])
+    assert type(exc.value) is InvalidArgumentError and str(exc.value) == message
+
+
+def _read_only_rows(surf: TriangulatedSurface, triangles, z_edges) -> None:
+    """Check that surf holds read-only int64 arrays of the given rows, in order."""
+    for stored, rows in ((surf.triangles, triangles), (surf.z_edges, z_edges)):
+        assert stored.dtype == np.int64 and not stored.flags.writeable
+        assert stored.tolist() == np.asarray(rows).tolist()
+    with pytest.raises(ValueError):
+        surf.triangles[0, 0] = 1
 
 
 def test_surface_takes_numpy_integer_vertices():
@@ -1019,18 +1060,54 @@ def test_surface_takes_numpy_integer_vertices():
     for dtype in (np.int16, np.uint16, np.int64):
         surf = TriangulatedSurface(400, grid.triangles, np.array(grid.z_edges, dtype=dtype))
         assert build_graph_from_surface(surf) == expected
+    # every integer type, and views that are not C-contiguous: the rows are
+    # stored as given, and twins built from lists compare and hash equal
+    twin = TriangulatedSurface(400, grid.triangles.tolist(), grid.z_edges.tolist())
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                  np.uint64):
+        base = grid if np.iinfo(dtype).max >= 400 else oct_
+        t, z = base.triangles.astype(dtype), base.z_edges.astype(dtype)
+        for view in (t, np.asfortranarray(t), t[::-1].copy()[::-1]):
+            surf = TriangulatedSurface(base.vertex_count, view, z)
+            _read_only_rows(surf, t, z)
+            assert surf == base and hash(surf) == hash(base)
+        if base is grid:
+            assert surf == twin and hash(surf) == hash(twin)
+            assert build_graph_from_surface(surf) == expected
+    # a stored array is the surface's own: changing the input changes nothing
+    t = oct_.triangles.copy()
+    surf = TriangulatedSurface(6, t, oct_.z_edges)
+    t[0] = (5, 4, 3)
+    assert surf == oct_
+    # a vertex past int64 gets the list door's message
+    rows = oct_.triangles.astype(np.uint64)
+    rows[3, 2] = 2**63
+    for door in (rows, rows.tolist()):
+        with pytest.raises(NonClosedSurfaceError) as exc:
+            TriangulatedSurface(6, door, oct_.z_edges)
+        assert str(exc.value) == f"triangle 3 uses vertex {2**63} out of range"
+    # no marked edges, as an empty array of either shape
+    bare = octahedron(False)
+    for empty in (np.empty((0, 2), dtype=np.int32), np.array([]), []):
+        surf = TriangulatedSurface(6, oct_.triangles, empty)
+        assert surf.z_edges.shape == (0, 2)
+        assert surf == bare and hash(surf) == hash(bare)
+    # a copy and a pickled surface are equal, and read-only too
+    for again in (copy.deepcopy(grid), copy.copy(grid), pickle.loads(pickle.dumps(grid))):
+        assert again == grid and hash(again) == hash(grid)
+        _read_only_rows(again, grid.triangles, grid.z_edges)
 
 
 def test_surface_stores_its_rows_as_given():
-    tris, z = octahedron().triangles, ((2, 1), (4, 3), (3, 2), (1, 4))
+    tris, z = octahedron().triangles.tolist(), ((2, 1), (4, 3), (3, 2), (1, 4))
     surf = TriangulatedSurface(6, [list(t) for t in tris], [list(e) for e in z])
-    assert surf.triangles == tris and surf.z_edges == z
+    assert surf.triangles.tolist() == tris and surf.z_edges.tolist() == [list(e) for e in z]
     assert surf != TriangulatedSurface(6, tris, sorted(z))
 
 
 def _python_door_defects():
     """Malformed arguments to the Python constructors, with the exact error each raises."""
-    tris, z = octahedron().triangles, octahedron().z_edges
+    _, tris, z = _parts(octahedron())
     equator = (Region("B+", 1), Region("B-", 1)), (HypersurfaceComponent("Z0", "B+", "B-"),)
     radial = named_field("radial")
     cases = [
@@ -1121,8 +1198,8 @@ _JUNK = st.one_of(st.integers(-2, 9), st.booleans(), st.floats(), st.text(max_si
 @st.composite
 def _malformed_surface(draw):
     """The parts of an octahedron with a few values replaced by junk."""
-    parts = {"triangles": [list(t) for t in octahedron().triangles],
-             "z_edges": [list(e) for e in octahedron().z_edges]}
+    parts = {"triangles": octahedron().triangles.tolist(),
+             "z_edges": octahedron().z_edges.tolist()}
     n = draw(st.one_of(st.just(6), _JUNK))
     for _ in range(draw(st.integers(1, 3))):
         key = draw(st.sampled_from(sorted(parts)))

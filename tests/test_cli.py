@@ -443,7 +443,7 @@ def test_out_of_range_arguments_are_structured_errors(argv):
     assert "Traceback" not in proc.stderr
 
 
-_OCTAHEDRON = [list(t) for t in octahedron().triangles]
+_OCTAHEDRON = octahedron().triangles.tolist()
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -452,14 +452,15 @@ _OCTAHEDRON = [list(t) for t in octahedron().triangles]
     ({"graph": {"regions": [{"label": "A", "chi": 1}, {"label": "A", "chi": 1}],
                 "edges": [], "ambient_dim": 2, "orientable": True}},
      "duplicate region label"),
-    ({"surface": {"vertices": 11, "triangles": [list(t) for t in pinched_octahedra().triangles],
-                  "z_edges": [list(e) for e in pinched_octahedra().z_edges]}},
+    ({"surface": {"vertices": 11, "triangles": pinched_octahedra().triangles.tolist(),
+                  "z_edges": pinched_octahedra().z_edges.tolist()}},
      "not a surface at some vertex"),
     pytest.param(b"\xff\xfe" + json.dumps({"surface": {"vertices": 6}}).encode(),
                  "not UTF-8 text", id="doc3-not UTF-8 text"),
     pytest.param(b"[" * 100_000, "not valid JSON", id="doc4-not valid JSON"),
-    pytest.param({"surface": {"vertices": 15, "triangles": pinched_octahedra_ring().triangles,
-                              "z_edges": pinched_octahedra_ring().z_edges}},
+    pytest.param({"surface": {"vertices": 15,
+                              "triangles": pinched_octahedra_ring().triangles.tolist(),
+                              "z_edges": pinched_octahedra_ring().z_edges.tolist()}},
                  "error: marked cycle 0 touches 3 regions; at most 2 possible\n",
                  id="doc5-marked cycle through three regions"),
 ])

@@ -125,28 +125,50 @@ def test_a_refused_sphere_loads_no_numpy():
 
 
 # A compact surface document with a bad row, which the numeric reader must
-# decline without loading numpy, so that the row check reports it.
+# decline without loading numpy, so that the row check reports it; the
+# library door, given the document's rows, must refuse them before numpy too.
 _BAD_ROW = """
-import sys
-from btangent import ManifoldFormatError, load_manifold
+import json, sys
+from btangent import InvalidArgumentError, ManifoldFormatError, TriangulatedSurface, load_manifold
+door, path = sys.argv[1:]
 try:
-    load_manifold(sys.argv[1])
-except ManifoldFormatError as exc:
+    if door == "document":
+        load_manifold(path)
+    else:
+        surface = json.loads(open(path).read())["surface"]
+        TriangulatedSurface(surface["vertices"], surface["triangles"], surface.get("z_edges", ()))
+except (InvalidArgumentError, ManifoldFormatError) as exc:
     print(exc)
 assert "numpy" not in sys.modules
 """
 
-
-@pytest.mark.parametrize("row, message", [
-    ("[1,2.5,3]", "triangle 3 has a vertex that is not an integer: 2.5 (at /surface/triangles/3/1)"),
-    ("[1,true,3]",
+# (id, the surface's rows as written, the document door's message)
+_BAD_ROWS = [
+    ("float", '"triangles":[[0,1,2],[0,1,3],[0,2,3],[1,2.5,3]]',
+     "triangle 3 has a vertex that is not an integer: 2.5 (at /surface/triangles/3/1)"),
+    ("true", '"triangles":[[0,1,2],[0,1,3],[0,2,3],[1,true,3]]',
      "triangle 3 has a vertex that is not an integer: True (at /surface/triangles/3/1)"),
-    ("[1,2]", "triangle 3 does not have 3 vertices: (1, 2) (at /surface/triangles/3)"),
-], ids=["float", "true", "wrong width"])
-def test_a_compact_bad_row_is_reported_without_numpy(tmp_path, row, message):
+    ("wrong width", '"triangles":[[0,1,2],[0,1,3],[0,2,3],[1,2]]',
+     "triangle 3 does not have 3 vertices: (1, 2) (at /surface/triangles/3)"),
+    # a bad marked edge under good triangles
+    ("marked float", '"triangles":[[0,1,2],[0,1,3],[0,2,3],[1,2,3]],"z_edges":[[0,1],[1,2.5]]',
+     "marked edge 1 has a vertex that is not an integer: 2.5 (at /surface/z_edges/1/1)"),
+    ("marked true", '"triangles":[[0,1,2],[0,1,3],[0,2,3],[1,2,3]],"z_edges":[[0,1],[true,2]]',
+     "marked edge 1 has a vertex that is not an integer: True (at /surface/z_edges/1/0)"),
+    ("marked wrong width", '"triangles":[[0,1,2],[0,1,3],[0,2,3],[1,2,3]],"z_edges":[[0,1],[1]]',
+     "marked edge 1 does not have 2 vertices: (1,) (at /surface/z_edges/1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "door, rows, message",
+    [("document", rows, message) for _, rows, message in _BAD_ROWS]
+    + [("library", rows, message.partition(" (at ")[0]) for _, rows, message in _BAD_ROWS],
+    ids=[name for name, _, _ in _BAD_ROWS] + [f"library {name}" for name, _, _ in _BAD_ROWS])
+def test_a_compact_bad_row_is_reported_without_numpy(tmp_path, door, rows, message):
     path = tmp_path / "row.json"
-    path.write_text('{"surface":{"vertices":4,"triangles":[[0,1,2],[0,1,3],[0,2,3],%s]}}' % row)
-    proc = _fresh(_BAD_ROW, str(path))
+    path.write_text('{"surface":{"vertices":4,%s}}' % rows)
+    proc = _fresh(_BAD_ROW, door, str(path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == message + "\n"
 

@@ -63,8 +63,8 @@ def _object(pairs, item: str, colon: str) -> str:
 
 
 def _rows(surf):
-    return {"triangles": [[str(v) for v in t] for t in surf.triangles],
-            "z_edges": [[str(v) for v in e] for e in surf.z_edges]}
+    return {"triangles": [[str(v) for v in t] for t in surf.triangles.tolist()],
+            "z_edges": [[str(v) for v in e] for e in surf.z_edges.tolist()]}
 
 
 def _octahedron_text(layout: str, rows=None, join=None) -> str:
@@ -228,8 +228,8 @@ def test_reader_reads_compact_and_default_documents(monkeypatch, chunk, layout):
     doc, (t, z) = surface_io._read_rows(_octahedron_text(layout))
     assert doc == {"surface": {"vertices": 6, "triangles": [], "z_edges": []}}
     assert t.dtype == z.dtype == np.int64
-    assert t.tolist() == [list(r) for r in surf.triangles]
-    assert z.tolist() == [list(e) for e in surf.z_edges]
+    assert t.tolist() == surf.triangles.tolist()
+    assert z.tolist() == surf.z_edges.tolist()
     # the longest entry it reads
     rows = _with_vertex("triangles", 7, 2, "999999999999999999")
     assert surface_io._read_rows(_octahedron_text(layout, rows))[1][0][7, 2] == 10**18 - 1
@@ -254,8 +254,9 @@ def test_reader_declines_what_it_cannot_be_sure_of(tmp_path):
 
 def test_the_reader_path_reports_a_marked_cycle_through_three_regions(tmp_path):
     ring = pinched_octahedra_ring()
-    text = json.dumps({"surface": {"vertices": ring.vertex_count, "triangles": ring.triangles,
-                                   "z_edges": ring.z_edges}}, separators=(",", ":"))
+    text = json.dumps({"surface": {"vertices": ring.vertex_count,
+                                   "triangles": ring.triangles.tolist(),
+                                   "z_edges": ring.z_edges.tolist()}}, separators=(",", ":"))
     assert surface_io._read_rows(text) is not None
     path = tmp_path / "ring.json"
     path.write_text(text, encoding="utf-8")
